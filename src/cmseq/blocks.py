@@ -5,7 +5,9 @@ components is fully described by its ``(N+1)d x (N+1)d`` covariance matrix,
 viewed as an ``(N+1) x (N+1)`` grid of ``d x d`` blocks.  Everything downstream
 (pattern detection, classification, dynamic models) works on that block grid,
 so the primitives here are deliberately small: a read-only block view, a
-pivot-reporting Cholesky, an SPD inverse, and block Schur complements.
+pivot-reporting Cholesky (LAPACK ``dpotrf``), an SPD inverse, and block Schur
+complements.  A :class:`SequenceLaw` factorizes its covariance once, at
+construction, and derives its precision from that factor on first use.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, lapack
 
 __all__ = [
     "NotSymmetricError",
@@ -29,6 +31,7 @@ __all__ = [
     "cholesky_spd",
     "invert_spd",
     "schur_complement",
+    "marginal_precisions",
 ]
 
 _SYM_RTOL = 1e-12
@@ -141,23 +144,33 @@ def cholesky_spd(m):
 
     Unlike ``np.linalg.cholesky`` this reports *where* the factorization
     failed: a pivot at or below ``1e-12 * max(diag)`` raises
-    :class:`NotPositiveDefiniteError` carrying the pivot index.
+    :class:`NotPositiveDefiniteError` carrying the pivot index.  LAPACK
+    accepts any positive pivot, so the threshold is checked on the factor's
+    diagonal afterwards; the first failing pivot in column order is reported.
     """
     a = symmetrize(m)
     n = a.shape[0]
     if n == 0:
         return np.zeros((0, 0))
     threshold = _PIVOT_RTOL * max(float(np.max(np.diag(a))), 0.0)
-    lower = np.zeros_like(a)
-    for j in range(n):
-        v = a[j:, j] - lower[j:, :j] @ lower[j, :j]
-        pivot = v[0]
-        if pivot <= threshold:
-            raise NotPositiveDefiniteError(j, pivot)
-        root = np.sqrt(pivot)
-        lower[j, j] = root
-        lower[j + 1 :, j] = v[1:] / root
+    lower, info = lapack.dpotrf(a, lower=1, clean=1)
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal value in argument {-info}")
+    factored = n if info == 0 else info - 1
+    pivots = np.diag(lower)[:factored] ** 2
+    small = np.flatnonzero(pivots <= threshold)
+    if small.size:
+        raise NotPositiveDefiniteError(small[0], pivots[small[0]])
+    if info > 0:
+        row = lower[factored, :factored]
+        raise NotPositiveDefiniteError(factored, a[factored, factored] - row @ row)
     return lower
+
+
+def _inverse_from_factor(lower):
+    """Exactly symmetric inverse of ``L L'`` from its lower Cholesky factor."""
+    inv = cho_solve((lower, True), np.eye(lower.shape[0]))
+    return (inv + inv.T) / 2.0
 
 
 def invert_spd(m):
@@ -167,10 +180,7 @@ def invert_spd(m):
     :class:`NotPositiveDefiniteError` / :class:`NotSymmetricError` as
     appropriate.
     """
-    lower = cholesky_spd(m)
-    n = lower.shape[0]
-    inv = cho_solve((lower, True), np.eye(n))
-    return (inv + inv.T) / 2.0
+    return _inverse_from_factor(cholesky_spd(m))
 
 
 class BlockMatrix:
@@ -199,6 +209,8 @@ class BlockMatrix:
         data.setflags(write=False)
         self._data = data
         self._d = block_dim
+        self._norms = None
+        self._spd_checked = False
 
     @property
     def data(self):
@@ -233,10 +245,28 @@ class BlockMatrix:
             np.linalg.norm(self._data[i * d : (i + 1) * d, j * d : (j + 1) * d])
         )
 
+    def block_norms(self):
+        """Frobenius norms of all blocks as a read-only ``n_blocks x n_blocks``
+        array, computed once per matrix."""
+        if self._norms is None:
+            n, d = self.n_blocks, self._d
+            b = self._data.reshape(n, d, n, d)
+            norms = np.sqrt(np.einsum("iajb,iajb->ij", b, b))
+            norms.setflags(write=False)
+            self._norms = norms
+        return self._norms
+
+    def _require_spd(self):
+        """Run the :func:`cholesky_spd` check on the whole matrix, once per
+        matrix; raises :class:`NotPositiveDefiniteError` on every call while
+        it fails."""
+        if not self._spd_checked:
+            cholesky_spd(self._data)
+            self._spd_checked = True
+
     def max_block_norm(self):
         """Largest block Frobenius norm over the whole grid."""
-        n = self.n_blocks
-        return max(self.block_norm(i, j) for i in range(n) for j in range(n))
+        return float(self.block_norms().max())
 
     @classmethod
     def from_blocks(cls, blocks):
@@ -252,7 +282,9 @@ class SequenceLaw:
     """Zero-mean nonsingular Gaussian sequence law on times ``0..N``.
 
     Wraps the covariance matrix as a :class:`BlockMatrix` and checks symmetry
-    and positive definiteness on construction.
+    and positive definiteness on construction.  The Cholesky factor from that
+    check is kept until :meth:`precision` first needs it; the precision is
+    then cached and the factor dropped, so a law holds one of the two.
 
     Parameters
     ----------
@@ -270,7 +302,8 @@ class SequenceLaw:
                 raise ValueError("block_dim is required for ndarray input")
             bm = BlockMatrix(covariance, block_dim)
         sym = symmetrize(bm.data)  # raises NotSymmetricError
-        cholesky_spd(sym)  # raises NotPositiveDefiniteError
+        self._factor = cholesky_spd(sym)  # raises NotPositiveDefiniteError
+        self._precision = None
         self._cov = BlockMatrix(sym, bm.block_dim)
         if self._cov.n_blocks < 2:
             raise ValueError("a sequence law needs at least two times (N >= 1)")
@@ -290,8 +323,13 @@ class SequenceLaw:
         return self._cov.block_dim
 
     def precision(self) -> BlockMatrix:
-        """Inverse covariance as a BlockMatrix."""
-        return BlockMatrix(invert_spd(self._cov.data), self._cov.block_dim)
+        """Inverse covariance as a read-only BlockMatrix, computed once."""
+        if self._precision is None:
+            self._precision = BlockMatrix(
+                _inverse_from_factor(self._factor), self._cov.block_dim
+            )
+            self._factor = None
+        return self._precision
 
     @classmethod
     def from_precision(cls, precision, block_dim=None):
@@ -352,3 +390,46 @@ def schur_complement(a: BlockMatrix, split: int, keep: Keep) -> BlockMatrix:
     lower = cholesky_spd(mat[dropped, dropped])
     comp = a_kk - a_kd @ cho_solve((lower, True), a_kd.T)
     return BlockMatrix((comp + comp.T) / 2.0, d)
+
+
+def marginal_precisions(a: BlockMatrix, keep: Keep):
+    """Marginal precisions of every boundary-anchored interval, one sweep.
+
+    Eliminates one time at a time from the SPD matrix ``a`` (N+1 block
+    rows): times ``N, N-1, ...`` for ``keep=Keep.LEADING``, times
+    ``0, 1, ...`` for ``keep=Keep.TRAILING``.  ``a`` first gets the same
+    whole-matrix SPD check as in :func:`schur_complement`, run once per
+    matrix however many sweeps read it.  Each elimination is then a rank-d
+    Schur update whose ``d x d`` pivot is factorized by :func:`cholesky_spd`,
+    so either check raises :class:`NotPositiveDefiniteError`.  The whole
+    sweep costs O(N^3 d^3), against O(N^4 d^3) for one
+    :func:`schur_complement` per interval.
+
+    Yields
+    ------
+    (IndexInterval, BlockMatrix)
+        ``[0, k]`` for ``k = N-1, ..., 1`` (leading) or ``[k, N]`` for
+        ``k = 1, ..., N-1`` (trailing), with ``schur_complement(a, k, keep)``
+        up to rounding.  Each matrix is a fresh copy; only one working
+        matrix the size of ``a`` is held while the sweep runs.
+    """
+    d = a.block_dim
+    n_last = a.n_blocks - 1
+    if n_last < 2:
+        return
+    a._require_spd()
+    work = np.array(a.data)
+    for step in range(n_last - 1):
+        if keep is Keep.LEADING:
+            t = n_last - step
+            rest, interval = slice(0, t * d), IndexInterval(0, t - 1)
+        else:
+            t = step
+            rest, interval = slice((t + 1) * d, None), IndexInterval(t + 1, n_last)
+        pivot = slice(t * d, (t + 1) * d)
+        lower = cholesky_spd(work[pivot, pivot])
+        y, _ = lapack.dtrtrs(lower, work[pivot, rest], lower=1)
+        kept = work[rest, rest]
+        kept -= y.T @ y
+        kept[...] = (kept + kept.T) / 2.0
+        yield interval, BlockMatrix(kept, d)

@@ -5,12 +5,20 @@ The class lattice for zero-mean nonsingular Gaussian sequences is
     Markov  =>  reciprocal  =>  (CM_L and CM_F),
 
 with reciprocity *equivalent* to the conjunction of the two conditional-Markov
-properties.  Each class is decided by inverting the covariance and running
-pattern detection; interval-restricted conditional-Markov properties reduce to
-pattern detection on a Schur complement of the precision (the marginal
-precision of the times inside the interval).  Reciprocity is always computed
-through two independent routes (cyclic-tridiagonal pattern vs the conjunction
-of CM_L and CM_F) whose agreement is part of the contract.
+properties.  Each class is decided by pattern detection on the precision,
+which a law derives once from its Cholesky factor and caches.
+Interval-restricted conditional-Markov properties reduce to pattern detection
+on a Schur complement of the precision (the marginal precision of the times
+inside the interval).  Every prefix marginal ``[0, k]`` comes from one
+elimination sweep that removes times ``N, N-1, ...`` one ``d x d`` pivot at a
+time, and every suffix marginal ``[k, N]`` from the mirror sweep
+(:func:`~cmseq.blocks.marginal_precisions`): O(N^3 d^3) in all.
+``full_report``, ``verify_composition`` and ``classify_cm_interval`` all read
+their marginals from these sweeps, so they share one SPD check.  Each marginal
+is checked as soon as it is produced and then dropped.  Reciprocity is always computed through two independent routes
+(cyclic-tridiagonal pattern vs the conjunction of CM_L and CM_F) whose
+agreement is part of the contract, and the two interval-composition routes
+are read from the same interval witnesses the report lists.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .blocks import (
     Keep,
     SequenceLaw,
     Tolerance,
-    schur_complement,
+    marginal_precisions,
 )
 from .patterns import PatternSpec, PatternWitness, detect
 
@@ -113,13 +121,15 @@ def _interval_precision(a: BlockMatrix, interval: IndexInterval) -> BlockMatrix:
             "interval covers all times; use the full-sequence classifiers"
         )
     if interval.lo == 0:
-        return schur_complement(a, interval.hi, Keep.LEADING)
-    if interval.hi == n_last:
-        return schur_complement(a, interval.lo, Keep.TRAILING)
-    raise UnsupportedIntervalError(
-        f"interval {interval} touches neither boundary; only [0,k2] and [k1,N] "
-        "intervals have a marginal-precision characterization"
-    )
+        keep = Keep.LEADING
+    elif interval.hi == n_last:
+        keep = Keep.TRAILING
+    else:
+        raise UnsupportedIntervalError(
+            f"interval {interval} touches neither boundary; only [0,k2] and [k1,N] "
+            "intervals have a marginal-precision characterization"
+        )
+    return next(delta for iv, delta in marginal_precisions(a, keep) if iv == interval)
 
 
 def classify_cm_interval(
@@ -131,9 +141,9 @@ def classify_cm_interval(
     """Is the law conditionally Markov on a boundary-anchored interval?
 
     Supported intervals are ``[0, k2]`` and ``[k1, N]`` with the interior
-    endpoint in ``[1, N-1]``; the marginal precision of the interval is the
-    corresponding Schur complement of the full precision, and the verdict is
-    its pattern detection.  Other intervals raise
+    endpoint in ``[1, N-1]``; the marginal precision of the interval is read
+    off the elimination sweep toward it, and the verdict is its pattern
+    detection.  Other intervals raise
     :class:`UnsupportedIntervalError`.
     """
     delta = _interval_precision(law.precision(), interval)
@@ -152,15 +162,18 @@ def classify_reciprocal(law: SequenceLaw, tol: Tolerance = Tolerance()) -> Recip
     well; ``routes_agree`` reports the comparison.
     """
     a = law.precision()
-    return _reciprocal_from_precision(a, law.n_last, tol)
-
-
-def _reciprocal_from_precision(a: BlockMatrix, n_last: int, tol: Tolerance) -> ReciprocalWitness:
-    cyc = detect(a, PatternSpec.cyclic_tridiagonal(n_last), tol)
-    via_cm = (
-        detect(a, PatternSpec.cm_l(n_last), tol).conforms
-        and detect(a, PatternSpec.cm_f(n_last), tol).conforms
+    n_last = law.n_last
+    return _reciprocal_witness(
+        detect(a, PatternSpec.cyclic_tridiagonal(n_last), tol),
+        detect(a, PatternSpec.cm_l(n_last), tol),
+        detect(a, PatternSpec.cm_f(n_last), tol),
     )
+
+
+def _reciprocal_witness(
+    cyc: PatternWitness, cm_l: PatternWitness, cm_f: PatternWitness
+) -> ReciprocalWitness:
+    via_cm = cm_l.conforms and cm_f.conforms
     return ReciprocalWitness(
         cyc.conforms, cyc.worst_block, cyc.worst_ratio, cyc.conforms == via_cm
     )
@@ -173,38 +186,10 @@ def _boundary_intervals(n_last: int):
     return prefixes, suffixes
 
 
-def _composition_routes(a: BlockMatrix, n_last: int, tol: Tolerance):
-    """The two interval-composition characterizations of reciprocity.
-
-    Route (i): CM on [k1, N] given the first endpoint for every k1, together
-    with CM_F and CM_L over the whole range.  Route (ii) is the time mirror:
-    CM on [0, k2] given the last endpoint for every k2, together with CM_L
-    and CM_F.
-    """
-    cm_l = detect(a, PatternSpec.cm_l(n_last), tol).conforms
-    cm_f = detect(a, PatternSpec.cm_f(n_last), tol).conforms
-    prefixes, suffixes = _boundary_intervals(n_last)
-    route_first = cm_f and cm_l
-    for iv in suffixes:
-        if not route_first:
-            break
-        w = detect(
-            _interval_precision(a, iv),
-            _cm_pattern(ConditioningSide.FIRST, iv.hi - iv.lo),
-            tol,
-        )
-        route_first = route_first and w.conforms
-    route_last = cm_l and cm_f
-    for iv in prefixes:
-        if not route_last:
-            break
-        w = detect(
-            _interval_precision(a, iv),
-            _cm_pattern(ConditioningSide.LAST, iv.hi - iv.lo),
-            tol,
-        )
-        route_last = route_last and w.conforms
-    return route_first, route_last
+def _interval_witness(
+    delta: BlockMatrix, interval: IndexInterval, side: ConditioningSide, tol: Tolerance
+) -> PatternWitness:
+    return detect(delta, _cm_pattern(side, interval.hi - interval.lo), tol)
 
 
 def verify_composition(law: SequenceLaw, tol: Tolerance = Tolerance()) -> bool:
@@ -212,30 +197,62 @@ def verify_composition(law: SequenceLaw, tol: Tolerance = Tolerance()) -> bool:
 
     Returns true iff the cyclic-pattern verdict, the "CM on every [k1, N]
     from the first endpoint plus CM_F plus CM_L" route, and the mirrored
-    "[0, k2] from the last endpoint" route all agree.
+    "[0, k2] from the last endpoint" route all agree.  Each route stops its
+    sweep at the first interval that fails.
     """
     a = law.precision()
-    recip = detect(a, PatternSpec.cyclic_tridiagonal(law.n_last), tol).conforms
-    route_first, route_last = _composition_routes(a, law.n_last, tol)
+    n_last = law.n_last
+    recip = detect(a, PatternSpec.cyclic_tridiagonal(n_last), tol).conforms
+    cm_both = (
+        detect(a, PatternSpec.cm_l(n_last), tol).conforms
+        and detect(a, PatternSpec.cm_f(n_last), tol).conforms
+    )
+    route_first = cm_both and all(
+        _interval_witness(delta, iv, ConditioningSide.FIRST, tol).conforms
+        for iv, delta in marginal_precisions(a, Keep.TRAILING)
+    )
+    route_last = cm_both and all(
+        _interval_witness(delta, iv, ConditioningSide.LAST, tol).conforms
+        for iv, delta in marginal_precisions(a, Keep.LEADING)
+    )
     return recip == route_first and recip == route_last
 
 
 def full_report(law: SequenceLaw, tol: Tolerance = Tolerance()) -> ClassificationReport:
-    """Evaluate every class flag, interval flags, and the consistency bit."""
+    """Evaluate every class flag, interval flags, and the consistency bit.
+
+    Route (i) of the interval composition is CM on every [k1, N] given the
+    first endpoint, together with CM_F and CM_L over the whole range; route
+    (ii) is its time mirror on every [0, k2] given the last endpoint.  Both
+    are read from the interval entries of the report.
+    """
     n_last = law.n_last
     a = law.precision()
     markov = detect(a, PatternSpec.tridiagonal(n_last), tol)
-    reciprocal = _reciprocal_from_precision(a, n_last, tol)
     cm_l = detect(a, PatternSpec.cm_l(n_last), tol)
     cm_f = detect(a, PatternSpec.cm_f(n_last), tol)
-    entries = []
+    reciprocal = _reciprocal_witness(
+        detect(a, PatternSpec.cyclic_tridiagonal(n_last), tol), cm_l, cm_f
+    )
+    sides = (ConditioningSide.FIRST, ConditioningSide.LAST)
+    witnesses = {}
+    for keep in (Keep.LEADING, Keep.TRAILING):
+        for iv, delta in marginal_precisions(a, keep):
+            for side in sides:
+                witnesses[iv, side] = _interval_witness(delta, iv, side, tol)
     prefixes, suffixes = _boundary_intervals(n_last)
-    for iv in prefixes + suffixes:
-        delta = _interval_precision(a, iv)
-        for side in (ConditioningSide.FIRST, ConditioningSide.LAST):
-            w = detect(delta, _cm_pattern(side, iv.hi - iv.lo), tol)
-            entries.append(IntervalClassEntry(iv, side, w))
-    route_first, route_last = _composition_routes(a, n_last, tol)
+    entries = tuple(
+        IntervalClassEntry(iv, side, witnesses[iv, side])
+        for iv in prefixes + suffixes
+        for side in sides
+    )
+    cm_both = cm_l.conforms and cm_f.conforms
+    route_first = cm_both and all(
+        witnesses[iv, ConditioningSide.FIRST].conforms for iv in suffixes
+    )
+    route_last = cm_both and all(
+        witnesses[iv, ConditioningSide.LAST].conforms for iv in prefixes
+    )
     consistency = (
         reciprocal.routes_agree
         and reciprocal.conforms == route_first
@@ -246,6 +263,6 @@ def full_report(law: SequenceLaw, tol: Tolerance = Tolerance()) -> Classificatio
         reciprocal=reciprocal,
         cm_l=cm_l,
         cm_f=cm_f,
-        interval_cm=tuple(entries),
+        interval_cm=entries,
         consistency=consistency,
     )

@@ -17,13 +17,21 @@ block-sparsity pattern:
 
 ``detect`` measures how well a matrix conforms to a pattern: every block
 outside the allowed support must be zero up to ``zero_tol`` relative to the
-largest block norm of the matrix itself.
+largest block norm of the matrix itself.  That normalization makes the
+verdict invariant to a common rescaling of the matrix (not to a per-time
+change of coordinates).  All block norms are computed in one vectorized
+pass, and the worst off-support block is found with ``argmax`` over a
+boolean mask cached per :class:`PatternSpec`; ties go to the first block in
+row-major order, and a block ties with its transpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+
+import numpy as np
 
 from .blocks import BlockMatrix, Tolerance, symmetrize
 
@@ -94,7 +102,8 @@ class PatternWitness:
 
     ``conforms`` is the verdict; ``worst_block`` and ``worst_ratio`` identify
     the largest off-pattern block (by Frobenius norm relative to the largest
-    block in the matrix), or ``(None, 0.0)`` when the pattern has no
+    block in the matrix; the first in row-major order among equals), or
+    ``(None, 0.0)`` when every off-pattern block is zero or the pattern has no
     off-pattern positions at this size.
     """
 
@@ -145,17 +154,26 @@ def detect(m: BlockMatrix, spec: PatternSpec, tol: Tolerance = Tolerance()) -> P
             f"pattern sized for n_last={spec.n_last} but matrix has n_last={n_last}"
         )
     symmetrize(m.data)  # raises NotSymmetricError on bad input
-    support = allowed_support(spec)
-    scale = m.max_block_norm()
-    worst_block = None
-    worst_ratio = 0.0
-    for i in range(n_last + 1):
-        for j in range(n_last + 1):
-            if (i, j) in support:
-                continue
-            norm = m.block_norm(i, j)
-            ratio = norm / scale if scale > 0 else 0.0
-            if ratio > worst_ratio:
-                worst_ratio = ratio
-                worst_block = (i, j)
+    # A block and its transpose tie exactly, so the upper one is reported.
+    norms = m.block_norms()
+    norms = np.maximum(norms, norms.T)
+    scale = norms.max()
+    if scale > 0:
+        ratios = np.where(_off_support_mask(spec), norms / scale, 0.0)
+    else:
+        ratios = np.zeros_like(norms)
+    flat = int(ratios.argmax())  # first maximum in row-major order
+    worst_ratio = float(ratios.flat[flat])
+    worst_block = divmod(flat, n_last + 1) if worst_ratio > 0 else None
     return PatternWitness(worst_ratio <= tol.zero_tol, worst_block, worst_ratio)
+
+
+@lru_cache(maxsize=1024)
+def _off_support_mask(spec: PatternSpec):
+    """Read-only boolean grid, true where the pattern requires a zero block."""
+    n = spec.n_last + 1
+    mask = np.ones((n, n), dtype=bool)
+    for i, j in allowed_support(spec):
+        mask[i, j] = False
+    mask.setflags(write=False)
+    return mask

@@ -19,6 +19,7 @@ from cmseq import (
     schur_complement,
     symmetrize,
 )
+from cmseq.blocks import marginal_precisions
 from cmseq.fixtures import ar1_covariance, ar1_law
 
 
@@ -58,6 +59,17 @@ def test_cholesky_reports_failing_pivot_index():
     with pytest.raises(NotPositiveDefiniteError) as exc:
         cholesky_spd(sneaky)
     assert exc.value.pivot_index == 1
+
+
+def test_cholesky_rejects_pivot_below_relative_threshold():
+    """LAPACK factorizes this matrix (its second pivot is 1e-14 > 0), but the
+    pivot is below 1e-12 * max(diag) and must be reported."""
+    tiny = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+    np.linalg.cholesky(tiny)  # accepted by LAPACK
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        cholesky_spd(tiny)
+    assert exc.value.pivot_index == 1
+    assert exc.value.pivot_value > 0
 
 
 def test_cholesky_rejects_asymmetric_input():
@@ -185,6 +197,61 @@ def test_schur_complement_is_marginal_precision(keep, split):
         kept = slice(split, 5)
     sub_cov = law.covariance.data[kept, kept]
     np.testing.assert_allclose(comp.data, np.linalg.inv(sub_cov), atol=1e-11)
+
+
+def random_spd_blocks(n_last, d, seed):
+    rng = np.random.default_rng(seed)
+    size = (n_last + 1) * d
+    m = rng.standard_normal((size, size))
+    return BlockMatrix(m @ m.T + size * np.eye(size), d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_last=st.integers(min_value=2, max_value=12),
+    d=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_marginal_sweep_matches_schur_complement(n_last, d, seed):
+    """Every marginal of the one-time-at-a-time elimination sweep equals the
+    direct block Schur complement of the same interval."""
+    a = random_spd_blocks(n_last, d, seed)
+    expected = {
+        Keep.LEADING: [IndexInterval(0, k) for k in range(n_last - 1, 0, -1)],
+        Keep.TRAILING: [IndexInterval(k, n_last) for k in range(1, n_last)],
+    }
+    for keep, intervals in expected.items():
+        seen = []
+        for interval, delta in marginal_precisions(a, keep):
+            seen.append(interval)
+            k = interval.hi if keep is Keep.LEADING else interval.lo
+            ref = schur_complement(a, k, keep).data
+            assert delta.block_dim == d
+            assert np.array_equal(delta.data, delta.data.T)
+            err = np.linalg.norm(delta.data - ref) / np.linalg.norm(ref)
+            assert err <= 1e-10, (keep, k, err)
+        assert seen == intervals
+
+
+def test_marginal_sweep_keeps_whole_matrix_spd_check():
+    # every pivot the sweeps factorize passes its own threshold, but the whole
+    # matrix has a pivot below 1e-12 * max(diag), as schur_complement reports
+    r = np.sqrt(1.0 - 1e-7)
+    a = BlockMatrix([[1e6, 0.0, 0.0], [0.0, 1.0, r], [0.0, r, 1.0]], 1)
+    for keep in Keep:
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            list(marginal_precisions(a, keep))
+        assert exc.value.pivot_index == 2
+        with pytest.raises(NotPositiveDefiniteError):
+            schur_complement(a, 1, keep)
+
+
+def test_sequence_law_caches_read_only_precision():
+    law = ar1_law(3)
+    prec = law.precision()
+    assert law.precision() is prec
+    with pytest.raises(ValueError):
+        prec.data[0, 0] = 1.0
 
 
 def test_index_interval_validation_and_endpoints():

@@ -6,6 +6,7 @@ import pytest
 from cmseq import (
     ConditioningSide,
     IndexInterval,
+    LawClass,
     SequenceLaw,
     Tolerance,
     UnsupportedIntervalError,
@@ -17,6 +18,7 @@ from cmseq import (
     oracle_cm_interval,
     oracle_markov,
     oracle_reciprocal,
+    random_law,
     verify_composition,
 )
 from cmseq.fixtures import ar1_law, identity_law
@@ -125,6 +127,13 @@ def test_unsupported_intervals_are_rejected(ar1_n3):
         classify_cm_interval(ar1_n3, IndexInterval(1, 2), FIRST)  # interior
     with pytest.raises(UnsupportedIntervalError):
         classify_cm_interval(ar1_n3, IndexInterval(1, 9), FIRST)  # out of range
+
+
+def test_single_interval_classifier_matches_report_entries(cyclic_law, cml_law):
+    laws = [cyclic_law, cml_law, random_law(LawClass.CM_F_ONLY, 6, 2, seed=3)]
+    for law in laws:
+        for entry in full_report(law).interval_cm:
+            assert classify_cm_interval(law, entry.interval, entry.side) == entry.witness
 
 
 def test_class_lattice_on_handcrafted_laws():

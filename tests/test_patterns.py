@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmseq import (
     BlockMatrix,
@@ -152,3 +154,51 @@ def test_detect_block_granularity():
     w = detect(BlockMatrix(m, 2), spec)
     assert not w.conforms
     assert w.worst_block in ((0, 2), (2, 0))
+
+
+def reference_detect(m, spec, tol=Tolerance()):
+    """Per-block loop: the worst off-pattern block, first in row-major order
+    among equals, with a block and its transpose counting as equal."""
+    n = m.n_blocks
+    support = allowed_support(spec)
+    norms = np.array([[m.block_norm(i, j) for j in range(n)] for i in range(n)])
+    norms = np.maximum(norms, norms.T)
+    scale = norms.max()
+    worst_block, worst_ratio = None, 0.0
+    for i in range(n):
+        for j in range(n):
+            if (i, j) in support:
+                continue
+            ratio = norms[i, j] / scale if scale > 0 else 0.0
+            if ratio > worst_ratio:
+                worst_block, worst_ratio = (i, j), ratio
+    return worst_ratio <= tol.zero_tol, worst_block, worst_ratio
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_last=st.integers(min_value=2, max_value=12),
+    d=st.integers(min_value=1, max_value=3),
+    kind=st.sampled_from([k for k in PatternKind if k is not PatternKind.CM_L_WITH_CM_F_TAIL]),
+    off_scale=st.sampled_from([0.0, 1e-17, 1e-10, 1e-9, 1e-8, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_vectorized_detect_matches_reference_loop(n_last, d, kind, off_scale, seed):
+    """Vectorized detection agrees with a per-block loop on random symmetric
+    block matrices whose off-pattern blocks range from zero to order one."""
+    spec = PatternSpec(kind, n_last)
+    rng = np.random.default_rng(seed)
+    size = (n_last + 1) * d
+    m = rng.standard_normal((size, size))
+    off = np.kron(~np.array([[(i, j) in allowed_support(spec) for j in range(n_last + 1)]
+                             for i in range(n_last + 1)]), np.ones((d, d), dtype=bool))
+    m = np.where(off, off_scale * m, m)
+    m = BlockMatrix((m + m.T) / 2.0, d)
+
+    w = detect(m, spec)
+    conforms, worst_block, worst_ratio = reference_detect(m, spec)
+    assert w.conforms == conforms
+    assert w.worst_block == worst_block
+    assert w.worst_ratio == pytest.approx(worst_ratio, rel=1e-12, abs=0.0)
+    if off_scale == 0.0:
+        assert (w.worst_block, w.worst_ratio) == (None, 0.0)

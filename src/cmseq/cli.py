@@ -180,10 +180,14 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
-    if isinstance(model, ForwardCmcModel):
-        batch = sample_forward(model, args.samples, args.seed)
-    else:
-        batch = sample_backward(model, args.samples, args.seed)
+    try:
+        if isinstance(model, ForwardCmcModel):
+            batch = sample_forward(model, args.samples, args.seed)
+        else:
+            batch = sample_backward(model, args.samples, args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "csv":
         save_batch_csv(args.out, batch)
     else:
@@ -292,7 +296,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except (SchemaError, OSError) as exc:
+        # OSError: an output path that cannot be written, e.g. in a missing
+        # directory (input files are read through the schema loaders)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotSymmetricError, NotPositiveDefiniteError) as exc:

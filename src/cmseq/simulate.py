@@ -6,6 +6,14 @@ so batches are bit-identical regardless of evaluation order, parallelism, or
 how many replicates surround a given one.  Within a replicate, one standard
 normal vector is consumed per time step in the model's generation order
 (boundary recursion first, then the chain).
+
+The substreams are not built one ``SeedSequence``/``PCG64`` pair at a time.
+The spawn key is the last word ``SeedSequence`` mixes into its pool, so the
+pool of ``SeedSequence(seed)`` is mixed with every replicate index at once
+in ``uint32`` arithmetic, a block of replicates at a time, and numpy's
+``generate_state`` and PCG64 seeding are replayed on the result.  Each
+replicate's PCG64 state is then loaded into one reused generator.  The
+draws are the same bits as those of the per-replicate construction.
 """
 
 from __future__ import annotations
@@ -31,6 +39,18 @@ __all__ = [
     "sample_covariance",
     "mc_validate",
 ]
+
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier,
+# both part of numpy's documented, stable seeding
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# replicates whose substreams are set up together; bounds the setup memory
+_BLOCK = 4096
 
 
 class InsufficientSamplesError(ValueError):
@@ -106,22 +126,81 @@ def _generation_plan(model):
     raise TypeError(f"expected a forward or backward model, got {type(model)!r}")
 
 
+def _substream_seed_words(seed, r):
+    """``SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)``
+    for every index ``i`` in ``r``, as an array of shape (len(r), 4).
+
+    ``SeedSequence`` pads the seed's entropy words to its 4-word pool and
+    appends the spawn key, so the key is mixed in last: the pool and hash
+    constant before it depend on the seed alone.  Every index in ``r`` must
+    be below 2**32, so that its spawn key is one word.
+    """
+    seed = int(seed)
+    base = np.random.SeedSequence(seed)  # raises ValueError for a negative seed
+    n_words = max(1, -(-seed.bit_length() // 32))
+    # hashmix calls before the key: 4 to load the pool, 12 to mix it, 4 per
+    # entropy word beyond the pool
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, n_words - 4), 1 << 32) & _MASK32
+    r = np.asarray(r, dtype=np.uint32)
+    pool = []
+    for word in base.pool.tolist():
+        key = r ^ np.uint32(hash_const)  # hashmix(r, hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        key *= np.uint32(hash_const)
+        key ^= key >> _XSHIFT
+        # mix(word, key)
+        mixed = np.uint32(_MIX_MULT_L * word & _MASK32) - key * np.uint32(_MIX_MULT_R)
+        mixed ^= mixed >> _XSHIFT
+        pool.append(mixed)
+    hash_const = _INIT_B
+    out = np.empty((len(r), 8), dtype=np.uint32)
+    for i in range(8):  # generate_state: 8 uint32 words cycling over the pool
+        word = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        word *= np.uint32(hash_const)
+        word ^= word >> _XSHIFT
+        out[:, i] = word
+    return out.view("<u8")
+
+
+def _substream_states(seed, r):
+    """The PCG64 ``(state, inc)`` of each replicate's substream in ``r``."""
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in _substream_seed_words(seed, r).tolist():
+        # PCG64 seeding: state = 0, inc = 2*initseq + 1, step,
+        # state += initstate, step; every step is state*MULT + inc
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
 def _sample(model, n_replicates, seed):
     n, d = model.n_last, model.dim
     m = int(n_replicates)
     if m < 0:
         raise ValueError("n_replicates must be >= 0")
+    if m > 1 << 32:
+        raise ValueError("n_replicates must be <= 2**32")
     plan = _generation_plan(model)
     steps = len(plan)
     # one lower Cholesky factor per noise covariance, fixed for the model
     factors = {k: cholesky_spd(model.g_noise[k]) for k in model.g_noise}
     # phase 1: per-replicate substreams produce the standard normal draws
     z = np.empty((m, steps, d))
-    for r in range(m):
-        gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=int(seed), spawn_key=(r,)))
-        )
-        z[r] = gen.standard_normal((steps, d))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for r0 in range(0, m, _BLOCK):
+        block = z[r0:r0 + _BLOCK]
+        states = _substream_states(seed, np.arange(r0, r0 + len(block)))
+        for zr, (state, inc) in zip(block, states):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            gen.standard_normal(out=zr)
     # phase 2: propagate all replicates through the recursions at once
     data = np.zeros((m, n + 1, d))
     for pos, (t, terms) in enumerate(plan):
@@ -194,6 +273,8 @@ def mc_validate(
     e.g. to demonstrate that a perturbed model no longer matches the
     original.
     """
+    if n_replicates < 2:
+        raise InsufficientSamplesError(f"need at least 2 replicates, got {n_replicates}")
     if reference is None:
         reference = model_covariance(model)
     ref = reference.covariance.data

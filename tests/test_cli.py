@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, file plumbing, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,3 +202,58 @@ def test_white_noise_model_verifies_as_markov(tmp_path, capsys):
     assert main(["verify", str(model_path)]) == 0
     out = capsys.readouterr().out
     assert "markov: parameters=yes pattern=yes agree=yes" in out
+
+
+@pytest.fixture()
+def model_file(ar1_file, tmp_path):
+    path = tmp_path / "model.json"
+    main(["convert", ar1_file, "--direction", "forward", "--c", "last", "--out", str(path)])
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{model}", "--samples", "10", "--seed", "-1", "--out", "{tmp}/b.csv"],
+        ["simulate", "{model}", "--samples", "-5", "--seed", "1", "--out", "{tmp}/b.csv"],
+        ["validate", "{model}", "--samples", "0", "--seed", "1"],
+        ["validate", "{model}", "--samples", "10", "--seed", "-1", "--tol", "100"],
+    ],
+)
+def test_exit_code_2_on_bad_sampling_values(model_file, tmp_path, capsys, argv):
+    argv = [a.format(model=model_file, tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--class", "markov", "--N", "3", "--seed", "1", "--out", "{out}"],
+        ["convert", "{law}", "--direction", "forward", "--c", "last", "--out", "{out}"],
+        ["classify", "{law}", "--out", "{out}"],
+        ["simulate", "{model}", "--samples", "3", "--seed", "1", "--out", "{out}"],
+        ["simulate", "{model}", "--samples", "3", "--seed", "1", "--format", "structured",
+         "--out", "{out}"],
+    ],
+)
+def test_exit_code_2_on_output_in_missing_directory(ar1_file, model_file, tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.file"
+    argv = [a.format(law=ar1_file, model=model_file, out=out) for a in argv]
+    assert main(argv) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    """Every line of the README's command block exits 0, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    block = next(b for b in blocks if b.startswith("cmseq gen"))
+    monkeypatch.chdir(tmp_path)
+    lines = block.strip().splitlines()
+    assert len(lines) == 6
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "cmseq"
+        assert main(argv[1:]) == 0, line

@@ -1,5 +1,6 @@
 """File formats: law/model/report/batch serialization and schema errors."""
 
+import csv
 import json
 
 import numpy as np
@@ -29,6 +30,7 @@ from cmseq.serialize import (
     save_law,
     save_model,
 )
+from cmseq.serialize import _CSV_BLOCK
 
 LAST = ConditioningSide.LAST
 FIRST = ConditioningSide.FIRST
@@ -194,6 +196,33 @@ def test_batch_csv_round_trips_values(tmp_path):
     assert len(rows) == 4 * 4
     got = np.array([float(r[2]) for r in rows]).reshape(4, 4, 1)
     assert got.tobytes() == batch.data.tobytes()
+
+
+def _reference_csv(path, batch):
+    """The row-at-a-time ``csv.writer`` form that ``save_batch_csv`` must match."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for r in range(batch.n_replicates):
+            for k in range(batch.n_last + 1):
+                writer.writerow([r, k] + [repr(float(v)) for v in batch.data[r, k]])
+
+
+@pytest.mark.parametrize(
+    "m, n_last, dim",
+    [(0, 2, 1), (1, 0, 1), (_CSV_BLOCK + 2, 2, 1), (7, 3, 3), (_CSV_BLOCK + 1, 1, 3)],
+)
+def test_batch_csv_matches_csv_writer_bytes(tmp_path, m, n_last, dim):
+    data = np.random.default_rng(m + dim).standard_normal((m, n_last + 1, dim))
+    data *= 10.0 ** np.random.default_rng(1).integers(-30, 30, size=data.shape)
+    special = [-0.0, 5e-324, 1e-5, 1e16, 1e300, -1e-300, 0.1, 123456789.0]
+    data.reshape(-1)[: len(special)] = special[: data.size]
+    batch = SampleBatch(m, n_last, dim, data, seed=0)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_batch_csv(got, batch)
+    _reference_csv(want, batch)
+    assert got.read_bytes() == want.read_bytes()
+    if m == 0:
+        assert got.read_bytes() == b""
 
 
 def test_batch_json_contains_shape_and_seed(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmseq import (
     BoundaryCondition,
@@ -18,7 +20,9 @@ from cmseq import (
     sample_covariance,
     sample_forward,
 )
+from cmseq.blocks import cholesky_spd
 from cmseq.fixtures import ar1_law, identity_law
+from cmseq.simulate import _BLOCK, _generation_plan, _substream_seed_words
 
 FIRST = ConditioningSide.FIRST
 LAST = ConditioningSide.LAST
@@ -149,3 +153,65 @@ def test_sampling_type_checks():
         sample_forward(bwd, 3, 0)
     with pytest.raises(TypeError):
         sample_backward(fwd, 3, 0)
+
+
+def _reference_sample(model, n_replicates, seed):
+    """The sampler with one SeedSequence/PCG64/Generator per replicate: the
+    definition of the stream that the vectorized substream setup replays."""
+    n, d = model.n_last, model.dim
+    plan = _generation_plan(model)
+    factors = {k: cholesky_spd(model.g_noise[k]) for k in model.g_noise}
+    z = np.empty((n_replicates, len(plan), d))
+    for r in range(n_replicates):
+        gen = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=int(seed), spawn_key=(r,)))
+        )
+        z[r] = gen.standard_normal((len(plan), d))
+    data = np.zeros((n_replicates, n + 1, d))
+    for pos, (t, terms) in enumerate(plan):
+        x = z[:, pos, :] @ factors[t].T
+        for gain, src in terms:
+            x = x + data[:, src, :] @ gain.T
+        data[:, t, :] = x
+    return data
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sampler_matches_per_replicate_substreams(seed, direction, dim):
+    law = random_law(LawClass.RECIPROCAL, 3, dim, seed=dim)
+    m = _BLOCK + 3  # crosses a substream-setup block boundary
+    if direction == "forward":
+        batch = sample_forward(build_forward(law, LAST, BC1), m, seed)
+        ref = _reference_sample(build_forward(law, LAST, BC1), m, seed)
+    else:
+        batch = sample_backward(build_backward(law, FIRST, BC2), m, seed)
+        ref = _reference_sample(build_backward(law, FIRST, BC2), m, seed)
+    assert batch.data.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**200)),
+    keys=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8),
+)
+def test_substream_seed_words_match_seed_sequence(seed, keys):
+    got = _substream_seed_words(seed, np.array(keys))
+    want = [
+        np.random.SeedSequence(entropy=seed, spawn_key=(r,)).generate_state(4, np.uint64)
+        for r in keys
+    ]
+    np.testing.assert_array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("m, seed", [(3, -1), (-1, 0), (2**32 + 1, 0)])
+def test_bad_seed_or_count_is_rejected(m, seed):
+    with pytest.raises(ValueError):
+        sample_forward(AR1_MODEL, m, seed)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_mc_validate_needs_two_replicates(m):
+    with pytest.raises(InsufficientSamplesError):
+        mc_validate(AR1_MODEL, m, seed=0, tol_abs=0.05)

@@ -20,17 +20,13 @@ from .blocks import (
 )
 from .classify import full_report
 from .models import (
-    BackwardCmcModel,
     BoundaryCondition,
     ForwardCmcModel,
     LawClass,
     assemble_precision,
-    assemble_precision_backward,
     build_backward,
     build_forward,
-    check_markov_backward,
     check_markov_forward,
-    check_reciprocity_backward,
     check_reciprocity_forward,
     random_law,
 )
@@ -94,11 +90,9 @@ def cmd_convert(args) -> int:
     law = load_law(args.law)
     c = ConditioningSide(args.c)
     bc = BoundaryCondition(args.bc)
+    build = build_forward if args.direction == "forward" else build_backward
     try:
-        if args.direction == "forward":
-            model = build_forward(law, c, bc)
-        else:
-            model = build_backward(law, c, bc)
+        model = build(law, c, bc)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -113,14 +107,10 @@ def cmd_convert(args) -> int:
 def cmd_verify(args) -> int:
     model = load_model(args.model)
     tol = _tolerance(args)
-    if isinstance(model, ForwardCmcModel):
-        recip = check_reciprocity_forward(model, tol)
-        markov_addon = check_markov_forward(model, tol)
-        assembled = assemble_precision(model)
-    else:
-        recip = check_reciprocity_backward(model, tol)
-        markov_addon = check_markov_backward(model, tol)
-        assembled = assemble_precision_backward(model)
+    # one definition each for both directions (the *_backward names are aliases)
+    recip = check_reciprocity_forward(model, tol)
+    markov_addon = check_markov_forward(model, tol)
+    assembled = assemble_precision(model)
     n = model.n_last
     recip_pattern = detect(assembled, PatternSpec.cyclic_tridiagonal(n), tol)
     markov_pattern = detect(assembled, PatternSpec.tridiagonal(n), tol)
@@ -144,7 +134,7 @@ def cmd_verify(args) -> int:
             {
                 "schema_version": SCHEMA_VERSION,
                 "kind": "verification_report",
-                "model_kind": "forward" if isinstance(model, ForwardCmcModel) else "backward",
+                "model_kind": model.direction,
                 "N": n,
                 "d": model.dim,
                 "c": model.c.value,
@@ -180,11 +170,9 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
+    sample = sample_forward if isinstance(model, ForwardCmcModel) else sample_backward
     try:
-        if isinstance(model, ForwardCmcModel):
-            batch = sample_forward(model, args.samples, args.seed)
-        else:
-            batch = sample_backward(model, args.samples, args.seed)
+        batch = sample(model, args.samples, args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,16 +1,25 @@
 """White-noise dynamic models realizing conditionally-Markov Gaussian laws.
 
-A CM_c law admits a representation
+A CM_c law admits a forward representation
 
-    x_k = G_trans[k] x_{k-1} + G_cond[k] x_c + e_k        (forward)
-    x_k = G_trans[k] x_{k+1} + G_cond[k] x_c + e_k        (backward)
+    x_k = G_trans[k] x_{k-1} + G_cond[k] x_c + e_k
 
 driven by independent zero-mean Gaussian noises e_k with SPD covariances
 G_noise[k], plus a two-term boundary recursion tying x_0 and x_N together.
 The gains are Gaussian conditional-expectation coefficients of x_k on
-(x_neighbor, x_c); stacking the recursions into a unit-diagonal block matrix
+(x_{k-1}, x_c); stacking the recursions into a unit-diagonal block matrix
 SG gives the model's precision A = SG' G^{-1} SG where G is the block
 diagonal of noise covariances.
+
+The backward model x_k = G_trans[k] x_{k+1} + G_cond[k] x_c + e_k is the
+forward model of the time-reversed sequence y_j = x_{N-j}, kept on the
+original time axis.  Reversal maps time k to N-k and swaps the conditioning
+sides FIRST and LAST; it keeps the boundary variant and the boundary gain.
+So the regressions, SG assembly, the parameter identities and the
+generation plan (in :mod:`cmseq.simulate`) are written once, for the
+forward direction.  A backward model reaches them through its mirror, the
+forward model of the reversed sequence, and their results are mapped back
+to its own times.
 
 The model family is exactly as expressive as the CM_c class: building a model
 from a law and reassembling its precision reproduces the law *iff* the law is
@@ -25,8 +34,9 @@ identity ("add-on") for Markovness, checked here with scale-free residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -79,6 +89,12 @@ class LawClass(Enum):
     GENERIC = "generic"
 
 
+_OTHER_SIDE = {
+    ConditioningSide.FIRST: ConditioningSide.LAST,
+    ConditioningSide.LAST: ConditioningSide.FIRST,
+}
+
+
 def _check_gain_grid(name, grid, expected_keys, d):
     if set(grid.keys()) != expected_keys:
         raise ValueError(
@@ -90,7 +106,64 @@ def _check_gain_grid(name, grid, expected_keys, d):
 
 
 @dataclass(frozen=True)
-class ForwardCmcModel:
+class _CmcModel:
+    """Fields and validation shared by the two time directions.
+
+    ``_forward`` is the forward model of the same law, and ``_time(j)`` is
+    this model's time for its time ``j``.  Validation reads the model on its
+    own time axis, so its messages name the caller's times and sides.
+    """
+
+    n_last: int
+    dim: int
+    c: ConditioningSide
+    bc: BoundaryCondition
+    g_trans: dict = field(repr=False)
+    g_cond: dict = field(repr=False)
+    g_noise: dict = field(repr=False)
+    boundary_gain: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def c_index(self):
+        return 0 if self.c is ConditioningSide.FIRST else self.n_last
+
+    @property
+    def _forward(self):
+        return self
+
+    def _time(self, j):
+        return j
+
+    def __post_init__(self):
+        n, d, c = self.n_last, self.dim, self.c
+        if n < 1 or d < 1:
+            raise ValueError("need n_last >= 1 and dim >= 1")
+        # conditioned on its start time s, the chain starts at x_s = e_s and
+        # step k carries the equal split; otherwise boundary_gain closes it
+        s, k = self._time(0), self._time(1)
+        chain = self.c_index == s
+        if chain and self.bc is not BoundaryCondition.BC1:
+            raise ValueError(f"c={c.name} admits only BC1 (the chain starts at x_{s} = e_{s})")
+        expected = set(range(n + 1)) - {s, self.c_index}
+        _check_gain_grid("g_trans", self.g_trans, expected, d)
+        _check_gain_grid("g_cond", self.g_cond, expected, d)
+        _check_gain_grid("g_noise", self.g_noise, set(range(n + 1)), d)
+        for t in range(n + 1):
+            cholesky_spd(self.g_noise[t])  # noise covariances must be SPD
+        if not chain:
+            if self.boundary_gain is None or np.shape(self.boundary_gain) != (d, d):
+                raise ValueError(f"c={c.name} requires a d x d boundary_gain")
+        else:
+            if self.boundary_gain is not None:
+                raise ValueError(f"boundary_gain is only meaningful for c={_OTHER_SIDE[c].name}")
+            if not np.allclose(self.g_trans[k], self.g_cond[k]):
+                raise ValueError(
+                    f"c={c.name} requires the equal split G_trans[{k}] == G_cond[{k}]"
+                )
+
+
+@dataclass(frozen=True)
+class ForwardCmcModel(_CmcModel):
     """Forward model x_k = G_trans[k] x_{k-1} + G_cond[k] x_c + e_k.
 
     Gains exist for k in (0, N] except the conditioning time; noise
@@ -100,86 +173,49 @@ class ForwardCmcModel:
     splits its x_0 weight equally between G_trans[1] and G_cond[1].
     """
 
-    n_last: int
-    dim: int
-    c: ConditioningSide
-    bc: BoundaryCondition
-    g_trans: dict = field(repr=False)
-    g_cond: dict = field(repr=False)
-    g_noise: dict = field(repr=False)
-    boundary_gain: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def c_index(self):
-        return 0 if self.c is ConditioningSide.FIRST else self.n_last
-
-    def __post_init__(self):
-        n, d = self.n_last, self.dim
-        if n < 1 or d < 1:
-            raise ValueError("need n_last >= 1 and dim >= 1")
-        if self.c is ConditioningSide.FIRST and self.bc is not BoundaryCondition.BC1:
-            raise ValueError("c=FIRST admits only BC1 (the chain starts at x_0 = e_0)")
-        expected = set(range(1, n + 1)) - {self.c_index}
-        _check_gain_grid("g_trans", self.g_trans, expected, d)
-        _check_gain_grid("g_cond", self.g_cond, expected, d)
-        _check_gain_grid("g_noise", self.g_noise, set(range(n + 1)), d)
-        for k in range(n + 1):
-            cholesky_spd(self.g_noise[k])  # noise covariances must be SPD
-        if self.c is ConditioningSide.LAST:
-            if self.boundary_gain is None or np.shape(self.boundary_gain) != (d, d):
-                raise ValueError("c=LAST requires a d x d boundary_gain")
-        else:
-            if self.boundary_gain is not None:
-                raise ValueError("boundary_gain is only meaningful for c=LAST")
-            if not np.allclose(self.g_trans[1], self.g_cond[1]):
-                raise ValueError("c=FIRST requires the equal split G_trans[1] == G_cond[1]")
+    direction = "forward"
 
 
 @dataclass(frozen=True)
-class BackwardCmcModel:
+class BackwardCmcModel(_CmcModel):
     """Backward model x_k = G_trans[k] x_{k+1} + G_cond[k] x_c + e_k.
 
-    Time mirror of :class:`ForwardCmcModel`: gains exist for k in [0, N)
-    except the conditioning time; ``boundary_gain`` exists for c=FIRST
-    (x_0 on x_N under BC1, x_N on x_0 under BC2); for c=LAST the chain
-    starts at x_N = e_N and the k=N-1 step splits its weight equally.
+    The forward model of the reversed sequence y_j = x_{N-j}, kept on the
+    original time axis: gains exist for k in [0, N) except the conditioning
+    time; ``boundary_gain`` exists for c=FIRST (x_0 on x_N under BC1, x_N on
+    x_0 under BC2); for c=LAST the chain starts at x_N = e_N and the k=N-1
+    step splits its weight equally.  Its mirror, that forward model in the
+    reversed time, is built on first use and kept.
     """
 
-    n_last: int
-    dim: int
-    c: ConditioningSide
-    bc: BoundaryCondition
-    g_trans: dict = field(repr=False)
-    g_cond: dict = field(repr=False)
-    g_noise: dict = field(repr=False)
-    boundary_gain: np.ndarray | None = field(default=None, repr=False)
+    direction = "backward"
 
-    @property
-    def c_index(self):
-        return 0 if self.c is ConditioningSide.FIRST else self.n_last
+    @cached_property
+    def _forward(self):
+        # this model is valid, so its mirror is too: skip a second validation
+        mirror = object.__new__(ForwardCmcModel)
+        names = [f.name for f in fields(self)]
+        mirror.__dict__.update(zip(names, _mirrored(*(getattr(self, a) for a in names))))
+        return mirror
 
-    def __post_init__(self):
-        n, d = self.n_last, self.dim
-        if n < 1 or d < 1:
-            raise ValueError("need n_last >= 1 and dim >= 1")
-        if self.c is ConditioningSide.LAST and self.bc is not BoundaryCondition.BC1:
-            raise ValueError("c=LAST admits only BC1 (the chain starts at x_N = e_N)")
-        expected = set(range(0, n)) - {self.c_index}
-        _check_gain_grid("g_trans", self.g_trans, expected, d)
-        _check_gain_grid("g_cond", self.g_cond, expected, d)
-        _check_gain_grid("g_noise", self.g_noise, set(range(n + 1)), d)
-        for k in range(n + 1):
-            cholesky_spd(self.g_noise[k])
-        if self.c is ConditioningSide.FIRST:
-            if self.boundary_gain is None or np.shape(self.boundary_gain) != (d, d):
-                raise ValueError("c=FIRST requires a d x d boundary_gain")
-        else:
-            if self.boundary_gain is not None:
-                raise ValueError("boundary_gain is only meaningful for c=FIRST")
-            if not np.allclose(self.g_trans[n - 1], self.g_cond[n - 1]):
-                raise ValueError(
-                    "c=LAST requires the equal split G_trans[N-1] == G_cond[N-1]"
-                )
+    def _time(self, j):
+        return self.n_last - j
+
+
+def _mirrored(n, d, c, bc, g_trans, g_cond, g_noise, boundary_gain):
+    """The same law's model fields in the other time direction.
+
+    Time k becomes N-k and FIRST/LAST swap; ``bc`` and ``boundary_gain`` are
+    kept.  Applying it twice gives the fields back.
+    """
+    grids = ({n - k: g for k, g in grid.items()} for grid in (g_trans, g_cond, g_noise))
+    return (n, d, _OTHER_SIDE[c], bc, *grids, boundary_gain)
+
+
+def _reverse_time(mat, d):
+    """``mat`` with its d x d time blocks in reverse order (an exact copy)."""
+    n_blocks = mat.shape[0] // d
+    return mat.reshape(n_blocks, d, n_blocks, d)[::-1, :, ::-1].reshape(mat.shape)
 
 
 @dataclass(frozen=True)
@@ -210,6 +246,32 @@ def _regress(mat, d, target, given):
     return [gains[:, i * d : (i + 1) * d].copy() for i in range(len(given))], noise
 
 
+def _regressions(mat, n, d, c, bc):
+    """The forward model's fields read off the covariance ``mat``."""
+    g_trans, g_cond, g_noise = {}, {}, {}
+    bg = None
+    if c is ConditioningSide.LAST:
+        for k in range(1, n):
+            (gt, gc), noise = _regress(mat, d, k, [k - 1, n])
+            g_trans[k], g_cond[k], g_noise[k] = gt, gc, noise
+        if bc is BoundaryCondition.BC1:
+            g_noise[0] = _block(mat, d, 0, 0).copy()
+            (bg,), g_noise[n] = _regress(mat, d, n, [0])
+        else:
+            g_noise[n] = _block(mat, d, n, n).copy()
+            (bg,), g_noise[0] = _regress(mat, d, 0, [n])
+    else:
+        # c = FIRST: x_0 = e_0, and the k=1 step sees x_{k-1} = x_c = x_0
+        g_noise[0] = _block(mat, d, 0, 0).copy()
+        (w,), g_noise[1] = _regress(mat, d, 1, [0])
+        g_trans[1] = w / 2.0
+        g_cond[1] = w / 2.0
+        for k in range(2, n + 1):
+            (gt, gc), noise = _regress(mat, d, k, [k - 1, 0])
+            g_trans[k], g_cond[k], g_noise[k] = gt, gc, noise
+    return n, d, c, bc, g_trans, g_cond, g_noise, bg
+
+
 def build_forward(
     law: SequenceLaw,
     c: ConditioningSide,
@@ -224,33 +286,7 @@ def build_forward(
     is CM_c for this side; it is a valid model of *some* CM_c law for every
     SPD input.
     """
-    n, d = law.n_last, law.dim
-    mat = law.covariance.data
-    g_trans, g_cond, g_noise = {}, {}, {}
-    if c is ConditioningSide.LAST:
-        for k in range(1, n):
-            (gt, gc), noise = _regress(mat, d, k, [k - 1, n])
-            g_trans[k], g_cond[k], g_noise[k] = gt, gc, noise
-        c00 = _block(mat, d, 0, 0)
-        cnn = _block(mat, d, n, n)
-        if bc is BoundaryCondition.BC1:
-            g_noise[0] = c00.copy()
-            (bg,), g_noise[n] = _regress(mat, d, n, [0])
-        else:
-            g_noise[n] = cnn.copy()
-            (bg,), g_noise[0] = _regress(mat, d, 0, [n])
-        return ForwardCmcModel(n, d, c, bc, g_trans, g_cond, g_noise, bg)
-    # c = FIRST: x_0 = e_0, and the k=1 step sees x_{k-1} = x_c = x_0
-    if bc is not BoundaryCondition.BC1:
-        raise ValueError("c=FIRST admits only BC1")
-    g_noise[0] = _block(mat, d, 0, 0).copy()
-    (w,), g_noise[1] = _regress(mat, d, 1, [0])
-    g_trans[1] = w / 2.0
-    g_cond[1] = w / 2.0
-    for k in range(2, n + 1):
-        (gt, gc), noise = _regress(mat, d, k, [k - 1, 0])
-        g_trans[k], g_cond[k], g_noise[k] = gt, gc, noise
-    return ForwardCmcModel(n, d, c, bc, g_trans, g_cond, g_noise, None)
+    return ForwardCmcModel(*_regressions(law.covariance.data, law.n_last, law.dim, c, bc))
 
 
 def build_backward(
@@ -258,103 +294,69 @@ def build_backward(
     c: ConditioningSide,
     bc: BoundaryCondition = BoundaryCondition.BC1,
 ) -> BackwardCmcModel:
-    """Time mirror of :func:`build_forward`: x_k regressed on (x_{k+1}, x_c)."""
-    n, d = law.n_last, law.dim
-    mat = law.covariance.data
-    g_trans, g_cond, g_noise = {}, {}, {}
-    if c is ConditioningSide.FIRST:
-        for k in range(1, n):
-            (gt, gc), noise = _regress(mat, d, k, [k + 1, 0])
-            g_trans[k], g_cond[k], g_noise[k] = gt, gc, noise
-        if bc is BoundaryCondition.BC1:
-            g_noise[n] = _block(mat, d, n, n).copy()
-            (bg,), g_noise[0] = _regress(mat, d, 0, [n])
-        else:
-            g_noise[0] = _block(mat, d, 0, 0).copy()
-            (bg,), g_noise[n] = _regress(mat, d, n, [0])
-        return BackwardCmcModel(n, d, c, bc, g_trans, g_cond, g_noise, bg)
-    # c = LAST: x_N = e_N, and the k=N-1 step sees x_{k+1} = x_c = x_N
-    if bc is not BoundaryCondition.BC1:
-        raise ValueError("c=LAST admits only BC1 for the backward model")
-    g_noise[n] = _block(mat, d, n, n).copy()
-    (w,), g_noise[n - 1] = _regress(mat, d, n - 1, [n])
-    g_trans[n - 1] = w / 2.0
-    g_cond[n - 1] = w / 2.0
-    for k in range(0, n - 1):
-        (gt, gc), noise = _regress(mat, d, k, [k + 1, n])
-        g_trans[k], g_cond[k], g_noise[k] = gt, gc, noise
-    return BackwardCmcModel(n, d, c, bc, g_trans, g_cond, g_noise, None)
+    """Extract the backward model of a law for conditioning side ``c``.
 
-
-def assemble_script_g(model: ForwardCmcModel) -> BlockMatrix:
-    """The unit-diagonal stacked-recursion matrix SG of a forward model.
-
-    Row k carries -G_trans[k] at column k-1 and -G_cond[k] at the
-    conditioning column; overlapping placements add (so the c=FIRST k=1 row
-    carries -2 G_trans[1] at column 0).  The boundary row carries
-    -boundary_gain at the opposite endpoint.
+    Interior gains regress x_k on (x_{k+1}, x_c).  They are the forward
+    regressions of the time-reversed covariance for the other side, re-keyed
+    to the original times.  c=FIRST admits BC1 (x_N drawn first) and BC2;
+    c=LAST starts at x_N and admits only BC1.
     """
-    n, d = model.n_last, model.dim
+    reversed_cov = _reverse_time(law.covariance.data, law.dim)
+    mirror = _regressions(reversed_cov, law.n_last, law.dim, _OTHER_SIDE[c], bc)
+    return BackwardCmcModel(*_mirrored(*mirror))
+
+
+def assemble_script_g(model) -> BlockMatrix:
+    """The unit-diagonal stacked-recursion matrix SG of a model.
+
+    For a forward model, row k carries -G_trans[k] at column k-1 and
+    -G_cond[k] at the conditioning column; overlapping placements add (so
+    the c=FIRST k=1 row carries -2 G_trans[1] at column 0).  The boundary
+    row carries -boundary_gain at the opposite endpoint.  A backward model's
+    SG is its mirror's with the time blocks reversed.
+    """
+    fwd = model._forward
+    n, d = fwd.n_last, fwd.dim
     size = (n + 1) * d
     sg = np.eye(size)
-    c_idx = model.c_index
-    for k in model.g_trans:
-        sg[k * d : (k + 1) * d, (k - 1) * d : k * d] -= model.g_trans[k]
-        sg[k * d : (k + 1) * d, c_idx * d : (c_idx + 1) * d] -= model.g_cond[k]
-    if model.c is ConditioningSide.LAST:
-        if model.bc is BoundaryCondition.BC1:
-            sg[n * d :, 0:d] -= model.boundary_gain
+    c_idx = fwd.c_index
+    for k in fwd.g_trans:
+        sg[k * d : (k + 1) * d, (k - 1) * d : k * d] -= fwd.g_trans[k]
+        sg[k * d : (k + 1) * d, c_idx * d : (c_idx + 1) * d] -= fwd.g_cond[k]
+    if fwd.c is ConditioningSide.LAST:
+        if fwd.bc is BoundaryCondition.BC1:
+            sg[n * d :, 0:d] -= fwd.boundary_gain
         else:
-            sg[0:d, n * d :] -= model.boundary_gain
+            sg[0:d, n * d :] -= fwd.boundary_gain
+    if fwd is not model:
+        sg = _reverse_time(sg, d)
     return BlockMatrix(sg, d)
 
 
-def assemble_script_g_backward(model: BackwardCmcModel) -> BlockMatrix:
-    """Backward counterpart of :func:`assemble_script_g` (-G_trans at k+1)."""
-    n, d = model.n_last, model.dim
-    size = (n + 1) * d
-    sg = np.eye(size)
-    c_idx = model.c_index
-    for k in model.g_trans:
-        sg[k * d : (k + 1) * d, (k + 1) * d : (k + 2) * d] -= model.g_trans[k]
-        sg[k * d : (k + 1) * d, c_idx * d : (c_idx + 1) * d] -= model.g_cond[k]
-    if model.c is ConditioningSide.FIRST:
-        if model.bc is BoundaryCondition.BC1:
-            sg[0:d, n * d :] -= model.boundary_gain
-        else:
-            sg[n * d :, 0:d] -= model.boundary_gain
-    return BlockMatrix(sg, d)
+def assemble_precision(model) -> BlockMatrix:
+    """Precision matrix A = SG' G^{-1} SG of the model's own law.
 
-
-def _precision_from(sg: np.ndarray, g_noise: dict, n: int, d: int) -> BlockMatrix:
+    Formed on the model's own time axis, for either direction.
+    """
+    sg = assemble_script_g(model).data
+    d = model.dim
     noise_inv = np.zeros_like(sg)
-    for k in range(n + 1):
-        noise_inv[k * d : (k + 1) * d, k * d : (k + 1) * d] = invert_spd(g_noise[k])
+    for k in range(model.n_last + 1):
+        noise_inv[k * d : (k + 1) * d, k * d : (k + 1) * d] = invert_spd(model.g_noise[k])
     a = sg.T @ noise_inv @ sg
     return BlockMatrix((a + a.T) / 2.0, d)
 
 
-def assemble_precision(model: ForwardCmcModel) -> BlockMatrix:
-    """Precision matrix A = SG' G^{-1} SG of the model's own law."""
-    sg = assemble_script_g(model)
-    return _precision_from(sg.data, model.g_noise, model.n_last, model.dim)
-
-
-def assemble_precision_backward(model: BackwardCmcModel) -> BlockMatrix:
-    """Backward counterpart of :func:`assemble_precision`."""
-    sg = assemble_script_g_backward(model)
-    return _precision_from(sg.data, model.g_noise, model.n_last, model.dim)
+# one definition for both directions; the backward names stay public
+assemble_script_g_backward = assemble_script_g
+assemble_precision_backward = assemble_precision
 
 
 def model_covariance(model) -> SequenceLaw:
     """The law realized by a model: inverse of its assembled precision."""
-    if isinstance(model, ForwardCmcModel):
-        a = assemble_precision(model)
-    elif isinstance(model, BackwardCmcModel):
-        a = assemble_precision_backward(model)
-    else:
+    if not isinstance(model, _CmcModel):
         raise TypeError(f"expected a forward or backward model, got {type(model)!r}")
-    return SequenceLaw(invert_spd(a.data), model.dim)
+    return SequenceLaw(invert_spd(assemble_precision(model).data), model.dim)
 
 
 def _identity_residuals(pairs, floor=0.0):
@@ -365,6 +367,7 @@ def _identity_residuals(pairs, floor=0.0):
     precision, so callers pass the precision magnitude ``max ||G_noise^-1||``
     as the floor: identities whose sides all vanish (e.g. every conditioning
     gain is zero) then pass instead of dividing rounding noise by itself.
+    Among equal residuals the smallest index is reported.
     """
     scale = float(floor)
     for lhs, rhs in pairs.values():
@@ -372,120 +375,75 @@ def _identity_residuals(pairs, floor=0.0):
     worst_ratio, worst_index = 0.0, None
     if scale == 0.0:
         return worst_ratio, worst_index
-    for k, (lhs, rhs) in pairs.items():
+    for k, (lhs, rhs) in sorted(pairs.items()):
         ratio = float(np.linalg.norm(lhs - rhs)) / scale
         if ratio > worst_ratio:
             worst_ratio, worst_index = ratio, k
     return worst_ratio, worst_index
 
 
-def check_reciprocity_forward(model: ForwardCmcModel, tol: Tolerance = Tolerance()) -> CheckResult:
+def check_reciprocity_forward(model, tol: Tolerance = Tolerance()) -> CheckResult:
     """Interior parameter condition for the model's law to be reciprocal.
 
     Checks G_noise[k]^{-1} G_cond[k] = G_trans[k+1]' G_noise[k+1]^{-1} G_cond[k+1]
     over k in {1..N-2} for c=LAST and k in {2..N-1} for c=FIRST (the literal
-    interior ranges; empty ranges pass vacuously).
+    interior ranges; empty ranges pass vacuously).  A backward model is
+    checked through its mirror; ``worst_index`` is the lower time of the
+    worst pair on the model's own axis.
     """
-    n = model.n_last
-    ks = range(1, n - 1) if model.c is ConditioningSide.LAST else range(2, n)
+    fwd, t = model._forward, model._time
+    n = fwd.n_last
+    ks = range(1, n - 1) if fwd.c is ConditioningSide.LAST else range(2, n)
     pairs = {}
     floor = 0.0
     for k in ks:
-        inv_k = invert_spd(model.g_noise[k])
-        inv_next = invert_spd(model.g_noise[k + 1])
+        inv_k = invert_spd(fwd.g_noise[k])
+        inv_next = invert_spd(fwd.g_noise[k + 1])
         floor = max(floor, float(np.linalg.norm(inv_k)), float(np.linalg.norm(inv_next)))
-        lhs = inv_k @ model.g_cond[k]
-        rhs = model.g_trans[k + 1].T @ inv_next @ model.g_cond[k + 1]
-        pairs[k] = (lhs, rhs)
+        lhs = inv_k @ fwd.g_cond[k]
+        rhs = fwd.g_trans[k + 1].T @ inv_next @ fwd.g_cond[k + 1]
+        pairs[min(t(k), t(k + 1))] = (lhs, rhs)
     worst_ratio, worst_index = _identity_residuals(pairs, floor)
     return CheckResult(bool(worst_ratio <= tol.residual_tol), worst_ratio, worst_index)
 
 
-def check_markov_forward(model: ForwardCmcModel, tol: Tolerance = Tolerance()) -> CheckResult:
+def check_markov_forward(model, tol: Tolerance = Tolerance()) -> CheckResult:
     """Boundary add-on turning a reciprocal model into a Markov one.
 
     Meaningful on top of a passing :func:`check_reciprocity_forward`.  For
     c=LAST the identity ties the boundary gain to the first interior step
-    (one form per bc); for c=FIRST it requires the final conditioning gain to
-    vanish.  Degenerate N=1 models (no interior step) pass trivially.
+    (one form per bc, reported at index 0); for c=FIRST it requires the
+    final conditioning gain to vanish (reported at that gain's time).
+    Degenerate N=1 models (no interior step) pass trivially.  A backward
+    model is checked through its mirror, with the time on its own axis.
     """
-    n = model.n_last
+    fwd = model._forward
+    n = fwd.n_last
     if n == 1:
         return CheckResult(True, 0.0, None)
-    if model.c is ConditioningSide.LAST:
-        inv_1 = invert_spd(model.g_noise[1])
-        if model.bc is BoundaryCondition.BC1:
-            inv_b = invert_spd(model.g_noise[n])
-            lhs = inv_b @ model.boundary_gain
-            rhs = model.g_cond[1].T @ inv_1 @ model.g_trans[1]
+    if fwd.c is ConditioningSide.LAST:
+        inv_1 = invert_spd(fwd.g_noise[1])
+        if fwd.bc is BoundaryCondition.BC1:
+            inv_b = invert_spd(fwd.g_noise[n])
+            rhs = fwd.g_cond[1].T @ inv_1 @ fwd.g_trans[1]
         else:
-            inv_b = invert_spd(model.g_noise[0])
-            lhs = inv_b @ model.boundary_gain
-            rhs = model.g_trans[1].T @ inv_1 @ model.g_cond[1]
+            inv_b = invert_spd(fwd.g_noise[0])
+            rhs = fwd.g_trans[1].T @ inv_1 @ fwd.g_cond[1]
+        lhs = inv_b @ fwd.boundary_gain
         floor = max(float(np.linalg.norm(inv_b)), float(np.linalg.norm(inv_1)))
         worst_ratio, _ = _identity_residuals({0: (lhs, rhs)}, floor)
         return CheckResult(bool(worst_ratio <= tol.residual_tol), worst_ratio, 0)
     # c = FIRST: the last step must not look back at x_0 at all
-    scale = float(
-        max(
-            max((np.linalg.norm(g) for g in model.g_trans.values()), default=0.0),
-            max((np.linalg.norm(g) for g in model.g_cond.values()), default=0.0),
-        )
-    )
-    resid = float(np.linalg.norm(model.g_cond[n]))
+    gains = [*fwd.g_trans.values(), *fwd.g_cond.values()]
+    scale = float(max((np.linalg.norm(g) for g in gains), default=0.0))
+    resid = float(np.linalg.norm(fwd.g_cond[n]))
     ratio = resid / scale if scale > 0 else 0.0
-    return CheckResult(bool(ratio <= tol.residual_tol), ratio, n)
+    return CheckResult(bool(ratio <= tol.residual_tol), ratio, model._time(n))
 
 
-def check_reciprocity_backward(model: BackwardCmcModel, tol: Tolerance = Tolerance()) -> CheckResult:
-    """Backward interior reciprocity condition.
-
-    Checks G_noise[k+1]^{-1} G_cond[k+1] = G_trans[k]' G_noise[k]^{-1} G_cond[k]
-    over k in {1..N-2} for c=FIRST and k in {0..N-3} for c=LAST.
-    """
-    n = model.n_last
-    ks = range(1, n - 1) if model.c is ConditioningSide.FIRST else range(0, n - 2)
-    pairs = {}
-    floor = 0.0
-    for k in ks:
-        inv_k = invert_spd(model.g_noise[k])
-        inv_next = invert_spd(model.g_noise[k + 1])
-        floor = max(floor, float(np.linalg.norm(inv_k)), float(np.linalg.norm(inv_next)))
-        lhs = inv_next @ model.g_cond[k + 1]
-        rhs = model.g_trans[k].T @ inv_k @ model.g_cond[k]
-        pairs[k] = (lhs, rhs)
-    worst_ratio, worst_index = _identity_residuals(pairs, floor)
-    return CheckResult(bool(worst_ratio <= tol.residual_tol), worst_ratio, worst_index)
-
-
-def check_markov_backward(model: BackwardCmcModel, tol: Tolerance = Tolerance()) -> CheckResult:
-    """Backward boundary add-on for Markovness (mirror of the forward one)."""
-    n = model.n_last
-    if n == 1:
-        return CheckResult(True, 0.0, None)
-    if model.c is ConditioningSide.FIRST:
-        inv_1 = invert_spd(model.g_noise[n - 1])
-        if model.bc is BoundaryCondition.BC1:
-            inv_b = invert_spd(model.g_noise[0])
-            lhs = inv_b @ model.boundary_gain
-            rhs = model.g_cond[n - 1].T @ inv_1 @ model.g_trans[n - 1]
-        else:
-            inv_b = invert_spd(model.g_noise[n])
-            lhs = inv_b @ model.boundary_gain
-            rhs = model.g_trans[n - 1].T @ inv_1 @ model.g_cond[n - 1]
-        floor = max(float(np.linalg.norm(inv_b)), float(np.linalg.norm(inv_1)))
-        worst_ratio, _ = _identity_residuals({0: (lhs, rhs)}, floor)
-        return CheckResult(bool(worst_ratio <= tol.residual_tol), worst_ratio, 0)
-    # c = LAST: the first step must not look ahead to x_N at all
-    scale = float(
-        max(
-            max((np.linalg.norm(g) for g in model.g_trans.values()), default=0.0),
-            max((np.linalg.norm(g) for g in model.g_cond.values()), default=0.0),
-        )
-    )
-    resid = float(np.linalg.norm(model.g_cond[0]))
-    ratio = resid / scale if scale > 0 else 0.0
-    return CheckResult(bool(ratio <= tol.residual_tol), ratio, 0)
+# one definition for both directions; the backward names stay public
+check_reciprocity_backward = check_reciprocity_forward
+check_markov_backward = check_markov_forward
 
 
 _CLASS_CODES = {

@@ -10,10 +10,7 @@ block-sparsity pattern:
 * ``CM_L`` — band plus a full last block column/row (conditioning on the last
   time),
 * ``CM_F`` — band plus a full first block row/column starting at column 2
-  (conditioning on the first time),
-* ``CM_L_WITH_CM_F_TAIL`` — the CM_L pattern with last-column blocks kept
-  only up to row ``k1``; the precision shape of laws that are CM_L and
-  additionally conditionally Markov on ``[k1, N]`` from the first endpoint.
+  (conditioning on the first time).
 
 ``detect`` measures how well a matrix conforms to a pattern: every block
 outside the allowed support must be zero up to ``zero_tol`` relative to the
@@ -49,31 +46,18 @@ class PatternKind(Enum):
     CYCLIC_TRIDIAGONAL = "cyclic_tridiagonal"
     CM_L = "cm_l"
     CM_F = "cm_f"
-    CM_L_WITH_CM_F_TAIL = "cm_l_with_cm_f_tail"
 
 
 @dataclass(frozen=True)
 class PatternSpec:
-    """A pattern kind instantiated for block indices ``0..n_last``.
-
-    ``k1`` is meaningful only for ``CM_L_WITH_CM_F_TAIL`` (the last interior
-    time whose last-column block may be nonzero) and must be None otherwise.
-    """
+    """A pattern kind instantiated for block indices ``0..n_last``."""
 
     kind: PatternKind
     n_last: int
-    k1: int | None = None
 
     def __post_init__(self):
         if self.n_last < 1:
             raise ValueError("n_last must be >= 1")
-        if self.kind is PatternKind.CM_L_WITH_CM_F_TAIL:
-            if self.k1 is None or not 0 <= self.k1 <= self.n_last:
-                raise ValueError(
-                    f"CM_L_WITH_CM_F_TAIL needs k1 in [0, {self.n_last}], got {self.k1}"
-                )
-        elif self.k1 is not None:
-            raise ValueError(f"k1 is only valid for CM_L_WITH_CM_F_TAIL, got {self.k1}")
 
     @classmethod
     def tridiagonal(cls, n_last):
@@ -90,10 +74,6 @@ class PatternSpec:
     @classmethod
     def cm_f(cls, n_last):
         return cls(PatternKind.CM_F, n_last)
-
-    @classmethod
-    def cm_l_with_cm_f_tail(cls, n_last, k1):
-        return cls(PatternKind.CM_L_WITH_CM_F_TAIL, n_last, k1)
 
 
 @dataclass(frozen=True)
@@ -122,11 +102,8 @@ def allowed_support(spec: PatternSpec) -> frozenset[tuple[int, int]]:
         extra = {(0, n), (n, 0)}
     elif spec.kind is PatternKind.CM_L:
         extra = {(k, n) for k in range(n - 1)} | {(n, k) for k in range(n - 1)}
-    elif spec.kind is PatternKind.CM_F:
+    else:  # CM_F
         extra = {(0, j) for j in range(2, n + 1)} | {(j, 0) for j in range(2, n + 1)}
-    else:  # CM_L_WITH_CM_F_TAIL
-        top = min(spec.k1, n - 2)
-        extra = {(k, n) for k in range(top + 1)} | {(n, k) for k in range(top + 1)}
     return frozenset(band | extra)
 
 

@@ -139,15 +139,11 @@ def _gain_grid_from_json(fld, raw, d):
 
 
 def save_model(path, model):
-    if isinstance(model, ForwardCmcModel):
-        kind = "forward"
-    elif isinstance(model, BackwardCmcModel):
-        kind = "backward"
-    else:
+    if not isinstance(model, (ForwardCmcModel, BackwardCmcModel)):
         raise TypeError(f"expected a forward or backward model, got {type(model)!r}")
     obj = {
         "schema_version": SCHEMA_VERSION,
-        "kind": kind,
+        "kind": model.direction,
         "N": model.n_last,
         "d": model.dim,
         "c": model.c.value,

@@ -94,36 +94,23 @@ def _generation_plan(model):
 
     The first entries are the boundary recursion in its documented draw
     order; the remaining entries walk the chain.  Consuming one noise vector
-    per entry, in order, reproduces the model's law exactly.
+    per entry, in order, reproduces the model's law exactly.  A backward
+    model's plan is its mirror's with every time t mapped to N-t.
     """
-    n = model.n_last
-    if isinstance(model, ForwardCmcModel):
-        interior = [
-            (k, [(model.g_trans[k], k - 1), (model.g_cond[k], model.c_index)])
-            for k in sorted(model.g_trans)
-        ]
-        if model.c is ConditioningSide.LAST:
-            if model.bc is BoundaryCondition.BC1:
-                head = [(0, []), (n, [(model.boundary_gain, 0)])]
-            else:
-                head = [(n, []), (0, [(model.boundary_gain, n)])]
+    fwd, t = model._forward, model._time
+    n = fwd.n_last
+    interior = [
+        (k, [(fwd.g_trans[k], k - 1), (fwd.g_cond[k], fwd.c_index)])
+        for k in sorted(fwd.g_trans)
+    ]
+    if fwd.c is ConditioningSide.LAST:
+        if fwd.bc is BoundaryCondition.BC1:
+            head = [(0, []), (n, [(fwd.boundary_gain, 0)])]
         else:
-            head = [(0, [])]
-        return head + interior
-    if isinstance(model, BackwardCmcModel):
-        interior = [
-            (k, [(model.g_trans[k], k + 1), (model.g_cond[k], model.c_index)])
-            for k in sorted(model.g_trans, reverse=True)
-        ]
-        if model.c is ConditioningSide.FIRST:
-            if model.bc is BoundaryCondition.BC1:
-                head = [(n, []), (0, [(model.boundary_gain, n)])]
-            else:
-                head = [(0, []), (n, [(model.boundary_gain, 0)])]
-        else:
-            head = [(n, [])]
-        return head + interior
-    raise TypeError(f"expected a forward or backward model, got {type(model)!r}")
+            head = [(n, []), (0, [(fwd.boundary_gain, n)])]
+    else:
+        head = [(0, [])]
+    return [(t(k), [(gain, t(src)) for gain, src in terms]) for k, terms in head + interior]
 
 
 def _substream_seed_words(seed, r):
@@ -182,6 +169,9 @@ def _sample(model, n_replicates, seed):
         raise ValueError("n_replicates must be >= 0")
     if m > 1 << 32:
         raise ValueError("n_replicates must be <= 2**32")
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     plan = _generation_plan(model)
     steps = len(plan)
     # one lower Cholesky factor per noise covariance, fixed for the model
@@ -209,7 +199,7 @@ def _sample(model, n_replicates, seed):
             x = x + data[:, src, :] @ gain.T
         data[:, t, :] = x
     data.setflags(write=False)
-    return SampleBatch(m, n, d, data, int(seed))
+    return SampleBatch(m, n, d, data, seed)
 
 
 def sample_forward(model: ForwardCmcModel, n_replicates: int, seed: int) -> SampleBatch:
@@ -237,7 +227,11 @@ def sample_forward(model: ForwardCmcModel, n_replicates: int, seed: int) -> Samp
 
 
 def sample_backward(model: BackwardCmcModel, n_replicates: int, seed: int) -> SampleBatch:
-    """Draw i.i.d. trajectories from a backward model (time-mirrored order)."""
+    """Draw i.i.d. trajectories from a backward model.
+
+    The draw order is the forward one of its mirror, the forward model of
+    the reversed sequence: each time t of that order becomes N-t.
+    """
     if not isinstance(model, BackwardCmcModel):
         raise TypeError("sample_backward needs a BackwardCmcModel")
     return _sample(model, n_replicates, seed)
@@ -284,11 +278,9 @@ def mc_validate(
             f"tol_abs = {tol_abs} is below the statistical floor {floor:.3e} "
             f"for n_replicates = {n_replicates}"
         )
-    if isinstance(model, ForwardCmcModel):
-        batch = sample_forward(model, n_replicates, seed)
-    else:
-        batch = sample_backward(model, n_replicates, seed)
-    dev = np.abs(sample_covariance(batch).data - ref)
+    # both samplers run _sample; calling the public one keeps it visible to tracing
+    sample = sample_forward if isinstance(model, ForwardCmcModel) else sample_backward
+    dev = np.abs(sample_covariance(sample(model, n_replicates, seed)).data - ref)
     worst_flat = int(np.argmax(dev))
     worst_entry = np.unravel_index(worst_flat, dev.shape)
     worst = float(dev[worst_entry])

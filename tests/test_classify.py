@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmseq import (
     ConditioningSide,
@@ -200,3 +202,25 @@ def test_multidimensional_components():
     rep = full_report(law)
     assert rep.markov.conforms and rep.consistency
     assert oracle_markov(law).holds
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    law_class=st.sampled_from(list(LawClass)),
+    n_last=st.integers(min_value=2, max_value=8),
+    d=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_time_reversal_swaps_cm_l_and_cm_f(law_class, n_last, d, seed):
+    """y_j = x_{N-j} keeps Markov, reciprocal and consistency, and swaps
+    CM_L with CM_F."""
+    assume(n_last >= 3 or law_class not in (LawClass.CM_L_ONLY, LawClass.CM_F_ONLY))
+    law = random_law(law_class, n_last, d, seed)
+    p = (np.arange(n_last + 1)[::-1, None] * d + np.arange(d)).ravel()
+    rev = full_report(SequenceLaw(law.covariance.data[np.ix_(p, p)], d))
+    rep = full_report(law)
+    assert rev.markov.conforms == rep.markov.conforms
+    assert rev.reciprocal.conforms == rep.reciprocal.conforms
+    assert rev.consistency == rep.consistency
+    assert rev.cm_l.conforms == rep.cm_f.conforms
+    assert rev.cm_f.conforms == rep.cm_l.conforms

@@ -61,13 +61,20 @@ def test_convert_produces_known_gains(ar1_file, tmp_path, capsys):
     np.testing.assert_allclose(model.boundary_gain, [[0.25]], atol=1e-12)
 
 
-def test_convert_rejects_invalid_boundary_combo(ar1_file, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "direction, side, other", [("forward", "first", "LAST"), ("backward", "last", "FIRST")]
+)
+def test_convert_rejects_invalid_boundary_combo(ar1_file, tmp_path, capsys, direction, side,
+                                                other):
     rc = main(
-        ["convert", ar1_file, "--direction", "forward", "--c", "first", "--bc", "bc2",
+        ["convert", ar1_file, "--direction", direction, "--c", side, "--bc", "bc2",
          "--out", str(tmp_path / "x.json")]
     )
     assert rc == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the message names the side the caller asked for, never the mirror's
+    assert f"error: c={side.upper()} admits only BC1" in err
+    assert f"c={other}" not in err
 
 
 def test_verify_agrees_with_itself(ar1_file, tmp_path, capsys):
@@ -216,6 +223,7 @@ def model_file(ar1_file, tmp_path):
     [
         ["simulate", "{model}", "--samples", "10", "--seed", "-1", "--out", "{tmp}/b.csv"],
         ["simulate", "{model}", "--samples", "-5", "--seed", "1", "--out", "{tmp}/b.csv"],
+        ["simulate", "{model}", "--samples", "0", "--seed", "-1", "--out", "{tmp}/b.csv"],
         ["validate", "{model}", "--samples", "0", "--seed", "1"],
         ["validate", "{model}", "--samples", "10", "--seed", "-1", "--tol", "100"],
     ],

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from cmseq import (
     BackwardCmcModel,
@@ -28,7 +29,9 @@ from cmseq import (
     model_covariance,
     random_law,
 )
+from cmseq.blocks import cholesky_spd
 from cmseq.fixtures import ar1_law, cml_example_law, cyclic_example_law, identity_law
+from cmseq.models import _identity_residuals
 
 FIRST = ConditioningSide.FIRST
 LAST = ConditioningSide.LAST
@@ -107,6 +110,81 @@ def test_backward_conditioning_on_last_time_mirrors_the_split():
     np.testing.assert_allclose(model.g_cond[1], [[0.25]], atol=1e-12)
     sg = assemble_script_g_backward(model)
     assert sg.data[1, 2] == pytest.approx(-0.5, abs=1e-12)
+
+
+def direct_regression(cov, d, target, given):
+    """x_target regressed on the listed times of ``cov``, spelled out here so
+    that the backward definitions are pinned on the original time axis."""
+    ig = np.concatenate([np.arange(t * d, (t + 1) * d) for t in given])
+    it = np.arange(target * d, (target + 1) * d)
+    cross = cov[np.ix_(it, ig)]
+    gains = cho_solve((cholesky_spd(cov[np.ix_(ig, ig)]), True), cross.T).T
+    noise = cov[np.ix_(it, it)] - gains @ cross.T
+    return [gains[:, i * d : (i + 1) * d] for i in range(len(given))], (noise + noise.T) / 2.0
+
+
+@pytest.mark.parametrize("c,bc", BACKWARD_COMBOS)
+def test_backward_model_is_the_regression_on_the_next_time(c, bc):
+    """Each interior step regresses x_k on (x_{k+1}, x_c) of the original
+    covariance, bit for bit; where x_{k+1} is x_c (c=LAST, k=N-1) the single
+    weight is split equally.  The boundary pair and its noises follow the
+    documented draw order."""
+    n, d = 5, 2
+    law = random_law(LawClass.GENERIC, n, d, seed=3)
+    cov = law.covariance.data
+    model = build_backward(law, c, bc)
+    ci = model.c_index
+    assert sorted(model.g_trans) == sorted(set(range(n)) - {ci})
+    for k in model.g_trans:
+        if k + 1 == ci:
+            (w,), noise = direct_regression(cov, d, k, [ci])
+            gt = gc = w / 2.0
+        else:
+            (gt, gc), noise = direct_regression(cov, d, k, [k + 1, ci])
+        assert model.g_trans[k].tobytes() == np.ascontiguousarray(gt).tobytes()
+        assert model.g_cond[k].tobytes() == np.ascontiguousarray(gc).tobytes()
+        assert model.g_noise[k].tobytes() == noise.tobytes()
+    first, last = (n, 0) if bc is BC1 else (0, n)  # c=FIRST: BC1 draws x_N first
+    if c is LAST:
+        assert model.boundary_gain is None
+        np.testing.assert_array_equal(model.g_noise[n], cov[n * d :, n * d :])
+    else:
+        (bg,), noise = direct_regression(cov, d, last, [first])
+        assert model.boundary_gain.tobytes() == np.ascontiguousarray(bg).tobytes()
+        assert model.g_noise[last].tobytes() == noise.tobytes()
+        np.testing.assert_array_equal(
+            model.g_noise[first], cov[first * d : (first + 1) * d, first * d : (first + 1) * d]
+        )
+
+
+@pytest.mark.parametrize("c,bc", BACKWARD_COMBOS)
+def test_backward_checks_report_indices_on_their_own_axis(c, bc):
+    """Reciprocity's worst_index is the k of the worst identity
+    G_noise[k+1]^-1 G_cond[k+1] = G_trans[k]' G_noise[k]^-1 G_cond[k],
+    computed here on the model's own times."""
+    law = random_law(LawClass.GENERIC, 6, 2, seed=4)
+    model = build_backward(law, c, bc)
+    ks = range(1, 5) if c is FIRST else range(0, 4)
+    inv = {k: np.linalg.inv(g) for k, g in model.g_noise.items()}
+    resid = [
+        np.linalg.norm(
+            inv[k + 1] @ model.g_cond[k + 1] - model.g_trans[k].T @ inv[k] @ model.g_cond[k]
+        )
+        for k in ks
+    ]
+    result = check_reciprocity_backward(model)
+    assert not result.passed
+    assert result.worst_index == ks[int(np.argmax(resid))]
+    assert sorted(resid)[-1] > 1.01 * sorted(resid)[-2]  # the argmax is not a near tie
+    # the Markov add-on sits at x_0 either way: the boundary pair (c=FIRST)
+    # or the step that must not look ahead to x_N (c=LAST)
+    assert check_markov_backward(model).worst_index == 0
+
+
+def test_identity_residual_ties_go_to_the_smallest_index():
+    # a backward model's pairs arrive in descending order of its own times
+    lhs, rhs = np.eye(2), np.zeros((2, 2))
+    assert _identity_residuals({3: (lhs, rhs), 1: (lhs, rhs), 2: (lhs, rhs)}) == (1.0, 1)
 
 
 # --- round trips ------------------------------------------------------------
@@ -317,12 +395,26 @@ def test_model_constructor_enforces_boundary_gain_rules():
             g_cond={1: one(0.2), 2: one(0.1)},
             g_noise={0: one(1), 1: one(1), 2: one(1)},
         )
-    with pytest.raises(ValueError, match="BC1"):
+    # a backward model is validated on its own time axis: the messages name
+    # its own side and times, never those of its mirror
+    noise = {0: one(1), 1: one(1), 2: one(1)}
+    with pytest.raises(ValueError, match="BC1") as err:
         BackwardCmcModel(
             2, 1, LAST, BC2,
             g_trans={0: one(0.1), 1: one(0.1)},
             g_cond={0: one(0.1), 1: one(0.1)},
-            g_noise={0: one(1), 1: one(1), 2: one(1)},
+            g_noise=noise,
+        )
+    assert "c=LAST admits only BC1" in str(err.value) and "FIRST" not in str(err.value)
+    with pytest.raises(ValueError, match="c=FIRST requires a d x d boundary_gain"):
+        BackwardCmcModel(2, 1, FIRST, BC1, {1: one(0.1)}, {1: one(0.1)}, noise)
+    with pytest.raises(ValueError, match=r"c=LAST requires the equal split G_trans\[1\]"):
+        BackwardCmcModel(
+            2, 1, LAST, BC1, {0: one(0.1), 1: one(0.3)}, {0: one(0.1), 1: one(0.2)}, noise
+        )
+    with pytest.raises(ValueError, match=r"g_trans keys \[1, 2\] != expected \[0, 1\]"):
+        BackwardCmcModel(
+            2, 1, LAST, BC1, {1: one(0.1), 2: one(0.1)}, {0: one(0.1), 1: one(0.1)}, noise
         )
 
 

@@ -42,7 +42,6 @@ def test_every_pattern_fills_up_at_two_steps():
         PatternSpec.cyclic_tridiagonal(2),
         PatternSpec.cm_l(2),
         PatternSpec.cm_f(2),
-        PatternSpec.cm_l_with_cm_f_tail(2, 1),
     ):
         assert allowed_support(spec) == full(2)
     assert allowed_support(PatternSpec.tridiagonal(2)) != full(2)
@@ -62,25 +61,7 @@ def test_conditioning_pattern_intersection_is_cyclic(n):
     assert cyc < cm_f
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_tail_pattern_interpolates(n):
-    """The tail pattern walks monotonically from cyclic (k1=0, nothing below
-    the corner survives in the last column) up to the full one-sided
-    conditioning pattern (k1 >= n-2)."""
-    tails = [allowed_support(PatternSpec.cm_l_with_cm_f_tail(n, k1)) for k1 in range(n)]
-    for lo, hi in zip(tails, tails[1:]):
-        assert lo <= hi
-    assert tails[0] == allowed_support(PatternSpec.cyclic_tridiagonal(n))
-    assert tails[-1] == allowed_support(PatternSpec.cm_l(n))
-
-
 def test_pattern_spec_validation():
-    with pytest.raises(ValueError):
-        PatternSpec.cm_l_with_cm_f_tail(4, 5)
-    with pytest.raises(ValueError):
-        PatternSpec.cm_l_with_cm_f_tail(4, None)
-    with pytest.raises(ValueError):
-        PatternSpec(PatternKind.TRIDIAGONAL, 3, k1=1)
     with pytest.raises(ValueError):
         PatternSpec.tridiagonal(0)
 
@@ -101,7 +82,6 @@ def matrix_with_support(n, support, coupling=-0.31):
         PatternSpec.cyclic_tridiagonal(5),
         PatternSpec.cm_l(5),
         PatternSpec.cm_f(5),
-        PatternSpec.cm_l_with_cm_f_tail(5, 2),
     ],
 )
 def test_detect_accepts_exact_support_and_flags_violations(spec):
@@ -179,7 +159,7 @@ def reference_detect(m, spec, tol=Tolerance()):
 @given(
     n_last=st.integers(min_value=2, max_value=12),
     d=st.integers(min_value=1, max_value=3),
-    kind=st.sampled_from([k for k in PatternKind if k is not PatternKind.CM_L_WITH_CM_F_TAIL]),
+    kind=st.sampled_from(list(PatternKind)),
     off_scale=st.sampled_from([0.0, 1e-17, 1e-10, 1e-9, 1e-8, 1.0]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )

@@ -177,18 +177,22 @@ def _reference_sample(model, n_replicates, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
-@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize(
+    "direction, c, bc",
+    [("forward", LAST, BC1), ("backward", FIRST, BC1), ("backward", FIRST, BC2),
+     ("backward", LAST, BC1)],
+)
 @pytest.mark.parametrize("dim", [1, 2])
-def test_sampler_matches_per_replicate_substreams(seed, direction, dim):
+def test_sampler_matches_per_replicate_substreams(seed, direction, c, bc, dim):
     law = random_law(LawClass.RECIPROCAL, 3, dim, seed=dim)
     m = _BLOCK + 3  # crosses a substream-setup block boundary
     if direction == "forward":
-        batch = sample_forward(build_forward(law, LAST, BC1), m, seed)
-        ref = _reference_sample(build_forward(law, LAST, BC1), m, seed)
+        model = build_forward(law, c, bc)
+        batch = sample_forward(model, m, seed)
     else:
-        batch = sample_backward(build_backward(law, FIRST, BC2), m, seed)
-        ref = _reference_sample(build_backward(law, FIRST, BC2), m, seed)
-    assert batch.data.tobytes() == ref.tobytes()
+        model = build_backward(law, c, bc)
+        batch = sample_backward(model, m, seed)
+    assert batch.data.tobytes() == _reference_sample(model, m, seed).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,7 +209,7 @@ def test_substream_seed_words_match_seed_sequence(seed, keys):
     np.testing.assert_array_equal(got, np.array(want))
 
 
-@pytest.mark.parametrize("m, seed", [(3, -1), (-1, 0), (2**32 + 1, 0)])
+@pytest.mark.parametrize("m, seed", [(3, -1), (0, -1), (-1, 0), (2**32 + 1, 0)])
 def test_bad_seed_or_count_is_rejected(m, seed):
     with pytest.raises(ValueError):
         sample_forward(AR1_MODEL, m, seed)

@@ -107,15 +107,13 @@ class IndexInterval:
         return self.lo if side is ConditioningSide.FIRST else self.hi
 
 
-def symmetrize(m, rtol=_SYM_RTOL):
+def symmetrize(m):
     """Return the symmetric part of ``m``, rejecting genuinely asymmetric input.
 
     Parameters
     ----------
     m : ndarray
         Square matrix.
-    rtol : float
-        Largest tolerated relative asymmetry ``||m - m'|| / ||m||``.
 
     Returns
     -------
@@ -125,14 +123,14 @@ def symmetrize(m, rtol=_SYM_RTOL):
     Raises
     ------
     NotSymmetricError
-        If the asymmetry exceeds ``rtol`` relative to ``||m||``.
+        If the asymmetry ``||m - m'||`` exceeds ``1e-12 * max(||m||, 1)``.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     scale = np.linalg.norm(m)
     gap = np.linalg.norm(m - m.T)
-    if gap > rtol * max(scale, 1.0):
+    if gap > _SYM_RTOL * max(scale, 1.0):
         raise NotSymmetricError(
             f"matrix is not symmetric: ||m - m'|| = {gap:.3e} vs ||m|| = {scale:.3e}"
         )

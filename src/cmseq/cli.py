@@ -1,10 +1,11 @@
 """Command-line front end: classify, convert, verify, simulate, validate, gen.
 
-Exit codes: 0 success, 2 input/schema error, 3 numeric precondition failure
-(matrix not symmetric positive definite), 4 internal consistency failure
-(verification routes disagree, or a Monte Carlo validation fails).  Output
-files go to explicitly named paths; stdout carries human-readable summaries
-only.
+Exit codes, the same for every command: 0 success, 2 input/schema error,
+3 numeric precondition failure (a matrix read or formed, such as the model
+law in ``validate``, is not symmetric positive definite), 4 internal
+consistency failure (verification routes disagree, or a Monte Carlo
+validation fails).  Output files go to explicitly named paths; stdout
+carries human-readable summaries only.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .models import (
 from .patterns import PatternSpec, detect
 from .serialize import (
     SCHEMA_VERSION,
-    SchemaError,
     classification_report_dict,
     dump_json,
     load_law,
@@ -91,11 +91,7 @@ def cmd_convert(args) -> int:
     c = ConditioningSide(args.c)
     bc = BoundaryCondition(args.bc)
     build = build_forward if args.direction == "forward" else build_backward
-    try:
-        model = build(law, c, bc)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = build(law, c, bc)
     save_model(args.out, model)
     print(
         f"{args.direction} model (c={c.value}, bc={bc.value}) for N={law.n_last} "
@@ -171,11 +167,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     sample = sample_forward if isinstance(model, ForwardCmcModel) else sample_backward
-    try:
-        batch = sample(model, args.samples, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    batch = sample(model, args.samples, args.seed)
     if args.format == "csv":
         save_batch_csv(args.out, batch)
     else:
@@ -189,11 +181,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate(args) -> int:
     model = load_model(args.model)
-    try:
-        report = mc_validate(model, args.samples, args.seed, args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = mc_validate(model, args.samples, args.seed, args.tol)
     print(
         f"mc validation: worst |dev| = {report.worst_abs_dev:.4f} at entry "
         f"{report.worst_entry} (tol {report.tol_abs}, M={report.n_replicates})"
@@ -206,11 +194,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        law = random_law(LawClass(args.law_class), args.n_last, args.dim, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    law = random_law(LawClass(args.law_class), args.n_last, args.dim, args.seed)
     save_law(args.out, law)
     print(
         f"{args.law_class} law (N={args.n_last}, d={args.dim}, seed={args.seed}) "
@@ -284,14 +268,15 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (SchemaError, OSError) as exc:
-        # OSError: an output path that cannot be written, e.g. in a missing
-        # directory (input files are read through the schema loaders)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NotSymmetricError, NotPositiveDefiniteError) as exc:
+        # first: both are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as exc:
+        # ValueError: bad input values and SchemaError; OSError: an output
+        # path that cannot be written (input files go through the loaders)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

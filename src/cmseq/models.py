@@ -15,11 +15,11 @@ The backward model x_k = G_trans[k] x_{k+1} + G_cond[k] x_c + e_k is the
 forward model of the time-reversed sequence y_j = x_{N-j}, kept on the
 original time axis.  Reversal maps time k to N-k and swaps the conditioning
 sides FIRST and LAST; it keeps the boundary variant and the boundary gain.
-So the regressions, SG assembly, the parameter identities and the
-generation plan (in :mod:`cmseq.simulate`) are written once, for the
-forward direction.  A backward model reaches them through its mirror, the
-forward model of the reversed sequence, and their results are mapped back
-to its own times.
+So the regressions, the parameter identities and the generation plan are
+written once, for the forward direction.  A backward model reaches them
+through its mirror, the forward model of the reversed sequence, and their
+results are mapped back to its own times.  SG assembly and sampling
+(:mod:`cmseq.simulate`) both read the recursions from the plan.
 
 The model family is exactly as expressive as the CM_c class: building a model
 from a law and reassembling its precision reproduces the law *iff* the law is
@@ -306,30 +306,45 @@ def build_backward(
     return BackwardCmcModel(*_mirrored(*mirror))
 
 
+def _generation_plan(model):
+    """Ordered steps (time, [(gain, source_time), ...]) realizing the model.
+
+    The first entries are the boundary recursion in its documented draw
+    order; the remaining entries walk the chain.  Consuming one noise vector
+    per entry, in order, reproduces the model's law exactly, and each entry
+    is one row of SG.  A backward model's plan is its mirror's with every
+    time t mapped to N-t.
+    """
+    fwd, t = model._forward, model._time
+    n = fwd.n_last
+    interior = [
+        (k, [(fwd.g_trans[k], k - 1), (fwd.g_cond[k], fwd.c_index)])
+        for k in sorted(fwd.g_trans)
+    ]
+    if fwd.c is ConditioningSide.LAST:
+        if fwd.bc is BoundaryCondition.BC1:
+            head = [(0, []), (n, [(fwd.boundary_gain, 0)])]
+        else:
+            head = [(n, []), (0, [(fwd.boundary_gain, n)])]
+    else:
+        head = [(0, [])]
+    return [(t(k), [(gain, t(src)) for gain, src in terms]) for k, terms in head + interior]
+
+
 def assemble_script_g(model) -> BlockMatrix:
     """The unit-diagonal stacked-recursion matrix SG of a model.
 
-    For a forward model, row k carries -G_trans[k] at column k-1 and
-    -G_cond[k] at the conditioning column; overlapping placements add (so
-    the c=FIRST k=1 row carries -2 G_trans[1] at column 0).  The boundary
-    row carries -boundary_gain at the opposite endpoint.  A backward model's
-    SG is its mirror's with the time blocks reversed.
+    Row t carries -gain at column src for each term of the plan's step t,
+    overlaps adding in plan order.  So forward row k carries -G_trans[k] at
+    column k-1 (k+1 for a backward model) and -G_cond[k] at column c, the
+    forward c=FIRST row 1 carries -2 G_trans[1] at column 0, and the
+    boundary row carries -boundary_gain at the opposite endpoint.
     """
-    fwd = model._forward
-    n, d = fwd.n_last, fwd.dim
-    size = (n + 1) * d
-    sg = np.eye(size)
-    c_idx = fwd.c_index
-    for k in fwd.g_trans:
-        sg[k * d : (k + 1) * d, (k - 1) * d : k * d] -= fwd.g_trans[k]
-        sg[k * d : (k + 1) * d, c_idx * d : (c_idx + 1) * d] -= fwd.g_cond[k]
-    if fwd.c is ConditioningSide.LAST:
-        if fwd.bc is BoundaryCondition.BC1:
-            sg[n * d :, 0:d] -= fwd.boundary_gain
-        else:
-            sg[0:d, n * d :] -= fwd.boundary_gain
-    if fwd is not model:
-        sg = _reverse_time(sg, d)
+    d = model.dim
+    sg = np.eye((model.n_last + 1) * d)
+    for t, terms in _generation_plan(model):
+        for gain, src in terms:
+            sg[t * d : (t + 1) * d, src * d : (src + 1) * d] -= gain
     return BlockMatrix(sg, d)
 
 

@@ -78,10 +78,16 @@ def _require(obj, fld, kind):
     return val
 
 
-def _check_version(obj):
+def _read_header(obj):
+    """The ``(N, d)`` of a law or model file, after checking its version."""
     version = _require(obj, "schema_version", str)
     if version != SCHEMA_VERSION:
         raise SchemaError(f"schema_version: unsupported value {version!r}")
+    n = _require(obj, "N", int)
+    d = _require(obj, "d", int)
+    if n < 1 or d < 1:
+        raise SchemaError("N: need N >= 1 and d >= 1")
+    return n, d
 
 
 def _as_matrix(fld, raw, shape):
@@ -99,11 +105,7 @@ def _as_matrix(fld, raw, shape):
 def load_law(path) -> SequenceLaw:
     """Read a law file: covariance plus dimensions, validated SPD."""
     obj = _load_json(path)
-    _check_version(obj)
-    n = _require(obj, "N", int)
-    d = _require(obj, "d", int)
-    if n < 1 or d < 1:
-        raise SchemaError("N: need N >= 1 and d >= 1")
+    n, d = _read_header(obj)
     size = (n + 1) * d
     cov = _as_matrix("covariance", _require(obj, "covariance", list), (size, size))
     return SequenceLaw(cov, d)  # NotSymmetric / NotPositiveDefinite propagate
@@ -161,14 +163,10 @@ def save_model(path, model):
 def load_model(path):
     """Read a model file into a ForwardCmcModel or BackwardCmcModel."""
     obj = _load_json(path)
-    _check_version(obj)
+    n, d = _read_header(obj)
     kind = _require(obj, "kind", str)
     if kind not in ("forward", "backward"):
         raise SchemaError(f"kind: expected 'forward' or 'backward', got {kind!r}")
-    n = _require(obj, "N", int)
-    d = _require(obj, "d", int)
-    if n < 1 or d < 1:
-        raise SchemaError("N: need N >= 1 and d >= 1")
     c_raw = _require(obj, "c", str)
     try:
         c = ConditioningSide(c_raw)

@@ -5,7 +5,8 @@ substream (PCG64 seeded from ``SeedSequence(entropy=seed, spawn_key=(r,))``),
 so batches are bit-identical regardless of evaluation order, parallelism, or
 how many replicates surround a given one.  Within a replicate, one standard
 normal vector is consumed per time step in the model's generation order
-(boundary recursion first, then the chain).
+(boundary recursion first, then the chain).  That order is the generation
+plan of :mod:`cmseq.models`, the same steps SG is assembled from.
 
 The substreams are not built one ``SeedSequence``/``PCG64`` pair at a time.
 The spawn key is the last word ``SeedSequence`` mixes into its pool, so the
@@ -22,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockMatrix, ConditioningSide, SequenceLaw, cholesky_spd
+from .blocks import BlockMatrix, SequenceLaw, cholesky_spd
 from .models import (
     BackwardCmcModel,
-    BoundaryCondition,
     ForwardCmcModel,
+    _generation_plan,
     model_covariance,
 )
 
@@ -87,30 +88,6 @@ class McValidationReport:
     tol_abs: float
     n_replicates: int
     seed: int
-
-
-def _generation_plan(model):
-    """Ordered steps (time, [(gain, source_time), ...]) realizing the model.
-
-    The first entries are the boundary recursion in its documented draw
-    order; the remaining entries walk the chain.  Consuming one noise vector
-    per entry, in order, reproduces the model's law exactly.  A backward
-    model's plan is its mirror's with every time t mapped to N-t.
-    """
-    fwd, t = model._forward, model._time
-    n = fwd.n_last
-    interior = [
-        (k, [(fwd.g_trans[k], k - 1), (fwd.g_cond[k], fwd.c_index)])
-        for k in sorted(fwd.g_trans)
-    ]
-    if fwd.c is ConditioningSide.LAST:
-        if fwd.bc is BoundaryCondition.BC1:
-            head = [(0, []), (n, [(fwd.boundary_gain, 0)])]
-        else:
-            head = [(n, []), (0, [(fwd.boundary_gain, n)])]
-    else:
-        head = [(0, [])]
-    return [(t(k), [(gain, t(src)) for gain, src in terms]) for k, terms in head + interior]
 
 
 def _substream_seed_words(seed, r):
@@ -273,9 +250,9 @@ def mc_validate(
         reference = model_covariance(model)
     ref = reference.covariance.data
     floor = 4.0 * np.sqrt(2.0 / n_replicates) * float(np.max(np.diag(ref)))
-    if tol_abs < floor:
+    if not tol_abs >= floor:  # also rejects NaN
         raise ValueError(
-            f"tol_abs = {tol_abs} is below the statistical floor {floor:.3e} "
+            f"tol_abs = {tol_abs} is not at or above the statistical floor {floor:.3e} "
             f"for n_replicates = {n_replicates}"
         )
     # both samplers run _sample; calling the public one keeps it visible to tracing

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cmseq import BoundaryCondition, ConditioningSide, ForwardCmcModel
 from cmseq.cli import main
 from cmseq.fixtures import ar1_law, cyclic_example_law, identity_law
-from cmseq.serialize import dump_json, load_law, load_model, save_law
+from cmseq.serialize import dump_json, load_law, load_model, save_law, save_model
 
 
 @pytest.fixture()
@@ -183,6 +184,36 @@ def test_exit_code_3_on_non_spd_law(tmp_path, capsys):
     assert "positive definite" in capsys.readouterr().err
 
 
+def test_exit_code_3_on_model_whose_law_is_not_spd(tmp_path, capsys):
+    """A loadable model whose assembled precision does not factorize."""
+    model = ForwardCmcModel(
+        2, 1, ConditioningSide.LAST, BoundaryCondition.BC1,
+        g_trans={1: np.array([[1e7]])},
+        g_cond={1: np.zeros((1, 1))},
+        g_noise={t: np.eye(1) for t in range(3)},
+        boundary_gain=np.zeros((1, 1)),
+    )
+    model_path = tmp_path / "model.json"
+    save_model(model_path, model)
+    assert main(["verify", str(model_path)]) == 0
+    assert main(["validate", str(model_path), "--seed", "1"]) == 3
+    assert "positive definite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "{law}", "--tol", "0"],
+        ["classify", "{law}", "--tol", "nan"],
+        ["verify", "{model}", "--tol", "-1"],
+    ],
+)
+def test_exit_code_2_on_impossible_tolerance(ar1_file, model_file, capsys, argv):
+    argv = [a.format(law=ar1_file, model=model_file) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_exit_code_2_on_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -226,6 +257,7 @@ def model_file(ar1_file, tmp_path):
         ["simulate", "{model}", "--samples", "0", "--seed", "-1", "--out", "{tmp}/b.csv"],
         ["validate", "{model}", "--samples", "0", "--seed", "1"],
         ["validate", "{model}", "--samples", "10", "--seed", "-1", "--tol", "100"],
+        ["validate", "{model}", "--samples", "100", "--seed", "1", "--tol", "nan"],
     ],
 )
 def test_exit_code_2_on_bad_sampling_values(model_file, tmp_path, capsys, argv):

@@ -112,6 +112,44 @@ def test_backward_conditioning_on_last_time_mirrors_the_split():
     assert sg.data[1, 2] == pytest.approx(-0.5, abs=1e-12)
 
 
+def spelled_out_script_g(model):
+    """SG by the row rule, written out for each direction and boundary."""
+    n, d = model.n_last, model.dim
+    sg = np.eye((n + 1) * d)
+
+    def place(row, col, gain):
+        sg[row * d : (row + 1) * d, col * d : (col + 1) * d] -= gain
+
+    # forward rows look back at k-1, backward rows ahead at k+1
+    step = -1 if model.direction == "forward" else 1
+    for k in sorted(model.g_trans):
+        place(k, k + step, model.g_trans[k])
+        place(k, model.c_index, model.g_cond[k])
+    if model.boundary_gain is not None:
+        # the endpoint the boundary recursion draws first
+        first = {
+            ("forward", BC1): 0,
+            ("forward", BC2): n,
+            ("backward", BC1): n,
+            ("backward", BC2): 0,
+        }[model.direction, model.bc]
+        place(n - first, first, model.boundary_gain)
+    return sg
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "build,c,bc",
+    [(build_forward, c, bc) for c, bc in FORWARD_COMBOS]
+    + [(build_backward, c, bc) for c, bc in BACKWARD_COMBOS],
+)
+def test_script_g_follows_the_row_rule_for_every_shape(build, c, bc, n, d):
+    model = build(random_law(LawClass.GENERIC, n, d, seed=n + d), c, bc)
+    expected = spelled_out_script_g(model)
+    assert assemble_script_g(model).data.tobytes() == expected.tobytes()
+
+
 def direct_regression(cov, d, target, given):
     """x_target regressed on the listed times of ``cov``, spelled out here so
     that the backward definitions are pinned on the original time axis."""

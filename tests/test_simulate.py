@@ -22,7 +22,8 @@ from cmseq import (
 )
 from cmseq.blocks import cholesky_spd
 from cmseq.fixtures import ar1_law, identity_law
-from cmseq.simulate import _BLOCK, _generation_plan, _substream_seed_words
+from cmseq.models import _generation_plan
+from cmseq.simulate import _BLOCK, _substream_seed_words
 
 FIRST = ConditioningSide.FIRST
 LAST = ConditioningSide.LAST
@@ -128,6 +129,8 @@ def test_mc_validate_catches_wrong_reference():
 def test_mc_validate_rejects_hopeless_tolerance():
     with pytest.raises(ValueError):
         mc_validate(AR1_MODEL, 100, seed=0, tol_abs=0.02)
+    with pytest.raises(ValueError, match="statistical floor"):
+        mc_validate(AR1_MODEL, 100, seed=0, tol_abs=float("nan"))
 
 
 def test_backward_models_sample_their_own_law():

@@ -18,7 +18,6 @@ from .blocks import (
     Tolerance,
     cholesky_spd,
     invert_spd,
-    schur_complement,
     symmetrize,
 )
 from .classify import (
@@ -93,7 +92,6 @@ __all__ = [
     "Tolerance",
     "cholesky_spd",
     "invert_spd",
-    "schur_complement",
     "symmetrize",
     # patterns
     "PatternKind",

@@ -5,9 +5,10 @@ components is fully described by its ``(N+1)d x (N+1)d`` covariance matrix,
 viewed as an ``(N+1) x (N+1)`` grid of ``d x d`` blocks.  Everything downstream
 (pattern detection, classification, dynamic models) works on that block grid,
 so the primitives here are deliberately small: a read-only block view, a
-pivot-reporting Cholesky (LAPACK ``dpotrf``), an SPD inverse, and block Schur
-complements.  A :class:`SequenceLaw` factorizes its covariance once, at
-construction, and derives its precision from that factor on first use.
+pivot-reporting Cholesky, an SPD inverse, and the sweep of boundary-anchored
+marginal precisions, all on numpy alone.  A :class:`SequenceLaw` factorizes
+its covariance once, at construction, and derives its precision from that
+factor on first use.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack
 
 __all__ = [
     "NotSymmetricError",
@@ -30,7 +30,6 @@ __all__ = [
     "symmetrize",
     "cholesky_spd",
     "invert_spd",
-    "schur_complement",
     "marginal_precisions",
 ]
 
@@ -123,14 +122,15 @@ def symmetrize(m):
     Raises
     ------
     NotSymmetricError
-        If the asymmetry ``||m - m'||`` exceeds ``1e-12 * max(||m||, 1)``.
+        If the asymmetry ``||m - m'||`` exceeds ``1e-12 * max(||m||, 1)``,
+        or is NaN because ``m`` is not finite.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     scale = np.linalg.norm(m)
     gap = np.linalg.norm(m - m.T)
-    if gap > _SYM_RTOL * max(scale, 1.0):
+    if not gap <= _SYM_RTOL * max(scale, 1.0):
         raise NotSymmetricError(
             f"matrix is not symmetric: ||m - m'|| = {gap:.3e} vs ||m|| = {scale:.3e}"
         )
@@ -141,33 +141,57 @@ def cholesky_spd(m):
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     Unlike ``np.linalg.cholesky`` this reports *where* the factorization
-    failed: a pivot at or below ``1e-12 * max(diag)`` raises
-    :class:`NotPositiveDefiniteError` carrying the pivot index.  LAPACK
+    failed: the first pivot, in column order, that is not above
+    ``1e-12 * max(diag)`` (a NaN pivot included) raises
+    :class:`NotPositiveDefiniteError` carrying the pivot index.  numpy
     accepts any positive pivot, so the threshold is checked on the factor's
-    diagonal afterwards; the first failing pivot in column order is reported.
+    diagonal afterwards.
     """
     a = symmetrize(m)
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return np.zeros((0, 0))
-    threshold = _PIVOT_RTOL * max(float(np.max(np.diag(a))), 0.0)
-    lower, info = lapack.dpotrf(a, lower=1, clean=1)
-    if info < 0:
-        raise ValueError(f"dpotrf: illegal value in argument {-info}")
-    factored = n if info == 0 else info - 1
-    pivots = np.diag(lower)[:factored] ** 2
-    small = np.flatnonzero(pivots <= threshold)
+    lower = _factor(a)
+    _check_pivots(np.diag(lower) ** 2, np.diag(a))
+    return lower
+
+
+def _check_pivots(pivots, diag):
+    """Raise for the first pivot not above ``1e-12 * max(diag)``."""
+    small = np.flatnonzero(~(pivots > _PIVOT_RTOL * max(float(np.max(diag)), 0.0)))
     if small.size:
         raise NotPositiveDefiniteError(small[0], pivots[small[0]])
-    if info > 0:
-        row = lower[factored, :factored]
-        raise NotPositiveDefiniteError(factored, a[factored, factored] - row @ row)
-    return lower
+
+
+def _factor(a):
+    """``np.linalg.cholesky`` of the symmetric ``a``.  Where numpy fails,
+    bisection over leading blocks finds the pivot, so
+    :class:`NotPositiveDefiniteError` is raised in place of ``LinAlgError``."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        pass
+    lo, hi = 0, a.shape[0]  # a[:lo, :lo] factorizes, a[:hi, :hi] does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.linalg.cholesky(a[:mid, :mid])
+            lo = mid
+        except np.linalg.LinAlgError:
+            hi = mid
+    lower = np.linalg.cholesky(a[:lo, :lo])
+    _check_pivots(np.diag(lower) ** 2, np.diag(a))
+    row = np.linalg.solve(lower, a[:lo, lo])
+    raise NotPositiveDefiniteError(lo, a[lo, lo] - row @ row)
+
+
+def _cho_solve(lower, b):
+    """Solve ``(L L') x = b`` from the lower Cholesky factor ``L``."""
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
 
 
 def _inverse_from_factor(lower):
     """Exactly symmetric inverse of ``L L'`` from its lower Cholesky factor."""
-    inv = cho_solve((lower, True), np.eye(lower.shape[0]))
+    inv = _cho_solve(lower, np.eye(lower.shape[0]))
     return (inv + inv.T) / 2.0
 
 
@@ -208,7 +232,7 @@ class BlockMatrix:
         self._data = data
         self._d = block_dim
         self._norms = None
-        self._spd_checked = False
+        self._lower = None
 
     @property
     def data(self):
@@ -254,13 +278,13 @@ class BlockMatrix:
             self._norms = norms
         return self._norms
 
-    def _require_spd(self):
-        """Run the :func:`cholesky_spd` check on the whole matrix, once per
-        matrix; raises :class:`NotPositiveDefiniteError` on every call while
-        it fails."""
-        if not self._spd_checked:
-            cholesky_spd(self._data)
-            self._spd_checked = True
+    def _spd_factor(self):
+        """Lower factor from :func:`cholesky_spd` of the whole matrix, computed
+        once per matrix; raises :class:`NotPositiveDefiniteError` on every
+        call while it fails."""
+        if self._lower is None:
+            self._lower = cholesky_spd(self._data)
+        return self._lower
 
     def max_block_norm(self):
         """Largest block Frobenius norm over the whole grid."""
@@ -344,90 +368,61 @@ class SequenceLaw:
         return f"SequenceLaw(n_last={self.n_last}, dim={self.dim})"
 
 
-def schur_complement(a: BlockMatrix, split: int, keep: Keep) -> BlockMatrix:
-    """Block Schur complement of an SPD matrix, i.e. a marginal precision.
-
-    For a symmetric positive definite ``a`` partitioned at block index
-    ``split``, returns the Schur complement that retains the leading blocks
-    ``0..split`` (``keep=Keep.LEADING``) or the trailing blocks ``split..N``
-    (``keep=Keep.TRAILING``).  When ``a`` is the precision matrix of a
-    Gaussian law, the result is exactly the precision of the marginal law on
-    the retained times.
-
-    Parameters
-    ----------
-    a : BlockMatrix
-        Symmetric positive definite, with N+1 block rows.
-    split : int
-        Partition index, ``1 <= split <= N``.  ``Keep.LEADING`` with
-        ``split == N`` degenerately returns ``a`` itself.
-    keep : Keep
-        Which side survives.
-
-    Returns
-    -------
-    BlockMatrix
-        The (symmetric positive definite) complement on the retained blocks.
-    """
-    n_last = a.n_blocks - 1
-    if not 1 <= split <= n_last:
-        raise ValueError(f"split must be in [1, {n_last}], got {split}")
-    d = a.block_dim
-    mat = symmetrize(a.data)
-    cholesky_spd(mat)  # full SPD check up front, with pivot location
-    if keep is Keep.LEADING:
-        cut = (split + 1) * d
-        kept, dropped = slice(0, cut), slice(cut, mat.shape[0])
-    else:
-        cut = split * d
-        kept, dropped = slice(cut, mat.shape[0]), slice(0, cut)
-    a_kk = mat[kept, kept]
-    a_kd = mat[kept, dropped]
-    if a_kd.shape[1] == 0:
-        return BlockMatrix(a_kk, d)
-    lower = cholesky_spd(mat[dropped, dropped])
-    comp = a_kk - a_kd @ cho_solve((lower, True), a_kd.T)
-    return BlockMatrix((comp + comp.T) / 2.0, d)
+def _reverse_time(mat, d):
+    """``mat`` with its d x d time blocks in reverse order (an exact copy)."""
+    n_blocks = mat.shape[0] // d
+    return mat.reshape(n_blocks, d, n_blocks, d)[::-1, :, ::-1].reshape(mat.shape)
 
 
 def marginal_precisions(a: BlockMatrix, keep: Keep):
     """Marginal precisions of every boundary-anchored interval, one sweep.
 
     Eliminates one time at a time from the SPD matrix ``a`` (N+1 block
-    rows): times ``N, N-1, ...`` for ``keep=Keep.LEADING``, times
-    ``0, 1, ...`` for ``keep=Keep.TRAILING``.  ``a`` first gets the same
-    whole-matrix SPD check as in :func:`schur_complement`, run once per
-    matrix however many sweeps read it.  Each elimination is then a rank-d
-    Schur update whose ``d x d`` pivot is factorized by :func:`cholesky_spd`,
-    so either check raises :class:`NotPositiveDefiniteError`.  The whole
-    sweep costs O(N^3 d^3), against O(N^4 d^3) for one
-    :func:`schur_complement` per interval.
+    rows): times ``0, 1, ...`` for ``keep=Keep.TRAILING``.  ``a`` first gets
+    the :func:`cholesky_spd` check on the whole matrix, once per matrix
+    however many sweeps read it, and every step is read off the factor of
+    that check.  ``keep=Keep.LEADING`` eliminates times ``N, N-1, ...``: it
+    is the trailing sweep of the time-reversed matrix, which it factorizes
+    once, with each yield reversed back.  Each step also checks its own
+    ``d x d`` pivot, so either check raises
+    :class:`NotPositiveDefiniteError`.  The sweep costs O(N^3 d^3), against
+    O(N^4 d^3) for one direct block Schur complement per interval (kept as
+    the reference in ``tests/test_blocks.py``).
 
     Yields
     ------
     (IndexInterval, BlockMatrix)
         ``[0, k]`` for ``k = N-1, ..., 1`` (leading) or ``[k, N]`` for
-        ``k = 1, ..., N-1`` (trailing), with ``schur_complement(a, k, keep)``
-        up to rounding.  Each matrix is a fresh copy; only one working
-        matrix the size of ``a`` is held while the sweep runs.
+        ``k = 1, ..., N-1`` (trailing), each a fresh matrix.
     """
     d = a.block_dim
     n_last = a.n_blocks - 1
     if n_last < 2:
         return
-    a._require_spd()
-    work = np.array(a.data)
-    for step in range(n_last - 1):
-        if keep is Keep.LEADING:
-            t = n_last - step
-            rest, interval = slice(0, t * d), IndexInterval(0, t - 1)
-        else:
-            t = step
-            rest, interval = slice((t + 1) * d, None), IndexInterval(t + 1, n_last)
-        pivot = slice(t * d, (t + 1) * d)
-        lower = cholesky_spd(work[pivot, pivot])
-        y, _ = lapack.dtrtrs(lower, work[pivot, rest], lower=1)
-        kept = work[rest, rest]
-        kept -= y.T @ y
-        kept[...] = (kept + kept.T) / 2.0
-        yield interval, BlockMatrix(kept, d)
+    lower = a._spd_factor()
+    mat = (a.data + a.data.T) / 2.0
+    if keep is Keep.TRAILING:
+        for k, kept in _trailing_sweep(mat, lower, d):
+            yield IndexInterval(k, n_last), BlockMatrix(kept, d)
+    else:
+        mirror = _reverse_time(mat, d)
+        for k, kept in _trailing_sweep(mirror, _factor(mirror), d):
+            yield IndexInterval(0, n_last - k), BlockMatrix(_reverse_time(kept, d), d)
+
+
+def _trailing_sweep(mat, lower, d):
+    """``(k, marginal precision of blocks k..N)`` for ``k = 1, ..., N-1``.
+
+    If ``mat = L L'``, blocks ``k..N`` have the marginal precision
+    ``L[k:, k:] L[k:, k:]'`` (Golub & Van Loan, *Matrix Computations*, 4.2),
+    reached from the step before by a rank-d update with the next column
+    block of ``L``.  Its pivots ``diag(L_kk)^2`` get the threshold set by
+    the diagonal of the step's own pivot block.
+    """
+    work = mat
+    for k in range(1, mat.shape[0] // d - 1):
+        done = slice((k - 1) * d, k * d)
+        _check_pivots(lower.diagonal()[done] ** 2, work.diagonal()[:d])
+        col = lower[k * d :, done]
+        work = work[d:, d:] - col @ col.T
+        yield k, work

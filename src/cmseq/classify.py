@@ -8,17 +8,18 @@ with reciprocity *equivalent* to the conjunction of the two conditional-Markov
 properties.  Each class is decided by pattern detection on the precision,
 which a law derives once from its Cholesky factor and caches.
 Interval-restricted conditional-Markov properties reduce to pattern detection
-on a Schur complement of the precision (the marginal precision of the times
-inside the interval).  Every prefix marginal ``[0, k]`` comes from one
-elimination sweep that removes times ``N, N-1, ...`` one ``d x d`` pivot at a
-time, and every suffix marginal ``[k, N]`` from the mirror sweep
+on the marginal precision of the times inside the interval, a Schur
+complement of the precision.  Every suffix marginal ``[k, N]`` is read off one
+Cholesky factor of the precision, and every prefix marginal ``[0, k]`` off one
+factor of the time-reversed precision
 (:func:`~cmseq.blocks.marginal_precisions`): O(N^3 d^3) in all.
 ``full_report``, ``verify_composition`` and ``classify_cm_interval`` all read
 their marginals from these sweeps, so they share one SPD check.  Each marginal
-is checked as soon as it is produced and then dropped.  Reciprocity is always computed through two independent routes
-(cyclic-tridiagonal pattern vs the conjunction of CM_L and CM_F) whose
-agreement is part of the contract, and the two interval-composition routes
-are read from the same interval witnesses the report lists.
+is checked as soon as it is produced and then dropped.  Reciprocity is always
+computed through two independent routes (cyclic-tridiagonal pattern vs the
+conjunction of CM_L and CM_F) whose agreement is part of the contract, and the
+two interval-composition routes are read from the same interval witnesses the
+report lists.
 """
 
 from __future__ import annotations

@@ -39,13 +39,14 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .blocks import (
     BlockMatrix,
     ConditioningSide,
     SequenceLaw,
     Tolerance,
+    _cho_solve,
+    _reverse_time,
     cholesky_spd,
     invert_spd,
 )
@@ -212,12 +213,6 @@ def _mirrored(n, d, c, bc, g_trans, g_cond, g_noise, boundary_gain):
     return (n, d, _OTHER_SIDE[c], bc, *grids, boundary_gain)
 
 
-def _reverse_time(mat, d):
-    """``mat`` with its d x d time blocks in reverse order (an exact copy)."""
-    n_blocks = mat.shape[0] // d
-    return mat.reshape(n_blocks, d, n_blocks, d)[::-1, :, ::-1].reshape(mat.shape)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of a parameter-condition check."""
@@ -240,7 +235,7 @@ def _regress(mat, d, target, given):
     it = np.arange(target * d, (target + 1) * d)
     cross = mat[np.ix_(it, ig)]
     lower = cholesky_spd(mat[np.ix_(ig, ig)])
-    gains = cho_solve((lower, True), cross.T).T
+    gains = _cho_solve(lower, cross.T).T
     noise = mat[np.ix_(it, it)] - gains @ cross.T
     noise = (noise + noise.T) / 2.0
     return [gains[:, i * d : (i + 1) * d].copy() for i in range(len(given))], noise

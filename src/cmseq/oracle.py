@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .blocks import (
     BlockMatrix,
@@ -25,6 +24,7 @@ from .blocks import (
     IndexInterval,
     SequenceLaw,
     Tolerance,
+    _cho_solve,
     cholesky_spd,
 )
 
@@ -108,7 +108,7 @@ def partial_covariance(cov: BlockMatrix, a, b, s):
     js = _scalar_indices(s, d)
     c_ss = mat[np.ix_(js, js)]
     lower = cholesky_spd(c_ss)  # NotPositiveDefiniteError names the pivot
-    return c_ab - mat[np.ix_(ia, js)] @ cho_solve((lower, True), mat[np.ix_(js, ib)])
+    return c_ab - mat[np.ix_(ia, js)] @ _cho_solve(lower, mat[np.ix_(js, ib)])
 
 
 def _check_size(law: SequenceLaw):

@@ -15,7 +15,13 @@ import json
 
 import numpy as np
 
-from .blocks import ConditioningSide, SequenceLaw, Tolerance
+from .blocks import (
+    ConditioningSide,
+    NotPositiveDefiniteError,
+    NotSymmetricError,
+    SequenceLaw,
+    Tolerance,
+)
 from .classify import ClassificationReport
 from .models import (
     BackwardCmcModel,
@@ -185,9 +191,10 @@ def load_model(path):
     cls = ForwardCmcModel if kind == "forward" else BackwardCmcModel
     try:
         return cls(n, d, c, bc, g_trans, g_cond, g_noise, bg)
+    except (NotSymmetricError, NotPositiveDefiniteError):
+        raise  # a noise covariance that is not SPD is a numeric failure
     except ValueError as exc:
-        # structural problems (bad key ranges, wrong bc combination) are
-        # schema errors; SPD failures raise NotPositiveDefiniteError instead
+        # structural problems (bad key ranges, wrong bc combination)
         raise SchemaError(f"model: {exc}") from exc
 
 

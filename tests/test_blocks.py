@@ -1,8 +1,11 @@
 """Core block linear algebra: Cholesky, SPD inverse, Schur complements."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmseq import (
@@ -16,11 +19,54 @@ from cmseq import (
     Tolerance,
     cholesky_spd,
     invert_spd,
-    schur_complement,
     symmetrize,
 )
 from cmseq.blocks import marginal_precisions
 from cmseq.fixtures import ar1_covariance, ar1_law
+
+
+def schur_complement(a: BlockMatrix, split: int, keep: Keep) -> BlockMatrix:
+    """Reference block Schur complement, formed directly for one split.
+
+    Returns the marginal precision of blocks ``0..split``
+    (``keep=Keep.LEADING``) or ``split..N`` (``keep=Keep.TRAILING``) of the
+    SPD ``a``, after the whole-matrix :func:`cholesky_spd` check.
+    ``marginal_precisions`` must match it on every interval.
+    """
+    n_last = a.n_blocks - 1
+    if not 1 <= split <= n_last:
+        raise ValueError(f"split must be in [1, {n_last}], got {split}")
+    d = a.block_dim
+    mat = symmetrize(a.data)
+    cholesky_spd(mat)
+    if keep is Keep.LEADING:
+        cut = (split + 1) * d
+        kept, dropped = slice(0, cut), slice(cut, mat.shape[0])
+    else:
+        cut = split * d
+        kept, dropped = slice(cut, mat.shape[0]), slice(0, cut)
+    a_kd = mat[kept, dropped]
+    if a_kd.shape[1] == 0:
+        return BlockMatrix(mat[kept, kept], d)
+    comp = mat[kept, kept] - a_kd @ np.linalg.solve(mat[dropped, dropped], a_kd.T)
+    return BlockMatrix((comp + comp.T) / 2.0, d)
+
+
+def unblocked_first_failing_pivot(m):
+    """Index of the first pivot of an unblocked, scalar, left-looking
+    Cholesky of ``m`` that is not above ``1e-12 * max(diag)``, or None."""
+    n = len(m)
+    threshold = 1e-12 * max(max(m[i][i] for i in range(n)), 0.0)
+    lower = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        pivot = m[j][j] - sum(lower[j][k] ** 2 for k in range(j))
+        if not pivot > threshold:
+            return j
+        lower[j][j] = pivot**0.5
+        for i in range(j + 1, n):
+            dot = sum(lower[i][k] * lower[j][k] for k in range(j))
+            lower[i][j] = (m[i][j] - dot) / lower[j][j]
+    return None
 
 
 def test_ar1_precision_has_known_tridiagonal_entries():
@@ -70,6 +116,47 @@ def test_cholesky_rejects_pivot_below_relative_threshold():
         cholesky_spd(tiny)
     assert exc.value.pivot_index == 1
     assert exc.value.pivot_value > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pivots=st.lists(st.sampled_from([1.0, 0.5, 2.0, 0.0, -0.5, -1.0]), min_size=1, max_size=10),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_cholesky_reports_first_failing_pivot_of_indefinite_input(pivots, seed):
+    """A = U D U' with U unit lower triangular has Cholesky pivots D, so the
+    first pivot that is zero or negative is known exactly.  numpy either
+    fails there (LinAlgError) or accepts a rounding-level pivot; either way
+    cholesky_spd raises NotPositiveDefiniteError at that index."""
+    assume(min(pivots) <= 0.0)
+    n = len(pivots)
+    rng = np.random.default_rng(seed)
+    u = np.tril(rng.uniform(-1.0, 1.0, (n, n)), -1) + np.eye(n)
+    m = u @ np.diag(pivots) @ u.T
+    expected = next(j for j, p in enumerate(pivots) if p <= 0.0)
+    assert unblocked_first_failing_pivot(m) == expected
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        cholesky_spd(m)
+    assert exc.value.pivot_index == expected
+    assert exc.value.pivot_value <= 1e-12 * np.max(np.diag(m))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_fails_the_spd_and_symmetry_checks(bad):
+    m = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(NotSymmetricError):
+        symmetrize(m)
+    with pytest.raises((NotSymmetricError, NotPositiveDefiniteError)):
+        SequenceLaw(m, 1)
+    with pytest.raises((NotSymmetricError, NotPositiveDefiniteError)):
+        invert_spd(m)
+
+
+def test_import_loads_no_scipy():
+    """The kernel is numpy only: the CLI's start-up loads no scipy module."""
+    code = "import sys, cmseq.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cholesky_rejects_asymmetric_input():
@@ -244,6 +331,26 @@ def test_marginal_sweep_keeps_whole_matrix_spd_check():
         assert exc.value.pivot_index == 2
         with pytest.raises(NotPositiveDefiniteError):
             schur_complement(a, 1, keep)
+
+
+def test_leading_sweep_checks_each_pivot_against_its_own_diagonal():
+    """The whole matrix passes its check in time order (its smallest pivot is
+    1e-10 of the diagonal), but given x_3 the two components of x_2 are
+    nearly collinear: a pivot of 1e-14 against a diagonal of 1.  The leading
+    sweep raises at that step, after one yield; the trailing sweep never
+    conditions x_2 on x_3 and passes."""
+    eps, delta = 1e-5, 1e-2
+    rows = np.eye(8)
+    rows[5] = rows[4] + eps * (rows[6] + delta * rows[5])
+    a = BlockMatrix(rows @ rows.T, 2)
+    cholesky_spd(a.data)
+    assert len(list(marginal_precisions(a, Keep.TRAILING))) == 2
+    sweep = marginal_precisions(a, Keep.LEADING)
+    assert next(sweep)[0] == IndexInterval(0, 2)
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        next(sweep)
+    assert exc.value.pivot_index == 1
+    assert 0 < exc.value.pivot_value < 1e-12
 
 
 def test_sequence_law_caches_read_only_precision():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmseq import BoundaryCondition, ConditioningSide, ForwardCmcModel
+from cmseq import BoundaryCondition, ConditioningSide, ForwardCmcModel, build_forward
 from cmseq.cli import main
 from cmseq.fixtures import ar1_law, cyclic_example_law, identity_law
 from cmseq.serialize import dump_json, load_law, load_model, save_law, save_model
@@ -198,6 +198,23 @@ def test_exit_code_3_on_model_whose_law_is_not_spd(tmp_path, capsys):
     assert main(["verify", str(model_path)]) == 0
     assert main(["validate", str(model_path), "--seed", "1"]) == 3
     assert "positive definite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid,value",
+    [
+        ("g_noise", [[-1.0]]),  # a noise covariance that is not SPD
+        ("g_trans", [[1e200]]),  # finite, but the assembled precision overflows
+    ],
+)
+def test_exit_code_3_on_model_with_non_spd_numbers(tmp_path, capsys, grid, value):
+    model_path = tmp_path / "model.json"
+    save_model(model_path, build_forward(ar1_law(3), ConditioningSide.LAST))
+    obj = json.loads(model_path.read_text())
+    obj[grid]["1"] = value
+    dump_json(model_path, obj)
+    assert main(["verify", str(model_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

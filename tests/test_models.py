@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
 
 from cmseq import (
     BackwardCmcModel,
@@ -29,7 +28,7 @@ from cmseq import (
     model_covariance,
     random_law,
 )
-from cmseq.blocks import cholesky_spd
+from cmseq.blocks import _cho_solve, cholesky_spd
 from cmseq.fixtures import ar1_law, cml_example_law, cyclic_example_law, identity_law
 from cmseq.models import _identity_residuals
 
@@ -156,7 +155,7 @@ def direct_regression(cov, d, target, given):
     ig = np.concatenate([np.arange(t * d, (t + 1) * d) for t in given])
     it = np.arange(target * d, (target + 1) * d)
     cross = cov[np.ix_(it, ig)]
-    gains = cho_solve((cholesky_spd(cov[np.ix_(ig, ig)]), True), cross.T).T
+    gains = _cho_solve(cholesky_spd(cov[np.ix_(ig, ig)]), cross.T).T
     noise = cov[np.ix_(it, it)] - gains @ cross.T
     return [gains[:, i * d : (i + 1) * d] for i in range(len(given))], (noise + noise.T) / 2.0
 

@@ -122,12 +122,14 @@ def symmetrize(m):
     Raises
     ------
     NotSymmetricError
-        If the asymmetry ``||m - m'||`` exceeds ``1e-12 * max(||m||, 1)``,
-        or is NaN because ``m`` is not finite.
+        If ``m`` has a NaN or infinite entry, or if the asymmetry
+        ``||m - m'||`` exceeds ``1e-12 * max(||m||, 1)``.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotSymmetricError("matrix has non-finite entries")
     scale = np.linalg.norm(m)
     gap = np.linalg.norm(m - m.T)
     if not gap <= _SYM_RTOL * max(scale, 1.0):
@@ -147,7 +149,12 @@ def cholesky_spd(m):
     accepts any positive pivot, so the threshold is checked on the factor's
     diagonal afterwards.
     """
-    a = symmetrize(m)
+    return _cholesky(symmetrize(m))
+
+
+def _cholesky(a):
+    """:func:`cholesky_spd` of an exactly symmetric ndarray, which it does not
+    check for symmetry."""
     if a.shape[0] == 0:
         return np.zeros((0, 0))
     lower = _factor(a)
@@ -157,9 +164,11 @@ def cholesky_spd(m):
 
 def _check_pivots(pivots, diag):
     """Raise for the first pivot not above ``1e-12 * max(diag)``."""
-    small = np.flatnonzero(~(pivots > _PIVOT_RTOL * max(float(np.max(diag)), 0.0)))
-    if small.size:
-        raise NotPositiveDefiniteError(small[0], pivots[small[0]])
+    passed = pivots > _PIVOT_RTOL * max(float(np.max(diag)), 0.0)
+    if passed.all():
+        return
+    small = np.flatnonzero(~passed)
+    raise NotPositiveDefiniteError(small[0], pivots[small[0]])
 
 
 def _factor(a):
@@ -215,6 +224,12 @@ class BlockMatrix:
         copied and frozen; blocks are returned by value.
     block_dim : int
         Component dimension ``d``.
+
+    Matrices that the package builds exactly symmetric (a law's covariance
+    and precision, and the marginal precisions of
+    :func:`marginal_precisions`) are wrapped without a copy and carry a
+    private mark, so that no symmetry check runs on them again.  A matrix
+    from this constructor never carries it.
     """
 
     def __init__(self, data, block_dim):
@@ -228,10 +243,24 @@ class BlockMatrix:
             raise ValueError(
                 f"matrix size {data.shape[0]} is not a multiple of block_dim {block_dim}"
             )
+        self._adopt(data, block_dim, symmetric=False)
+
+    @classmethod
+    def _wrap_symmetric(cls, data, block_dim):
+        """Mark and wrap, without a copy, a fresh float ndarray that is exactly
+        symmetric by construction and whose size is a multiple of
+        ``block_dim``; the array is frozen."""
+        bm = cls.__new__(cls)
+        bm._adopt(data, block_dim, symmetric=True)
+        return bm
+
+    def _adopt(self, data, block_dim, symmetric):
         data.setflags(write=False)
         self._data = data
         self._d = block_dim
+        self._symmetric = symmetric
         self._norms = None
+        self._ratios = None
         self._lower = None
 
     @property
@@ -271,19 +300,31 @@ class BlockMatrix:
         """Frobenius norms of all blocks as a read-only ``n_blocks x n_blocks``
         array, computed once per matrix."""
         if self._norms is None:
-            n, d = self.n_blocks, self._d
-            b = self._data.reshape(n, d, n, d)
-            norms = np.sqrt(np.einsum("iajb,iajb->ij", b, b))
-            norms.setflags(write=False)
-            self._norms = norms
+            self._norms = _block_norms(self._data, self._d)
         return self._norms
 
+    def _ratio_grid(self):
+        """Read-only grid of ``max(norms, norms') / max(norms)`` over the block
+        norms (all zero for the zero matrix), computed once per matrix.
+
+        A block and its transpose get the same ratio, so pattern detection
+        reports the upper one of an asymmetric pair first.
+        """
+        if self._ratios is None:
+            norms = self.block_norms()
+            norms = np.maximum(norms, norms.T)
+            scale = norms.max()
+            ratios = norms / scale if scale > 0 else np.zeros_like(norms)
+            ratios.setflags(write=False)
+            self._ratios = ratios
+        return self._ratios
+
     def _spd_factor(self):
-        """Lower factor from :func:`cholesky_spd` of the whole matrix, computed
-        once per matrix; raises :class:`NotPositiveDefiniteError` on every
-        call while it fails."""
+        """Lower factor from :func:`cholesky_spd` of the whole matrix (with no
+        symmetry check for a marked one), computed once per matrix; raises
+        :class:`NotPositiveDefiniteError` on every call while it fails."""
         if self._lower is None:
-            self._lower = cholesky_spd(self._data)
+            self._lower = _cholesky(self._data) if self._symmetric else cholesky_spd(self._data)
         return self._lower
 
     def max_block_norm(self):
@@ -298,6 +339,15 @@ class BlockMatrix:
 
     def __repr__(self):
         return f"BlockMatrix(n_blocks={self.n_blocks}, block_dim={self._d})"
+
+
+def _block_norms(data, d):
+    """Read-only grid of the Frobenius norms of the ``d x d`` blocks of ``data``."""
+    n = data.shape[0] // d
+    b = data.reshape(n, d, n, d)
+    norms = np.sqrt(np.einsum("iajb,iajb->ij", b, b))
+    norms.setflags(write=False)
+    return norms
 
 
 class SequenceLaw:
@@ -324,9 +374,9 @@ class SequenceLaw:
                 raise ValueError("block_dim is required for ndarray input")
             bm = BlockMatrix(covariance, block_dim)
         sym = symmetrize(bm.data)  # raises NotSymmetricError
-        self._factor = cholesky_spd(sym)  # raises NotPositiveDefiniteError
+        self._factor = _cholesky(sym)  # raises NotPositiveDefiniteError
         self._precision = None
-        self._cov = BlockMatrix(sym, bm.block_dim)
+        self._cov = BlockMatrix._wrap_symmetric(sym, bm.block_dim)
         if self._cov.n_blocks < 2:
             raise ValueError("a sequence law needs at least two times (N >= 1)")
 
@@ -347,7 +397,7 @@ class SequenceLaw:
     def precision(self) -> BlockMatrix:
         """Inverse covariance as a read-only BlockMatrix, computed once."""
         if self._precision is None:
-            self._precision = BlockMatrix(
+            self._precision = BlockMatrix._wrap_symmetric(
                 _inverse_from_factor(self._factor), self._cov.block_dim
             )
             self._factor = None
@@ -381,10 +431,12 @@ def marginal_precisions(a: BlockMatrix, keep: Keep):
     rows): times ``0, 1, ...`` for ``keep=Keep.TRAILING``.  ``a`` first gets
     the :func:`cholesky_spd` check on the whole matrix, once per matrix
     however many sweeps read it, and every step is read off the factor of
-    that check.  ``keep=Keep.LEADING`` eliminates times ``N, N-1, ...``: it
-    is the trailing sweep of the time-reversed matrix, which it factorizes
-    once, with each yield reversed back.  Each step also checks its own
-    ``d x d`` pivot, so either check raises
+    that check.  Neither the check nor the sweep symmetrizes a matrix that
+    the package built exactly symmetric, such as a law's precision.
+    ``keep=Keep.LEADING`` eliminates times ``N, N-1, ...``: it is the
+    trailing sweep of the time-reversed matrix, which it factorizes once,
+    with each yield reversed back.  Each step also checks its own ``d x d``
+    pivot, so either check raises
     :class:`NotPositiveDefiniteError`.  The sweep costs O(N^3 d^3), against
     O(N^4 d^3) for one direct block Schur complement per interval (kept as
     the reference in ``tests/test_blocks.py``).
@@ -393,21 +445,25 @@ def marginal_precisions(a: BlockMatrix, keep: Keep):
     ------
     (IndexInterval, BlockMatrix)
         ``[0, k]`` for ``k = N-1, ..., 1`` (leading) or ``[k, N]`` for
-        ``k = 1, ..., N-1`` (trailing), each a fresh matrix.
+        ``k = 1, ..., N-1`` (trailing).  Each matrix wraps, without a
+        copy, an array the sweep has just computed and no longer writes: it
+        owns that array, is exactly symmetric, and carries the mark that
+        lets :func:`~cmseq.patterns.detect` skip its symmetry check.
     """
     d = a.block_dim
     n_last = a.n_blocks - 1
     if n_last < 2:
         return
     lower = a._spd_factor()
-    mat = (a.data + a.data.T) / 2.0
+    mat = a.data if a._symmetric else (a.data + a.data.T) / 2.0
+    wrap = BlockMatrix._wrap_symmetric
     if keep is Keep.TRAILING:
         for k, kept in _trailing_sweep(mat, lower, d):
-            yield IndexInterval(k, n_last), BlockMatrix(kept, d)
+            yield IndexInterval(k, n_last), wrap(kept, d)
     else:
         mirror = _reverse_time(mat, d)
         for k, kept in _trailing_sweep(mirror, _factor(mirror), d):
-            yield IndexInterval(0, n_last - k), BlockMatrix(_reverse_time(kept, d), d)
+            yield IndexInterval(0, n_last - k), wrap(_reverse_time(kept, d), d)
 
 
 def _trailing_sweep(mat, lower, d):

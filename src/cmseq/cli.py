@@ -167,6 +167,8 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     sample = sample_forward if isinstance(model, ForwardCmcModel) else sample_backward
+    # an --out that cannot be opened fails here, before the sampling work
+    open(args.out, "a").close()
     batch = sample(model, args.samples, args.seed)
     if args.format == "csv":
         save_batch_csv(args.out, batch)

@@ -135,6 +135,32 @@ class _CmcModel:
     def _time(self, j):
         return j
 
+    @cached_property
+    def _generation_plan(self):
+        """Ordered steps (time, [(gain, source_time), ...]) realizing the model.
+
+        The first entries are the boundary recursion in its documented draw
+        order; the remaining entries walk the chain.  Consuming one noise
+        vector per entry, in order, reproduces the model's law exactly, and
+        each entry is one row of SG.  A backward model's plan is its mirror's
+        with every time t mapped to N-t.  Built on first use and kept; callers
+        only read it.
+        """
+        fwd, t = self._forward, self._time
+        n = fwd.n_last
+        interior = [
+            (k, [(fwd.g_trans[k], k - 1), (fwd.g_cond[k], fwd.c_index)])
+            for k in sorted(fwd.g_trans)
+        ]
+        if fwd.c is ConditioningSide.LAST:
+            if fwd.bc is BoundaryCondition.BC1:
+                head = [(0, []), (n, [(fwd.boundary_gain, 0)])]
+            else:
+                head = [(n, []), (0, [(fwd.boundary_gain, n)])]
+        else:
+            head = [(0, [])]
+        return [(t(k), [(gain, t(src)) for gain, src in terms]) for k, terms in head + interior]
+
     def __post_init__(self):
         n, d, c = self.n_last, self.dim, self.c
         if n < 1 or d < 1:
@@ -301,31 +327,6 @@ def build_backward(
     return BackwardCmcModel(*_mirrored(*mirror))
 
 
-def _generation_plan(model):
-    """Ordered steps (time, [(gain, source_time), ...]) realizing the model.
-
-    The first entries are the boundary recursion in its documented draw
-    order; the remaining entries walk the chain.  Consuming one noise vector
-    per entry, in order, reproduces the model's law exactly, and each entry
-    is one row of SG.  A backward model's plan is its mirror's with every
-    time t mapped to N-t.
-    """
-    fwd, t = model._forward, model._time
-    n = fwd.n_last
-    interior = [
-        (k, [(fwd.g_trans[k], k - 1), (fwd.g_cond[k], fwd.c_index)])
-        for k in sorted(fwd.g_trans)
-    ]
-    if fwd.c is ConditioningSide.LAST:
-        if fwd.bc is BoundaryCondition.BC1:
-            head = [(0, []), (n, [(fwd.boundary_gain, 0)])]
-        else:
-            head = [(n, []), (0, [(fwd.boundary_gain, n)])]
-    else:
-        head = [(0, [])]
-    return [(t(k), [(gain, t(src)) for gain, src in terms]) for k, terms in head + interior]
-
-
 def assemble_script_g(model) -> BlockMatrix:
     """The unit-diagonal stacked-recursion matrix SG of a model.
 
@@ -337,7 +338,7 @@ def assemble_script_g(model) -> BlockMatrix:
     """
     d = model.dim
     sg = np.eye((model.n_last + 1) * d)
-    for t, terms in _generation_plan(model):
+    for t, terms in model._generation_plan:
         for gain, src in terms:
             sg[t * d : (t + 1) * d, src * d : (src + 1) * d] -= gain
     return BlockMatrix(sg, d)

@@ -17,9 +17,17 @@ outside the allowed support must be zero up to ``zero_tol`` relative to the
 largest block norm of the matrix itself.  That normalization makes the
 verdict invariant to a common rescaling of the matrix (not to a per-time
 change of coordinates).  All block norms are computed in one vectorized
-pass, and the worst off-support block is found with ``argmax`` over a
-boolean mask cached per :class:`PatternSpec`; ties go to the first block in
-row-major order, and a block ties with its transpose.
+pass, once per matrix: every detection on the same matrix reads the same
+cached ratio grid.  The worst off-support block is found with ``argmax``
+over a boolean mask cached per :class:`PatternSpec`; ties go to the first
+block in row-major order, and a block ties with its transpose.
+
+``detect`` rejects an asymmetric or non-finite matrix with
+:class:`~cmseq.blocks.NotSymmetricError`.  It skips that check only on the
+matrices the package builds exactly symmetric: a law's covariance and
+precision, and each marginal precision that
+:func:`~cmseq.blocks.marginal_precisions` yields.  Every matrix built with
+the public ``BlockMatrix(...)`` constructor is checked on every call.
 """
 
 from __future__ import annotations
@@ -130,15 +138,9 @@ def detect(m: BlockMatrix, spec: PatternSpec, tol: Tolerance = Tolerance()) -> P
         raise ValueError(
             f"pattern sized for n_last={spec.n_last} but matrix has n_last={n_last}"
         )
-    symmetrize(m.data)  # raises NotSymmetricError on bad input
-    # A block and its transpose tie exactly, so the upper one is reported.
-    norms = m.block_norms()
-    norms = np.maximum(norms, norms.T)
-    scale = norms.max()
-    if scale > 0:
-        ratios = np.where(_off_support_mask(spec), norms / scale, 0.0)
-    else:
-        ratios = np.zeros_like(norms)
+    if not m._symmetric:
+        symmetrize(m.data)  # raises NotSymmetricError on bad input
+    ratios = np.where(_off_support_mask(spec), m._ratio_grid(), 0.0)
     flat = int(ratios.argmax())  # first maximum in row-major order
     worst_ratio = float(ratios.flat[flat])
     worst_block = divmod(flat, n_last + 1) if worst_ratio > 0 else None

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockMatrix, SequenceLaw, cholesky_spd
-from .models import (
-    BackwardCmcModel,
-    ForwardCmcModel,
-    _generation_plan,
-    model_covariance,
-)
+from .models import BackwardCmcModel, ForwardCmcModel, model_covariance
 
 __all__ = [
     "InsufficientSamplesError",
@@ -149,7 +144,7 @@ def _sample(model, n_replicates, seed):
     seed = int(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    plan = _generation_plan(model)
+    plan = model._generation_plan
     steps = len(plan)
     # one lower Cholesky factor per noise covariance, fixed for the model
     factors = {k: cholesky_spd(model.g_noise[k]) for k in model.g_noise}

@@ -1,5 +1,7 @@
 """Pattern-based classification and its agreement with the CI oracle."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +25,7 @@ from cmseq import (
     random_law,
     verify_composition,
 )
+from cmseq import blocks, patterns
 from cmseq.fixtures import ar1_law, identity_law
 
 FIRST = ConditioningSide.FIRST
@@ -224,3 +227,24 @@ def test_time_reversal_swaps_cm_l_and_cm_f(law_class, n_last, d, seed):
     assert rev.consistency == rep.consistency
     assert rev.cm_l.conforms == rep.cm_f.conforms
     assert rev.cm_f.conforms == rep.cm_l.conforms
+
+
+def test_full_report_checks_no_symmetry_and_takes_one_norm_pass_per_matrix(monkeypatch):
+    """A cost regression shows without timing: on the precision and its
+    2(N-1) marginals, which are all built exactly symmetric, full_report
+    runs no symmetry check and computes each matrix's block norms once."""
+    n_last = 20
+    law = random_law(LawClass.RECIPROCAL, n_last, 2, 0)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (blocks, patterns):
+        monkeypatch.setattr(module, "symmetrize", counted("symmetrize", module.symmetrize))
+    monkeypatch.setattr(blocks, "_block_norms", counted("block_norms", blocks._block_norms))
+    full_report(law)
+    assert calls == {"block_norms": 1 + 2 * (n_last - 1)}

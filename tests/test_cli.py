@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmseq import BoundaryCondition, ConditioningSide, ForwardCmcModel, build_forward
+from cmseq import BoundaryCondition, ConditioningSide, ForwardCmcModel, build_forward, cli
 from cmseq.cli import main
 from cmseq.fixtures import ar1_law, cyclic_example_law, identity_law
 from cmseq.serialize import dump_json, load_law, load_model, save_law, save_model
@@ -200,6 +200,12 @@ def test_exit_code_3_on_model_whose_law_is_not_spd(tmp_path, capsys):
     assert "positive definite" in capsys.readouterr().err
 
 
+_NON_SPD_MESSAGES = {
+    "g_noise": "error: matrix is not positive definite",
+    "g_trans": "error: matrix has non-finite entries",
+}
+
+
 @pytest.mark.parametrize(
     "grid,value",
     [
@@ -214,7 +220,7 @@ def test_exit_code_3_on_model_with_non_spd_numbers(tmp_path, capsys, grid, value
     obj[grid]["1"] = value
     dump_json(model_path, obj)
     assert main(["verify", str(model_path)]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(_NON_SPD_MESSAGES[grid])
 
 
 @pytest.mark.parametrize(
@@ -294,7 +300,14 @@ def test_exit_code_2_on_bad_sampling_values(model_file, tmp_path, capsys, argv):
          "--out", "{out}"],
     ],
 )
-def test_exit_code_2_on_output_in_missing_directory(ar1_file, model_file, tmp_path, capsys, argv):
+def test_exit_code_2_on_output_in_missing_directory(ar1_file, model_file, tmp_path, capsys,
+                                                    monkeypatch, argv):
+    def no_sampling(*args):
+        raise AssertionError("sampled before opening --out")
+
+    # simulate must fail on its --out before the sampling work
+    monkeypatch.setattr(cli, "sample_forward", no_sampling)
+    monkeypatch.setattr(cli, "sample_backward", no_sampling)
     out = tmp_path / "missing" / "out.file"
     argv = [a.format(law=ar1_file, model=model_file, out=out) for a in argv]
     assert main(argv) == 2

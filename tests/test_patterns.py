@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 
 from cmseq import (
     BlockMatrix,
+    Keep,
+    LawClass,
     NotSymmetricError,
     PatternKind,
     PatternSpec,
+    SequenceLaw,
     Tolerance,
     allowed_support,
     detect,
+    random_law,
 )
+from cmseq.blocks import marginal_precisions
 
 
 def band(n):
@@ -182,3 +187,61 @@ def test_vectorized_detect_matches_reference_loop(n_last, d, kind, off_scale, se
     assert w.worst_ratio == pytest.approx(worst_ratio, rel=1e-12, abs=0.0)
     if off_scale == 0.0:
         assert (w.worst_block, w.worst_ratio) == (None, 0.0)
+
+
+def marked_matrices(law):
+    """A law's covariance and precision, and every marginal precision of
+    both sweeps of that precision: the matrices built exactly symmetric."""
+    a = law.precision()
+    yield law.covariance
+    yield a
+    for keep in Keep:
+        for _, delta in marginal_precisions(a, keep):
+            yield delta
+
+
+def _dense_spd(size, seed):
+    m = np.random.default_rng(seed).standard_normal((size, size))
+    return m @ m.T + size * np.eye(size)
+
+
+law_strategy = st.builds(
+    lambda law_class, n_last, d, seed, dense: (
+        SequenceLaw(_dense_spd((n_last + 1) * d, seed), d)
+        if dense
+        else random_law(law_class, n_last, d, seed)
+    ),
+    law_class=st.sampled_from(list(LawClass)),
+    n_last=st.integers(min_value=3, max_value=9),
+    d=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    dense=st.booleans(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=law_strategy)
+def test_marked_matrices_are_symmetric_and_detect_like_unmarked_copies(law):
+    """Skipping the symmetry check changes no witness: every marked matrix
+    is exactly symmetric, and detection on it equals detection on an
+    unmarked copy, for every pattern."""
+    for m in marked_matrices(law):
+        assert m._symmetric
+        assert np.array_equal(m.data, m.data.T)
+        copy = BlockMatrix(m.data, m.block_dim)
+        assert not copy._symmetric
+        for kind in PatternKind:
+            spec = PatternSpec(kind, m.n_blocks - 1)
+            assert detect(m, spec) == detect(copy, spec)
+
+
+@settings(max_examples=20, deadline=None)
+@given(law=law_strategy, nan=st.booleans())
+def test_detect_rejects_asymmetric_or_nan_unmarked_copies(law, nan):
+    """The public constructor never marks a matrix, so a copy of a marked
+    matrix with one entry broken is still rejected."""
+    spec = PatternSpec.tridiagonal(law.n_last)
+    data = law.precision().data.copy()
+    data[0, -1] = np.nan if nan else data[0, -1] + 1e-6 * np.abs(data).max()
+    with pytest.raises(NotSymmetricError):
+        detect(BlockMatrix(data, law.dim), spec)

@@ -22,7 +22,6 @@ from cmseq import (
 )
 from cmseq.blocks import cholesky_spd
 from cmseq.fixtures import ar1_law, identity_law
-from cmseq.models import _generation_plan
 from cmseq.simulate import _BLOCK, _substream_seed_words
 
 FIRST = ConditioningSide.FIRST
@@ -162,7 +161,7 @@ def _reference_sample(model, n_replicates, seed):
     """The sampler with one SeedSequence/PCG64/Generator per replicate: the
     definition of the stream that the vectorized substream setup replays."""
     n, d = model.n_last, model.dim
-    plan = _generation_plan(model)
+    plan = model._generation_plan
     factors = {k: cholesky_spd(model.g_noise[k]) for k in model.g_noise}
     z = np.empty((n_replicates, len(plan), d))
     for r in range(n_replicates):

@@ -13,13 +13,14 @@ complement of the precision.  Every suffix marginal ``[k, N]`` is read off one
 Cholesky factor of the precision, and every prefix marginal ``[0, k]`` off one
 factor of the time-reversed precision
 (:func:`~cmseq.blocks.marginal_precisions`): O(N^3 d^3) in all.
-``full_report``, ``verify_composition`` and ``classify_cm_interval`` all read
-their marginals from these sweeps, so they share one SPD check.  Each marginal
-is checked as soon as it is produced and then dropped.  Reciprocity is always
-computed through two independent routes (cyclic-tridiagonal pattern vs the
-conjunction of CM_L and CM_F) whose agreement is part of the contract, and the
-two interval-composition routes are read from the same interval witnesses the
-report lists.
+``full_report`` and ``classify_cm_interval`` read their marginals from these
+sweeps, so they share one SPD check.  Each marginal is checked as soon as it
+is produced and then dropped.  Reciprocity is always computed through two
+independent routes (cyclic-tridiagonal pattern vs the conjunction of CM_L and
+CM_F) whose agreement is part of the contract.  The two interval-composition
+routes are read, by one rule, from the interval witnesses the report lists;
+``verify_composition`` is a reading of ``full_report``, not a further
+computation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import (
-    BlockMatrix,
     ConditioningSide,
     IndexInterval,
     Keep,
@@ -110,29 +110,6 @@ def classify_cmc(law: SequenceLaw, c: ConditioningSide, tol: Tolerance = Toleran
     return detect(law.precision(), _cm_pattern(c, law.n_last), tol)
 
 
-def _interval_precision(a: BlockMatrix, interval: IndexInterval) -> BlockMatrix:
-    """Marginal precision of the times in a boundary-anchored interval."""
-    n_last = a.n_blocks - 1
-    if interval.hi > n_last:
-        raise UnsupportedIntervalError(
-            f"interval {interval} exceeds n_last={n_last}"
-        )
-    if interval.lo == 0 and interval.hi == n_last:
-        raise UnsupportedIntervalError(
-            "interval covers all times; use the full-sequence classifiers"
-        )
-    if interval.lo == 0:
-        keep = Keep.LEADING
-    elif interval.hi == n_last:
-        keep = Keep.TRAILING
-    else:
-        raise UnsupportedIntervalError(
-            f"interval {interval} touches neither boundary; only [0,k2] and [k1,N] "
-            "intervals have a marginal-precision characterization"
-        )
-    return next(delta for iv, delta in marginal_precisions(a, keep) if iv == interval)
-
-
 def classify_cm_interval(
     law: SequenceLaw,
     interval: IndexInterval,
@@ -147,7 +124,24 @@ def classify_cm_interval(
     detection.  Other intervals raise
     :class:`UnsupportedIntervalError`.
     """
-    delta = _interval_precision(law.precision(), interval)
+    n_last = law.n_last
+    if interval.hi > n_last:
+        raise UnsupportedIntervalError(f"interval {interval} exceeds n_last={n_last}")
+    if interval.lo == 0 and interval.hi == n_last:
+        raise UnsupportedIntervalError(
+            "interval covers all times; use the full-sequence classifiers"
+        )
+    if interval.lo == 0:
+        keep = Keep.LEADING
+    elif interval.hi == n_last:
+        keep = Keep.TRAILING
+    else:
+        raise UnsupportedIntervalError(
+            f"interval {interval} touches neither boundary; only [0,k2] and [k1,N] "
+            "intervals have a marginal-precision characterization"
+        )
+    sweep = marginal_precisions(law.precision(), keep)
+    delta = next(delta for iv, delta in sweep if iv == interval)
     return detect(delta, _cm_pattern(c, interval.hi - interval.lo), tol)
 
 
@@ -180,17 +174,30 @@ def _reciprocal_witness(
     )
 
 
-def _boundary_intervals(n_last: int):
-    """All boundary-anchored intervals with an interior endpoint."""
-    prefixes = [IndexInterval(0, k2) for k2 in range(1, n_last)]
-    suffixes = [IndexInterval(k1, n_last) for k1 in range(1, n_last)]
-    return prefixes, suffixes
+def _composition_agrees(
+    reciprocal: bool,
+    cm_l: PatternWitness,
+    cm_f: PatternWitness,
+    interval_cm: tuple[IntervalClassEntry, ...],
+) -> bool:
+    """Do both interval-composition routes match the reciprocity verdict?
 
-
-def _interval_witness(
-    delta: BlockMatrix, interval: IndexInterval, side: ConditioningSide, tol: Tolerance
-) -> PatternWitness:
-    return detect(delta, _cm_pattern(side, interval.hi - interval.lo), tol)
+    Route (i) is CM on every ``[k1, N]`` given the first endpoint, route (ii)
+    CM on every ``[0, k2]`` given the last endpoint; each also needs CM_L and
+    CM_F over the whole range.
+    """
+    cm_both = cm_l.conforms and cm_f.conforms
+    route_i = cm_both and all(
+        e.witness.conforms
+        for e in interval_cm
+        if e.interval.lo > 0 and e.side is ConditioningSide.FIRST
+    )
+    route_ii = cm_both and all(
+        e.witness.conforms
+        for e in interval_cm
+        if e.interval.lo == 0 and e.side is ConditioningSide.LAST
+    )
+    return reciprocal == route_i == route_ii
 
 
 def verify_composition(law: SequenceLaw, tol: Tolerance = Tolerance()) -> bool:
@@ -198,34 +205,21 @@ def verify_composition(law: SequenceLaw, tol: Tolerance = Tolerance()) -> bool:
 
     Returns true iff the cyclic-pattern verdict, the "CM on every [k1, N]
     from the first endpoint plus CM_F plus CM_L" route, and the mirrored
-    "[0, k2] from the last endpoint" route all agree.  Each route stops its
-    sweep at the first interval that fails.
+    "[0, k2] from the last endpoint" route all agree.  It reads the routes
+    off :func:`full_report`, so it costs one report.
     """
-    a = law.precision()
-    n_last = law.n_last
-    recip = detect(a, PatternSpec.cyclic_tridiagonal(n_last), tol).conforms
-    cm_both = (
-        detect(a, PatternSpec.cm_l(n_last), tol).conforms
-        and detect(a, PatternSpec.cm_f(n_last), tol).conforms
+    report = full_report(law, tol)
+    return _composition_agrees(
+        report.reciprocal.conforms, report.cm_l, report.cm_f, report.interval_cm
     )
-    route_first = cm_both and all(
-        _interval_witness(delta, iv, ConditioningSide.FIRST, tol).conforms
-        for iv, delta in marginal_precisions(a, Keep.TRAILING)
-    )
-    route_last = cm_both and all(
-        _interval_witness(delta, iv, ConditioningSide.LAST, tol).conforms
-        for iv, delta in marginal_precisions(a, Keep.LEADING)
-    )
-    return recip == route_first and recip == route_last
 
 
 def full_report(law: SequenceLaw, tol: Tolerance = Tolerance()) -> ClassificationReport:
     """Evaluate every class flag, interval flags, and the consistency bit.
 
-    Route (i) of the interval composition is CM on every [k1, N] given the
-    first endpoint, together with CM_F and CM_L over the whole range; route
-    (ii) is its time mirror on every [0, k2] given the last endpoint.  Both
-    are read from the interval entries of the report.
+    The interval entries list the prefixes ``[0, 1] .. [0, N-1]``, then the
+    suffixes ``[1, N] .. [N-1, N]``, each given the first endpoint and then
+    the last.  Both interval-composition routes are read from them.
     """
     n_last = law.n_last
     a = law.precision()
@@ -235,35 +229,21 @@ def full_report(law: SequenceLaw, tol: Tolerance = Tolerance()) -> Classificatio
     reciprocal = _reciprocal_witness(
         detect(a, PatternSpec.cyclic_tridiagonal(n_last), tol), cm_l, cm_f
     )
-    sides = (ConditioningSide.FIRST, ConditioningSide.LAST)
-    witnesses = {}
-    for keep in (Keep.LEADING, Keep.TRAILING):
-        for iv, delta in marginal_precisions(a, keep):
-            for side in sides:
-                witnesses[iv, side] = _interval_witness(delta, iv, side, tol)
-    prefixes, suffixes = _boundary_intervals(n_last)
-    entries = tuple(
-        IntervalClassEntry(iv, side, witnesses[iv, side])
-        for iv in prefixes + suffixes
-        for side in sides
-    )
-    cm_both = cm_l.conforms and cm_f.conforms
-    route_first = cm_both and all(
-        witnesses[iv, ConditioningSide.FIRST].conforms for iv in suffixes
-    )
-    route_last = cm_both and all(
-        witnesses[iv, ConditioningSide.LAST].conforms for iv in prefixes
-    )
-    consistency = (
-        reciprocal.routes_agree
-        and reciprocal.conforms == route_first
-        and reciprocal.conforms == route_last
-    )
+    entries = [
+        IntervalClassEntry(iv, side, detect(delta, _cm_pattern(side, iv.hi - iv.lo), tol))
+        for keep in (Keep.LEADING, Keep.TRAILING)
+        for iv, delta in marginal_precisions(a, keep)
+        for side in (ConditioningSide.FIRST, ConditioningSide.LAST)
+    ]
+    # the leading sweep yields its prefixes longest first; a stable sort
+    # keeps each interval's FIRST entry before its LAST one
+    entries = tuple(sorted(entries, key=lambda e: (e.interval.lo, e.interval.hi)))
     return ClassificationReport(
         markov=markov,
         reciprocal=reciprocal,
         cm_l=cm_l,
         cm_f=cm_f,
         interval_cm=entries,
-        consistency=consistency,
+        consistency=reciprocal.routes_agree
+        and _composition_agrees(reciprocal.conforms, cm_l, cm_f, entries),
     )

@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .blocks import (
     ConditioningSide,
     NotPositiveDefiniteError,
@@ -269,7 +271,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        # bad numbers are reported by the errors below, not numpy's warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (NotSymmetricError, NotPositiveDefiniteError) as exc:
         # first: both are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -457,12 +457,14 @@ check_reciprocity_backward = check_reciprocity_forward
 check_markov_backward = check_markov_forward
 
 
-_CLASS_CODES = {
-    LawClass.MARKOV: 0,
-    LawClass.RECIPROCAL: 1,
-    LawClass.CM_L_ONLY: 2,
-    LawClass.CM_F_ONLY: 3,
-    LawClass.GENERIC: 4,
+# per class: its seed code, its precision pattern, and the pattern of the
+# class just below it in the lattice (None where there is none)
+_CLASSES = {
+    LawClass.MARKOV: (0, PatternSpec.tridiagonal, None),
+    LawClass.RECIPROCAL: (1, PatternSpec.cyclic_tridiagonal, PatternSpec.tridiagonal),
+    LawClass.CM_L_ONLY: (2, PatternSpec.cm_l, PatternSpec.cyclic_tridiagonal),
+    LawClass.CM_F_ONLY: (3, PatternSpec.cm_f, PatternSpec.cyclic_tridiagonal),
+    LawClass.GENERIC: (4, None, None),
 }
 
 
@@ -480,10 +482,13 @@ def random_law(law_class: LawClass, n_last: int, dim: int, seed: int) -> Sequenc
     Off-diagonal precision blocks on the class's support are drawn uniform in
     [-0.5, 0.5] entrywise (exact zeros elsewhere); diagonal blocks are set to
     (1 + absolute row sum) * I, making the precision strictly diagonally
-    dominant hence SPD.  For the RECIPROCAL class the corner block is forced
-    to norm >= 0.1 so the law is verifiably non-Markov; CM_L_ONLY /
-    CM_F_ONLY likewise force a non-corner boundary block (those classes need
-    n_last >= 3 to exist).  Determinism depends only on
+    dominant hence SPD.  A class's witness blocks are those its pattern
+    allows and the pattern of the class just below forbids: the corner for
+    RECIPROCAL (against Markov), the non-corner boundary blocks for
+    CM_L_ONLY / CM_F_ONLY (against reciprocal; those classes need
+    n_last >= 3 to exist).  If every witness block has norm < 0.1, the first
+    in row-major order is rescaled to norm 0.3, so the law is verifiably
+    outside the class below.  Determinism depends only on
     (law_class, n_last, dim, seed).
     """
     n, d = int(n_last), int(dim)
@@ -496,43 +501,24 @@ def random_law(law_class: LawClass, n_last: int, dim: int, seed: int) -> Sequenc
             f"{law_class.value} laws need n_last >= 3: at n_last = 2 every "
             "conditioning pattern is already cyclic"
         )
-    if law_class is LawClass.GENERIC:
-        support = {(i, j) for i in range(n + 1) for j in range(n + 1)}
-    else:
-        spec = {
-            LawClass.MARKOV: PatternSpec.tridiagonal(n),
-            LawClass.RECIPROCAL: PatternSpec.cyclic_tridiagonal(n),
-            LawClass.CM_L_ONLY: PatternSpec.cm_l(n),
-            LawClass.CM_F_ONLY: PatternSpec.cm_f(n),
-        }[law_class]
-        support = allowed_support(spec)
-    rng = np.random.default_rng([_CLASS_CODES[law_class], n, d, int(seed)])
-    blocks = {}
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            if (i, j) in support:
-                blocks[(i, j)] = rng.uniform(-0.5, 0.5, (d, d))
-    if law_class is LawClass.RECIPROCAL:
-        if np.linalg.norm(blocks[(0, n)]) < 0.1:
-            blocks[(0, n)] = _rescale_to(blocks[(0, n)], 0.3)
-    elif law_class is LawClass.CM_L_ONLY:
-        keys = [(k, n) for k in range(1, n - 1)]
-        if max(np.linalg.norm(blocks[k]) for k in keys) < 0.1:
-            blocks[keys[0]] = _rescale_to(blocks[keys[0]], 0.3)
-    elif law_class is LawClass.CM_F_ONLY:
-        keys = [(0, j) for j in range(2, n)]
-        if max(np.linalg.norm(blocks[k]) for k in keys) < 0.1:
-            blocks[keys[0]] = _rescale_to(blocks[keys[0]], 0.3)
-    size = (n + 1) * d
-    a = np.zeros((size, size))
+    upper = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    code, own, below = _CLASSES[law_class]
+    support = allowed_support(own(n)) if own else set(upper)
+    forbidden = support - allowed_support(below(n)) if below else set()
+    witnesses = [ij for ij in upper if ij in forbidden]
+    rng = np.random.default_rng([code, n, d, int(seed)])
+    blocks = {ij: rng.uniform(-0.5, 0.5, (d, d)) for ij in upper if ij in support}
+    if witnesses and max(np.linalg.norm(blocks[ij]) for ij in witnesses) < 0.1:
+        blocks[witnesses[0]] = _rescale_to(blocks[witnesses[0]], 0.3)
+    grid = np.zeros((n + 1, n + 1, d, d))  # grid[i, j] is block (i, j)
     for (i, j), b in blocks.items():
-        a[i * d : (i + 1) * d, j * d : (j + 1) * d] = b
-        a[j * d : (j + 1) * d, i * d : (i + 1) * d] = b.T
-    for i in range(n + 1):
-        row_abs = sum(
-            np.abs(a[i * d : (i + 1) * d, j * d : (j + 1) * d]).sum()
-            for j in range(n + 1)
-            if j != i
-        )
-        a[i * d : (i + 1) * d, i * d : (i + 1) * d] = (1.0 + row_abs) * np.eye(d)
+        grid[i, j] = b
+        grid[j, i] = b.T
+    # absolute sum of each block, then of each row in column order: cumsum
+    # adds sequentially, where a plain sum would add pairwise
+    block_abs = np.abs(grid).reshape(n + 1, n + 1, d * d).sum(axis=2)
+    row_abs = np.cumsum(block_abs, axis=1)[:, -1]
+    diag = np.arange(n + 1)
+    grid[diag, diag] = (1.0 + row_abs)[:, None, None] * np.eye(d)
+    a = grid.transpose(0, 2, 1, 3).reshape((n + 1) * d, (n + 1) * d)
     return SequenceLaw(invert_spd(a), d)

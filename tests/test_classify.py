@@ -1,6 +1,7 @@
 """Pattern-based classification and its agreement with the CI oracle."""
 
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from cmseq import (
     ConditioningSide,
     IndexInterval,
+    Keep,
     LawClass,
+    PatternSpec,
     SequenceLaw,
     Tolerance,
     UnsupportedIntervalError,
@@ -18,7 +21,9 @@ from cmseq import (
     classify_cmc,
     classify_markov,
     classify_reciprocal,
+    detect,
     full_report,
+    marginal_precisions,
     oracle_cm_interval,
     oracle_markov,
     oracle_reciprocal,
@@ -165,6 +170,45 @@ def test_class_lattice_on_handcrafted_laws():
 def test_composition_routes_on_fixtures(ar1_n3, cyclic_law, cml_law, white_n3):
     for law in (ar1_n3, cyclic_law, cml_law, white_n3):
         assert verify_composition(law)
+
+
+def two_route_composition(law, tol):
+    """Reference interval-composition cross-check, computed directly.
+
+    Runs its own detections on the precision and its own sweeps, and stops
+    each route at its first failing interval.  Route (i) is CM on every
+    ``[k1, N]`` given the first endpoint, route (ii) CM on every ``[0, k2]``
+    given the last; both also need CM_L and CM_F over the whole range.
+    """
+    a = law.precision()
+    n_last = law.n_last
+    recip = detect(a, PatternSpec.cyclic_tridiagonal(n_last), tol).conforms
+    cm_both = (
+        detect(a, PatternSpec.cm_l(n_last), tol).conforms
+        and detect(a, PatternSpec.cm_f(n_last), tol).conforms
+    )
+    route_first = cm_both and all(
+        detect(delta, PatternSpec.cm_f(iv.hi - iv.lo), tol).conforms
+        for iv, delta in marginal_precisions(a, Keep.TRAILING)
+    )
+    route_last = cm_both and all(
+        detect(delta, PatternSpec.cm_l(iv.hi - iv.lo), tol).conforms
+        for iv, delta in marginal_precisions(a, Keep.LEADING)
+    )
+    return recip == route_first and recip == route_last
+
+
+def test_verify_composition_matches_the_two_route_reference():
+    verdicts = []
+    grid = product(LawClass, (3, 4, 6, 10), (1, 2), range(8))
+    for law_class, n, d, seed in grid:
+        law = random_law(law_class, n, d, seed)
+        for zero_tol in (1e-14, 1e-9, 1e-3, 0.2):
+            tol = Tolerance(zero_tol=zero_tol)
+            got = verify_composition(law, tol)
+            assert got == two_route_composition(law, tol), (law_class, n, d, seed, zero_tol)
+            verdicts.append(got)
+    assert False in verdicts  # the grid holds a law whose routes disagree
 
 
 def test_one_sided_interval_family_alone_does_not_imply_reciprocity():

@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,13 +215,30 @@ _NON_SPD_MESSAGES = {
     ],
 )
 def test_exit_code_3_on_model_with_non_spd_numbers(tmp_path, capsys, grid, value):
+    model_path = _ar1_model_with(tmp_path, grid, value)
+    assert main(["verify", str(model_path)]) == 3
+    assert capsys.readouterr().err.startswith(_NON_SPD_MESSAGES[grid])
+
+
+@pytest.mark.parametrize("extra", [["verify"], ["validate", "--seed", "1"]], ids=lambda a: a[0])
+def test_overflowing_model_prints_only_its_error(tmp_path, capsys, extra):
+    """numpy's overflow warnings stay off stderr: the error line is all of it."""
+    model_path = _ar1_model_with(tmp_path, "g_trans", [[1e200]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([extra[0], str(model_path), *extra[1:]]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "error: matrix has non-finite entries\n"
+
+
+def _ar1_model_with(tmp_path, grid, value):
+    """An AR(1) model file whose ``grid["1"]`` is replaced by ``value``."""
     model_path = tmp_path / "model.json"
     save_model(model_path, build_forward(ar1_law(3), ConditioningSide.LAST))
     obj = json.loads(model_path.read_text())
     obj[grid]["1"] = value
     dump_json(model_path, obj)
-    assert main(["verify", str(model_path)]) == 3
-    assert capsys.readouterr().err.startswith(_NON_SPD_MESSAGES[grid])
+    return model_path
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """White-noise-driven dynamic models: extraction, assembly, parameter checks."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from cmseq import (
     model_covariance,
     random_law,
 )
+from cmseq import models
 from cmseq.blocks import _cho_solve, cholesky_spd
 from cmseq.fixtures import ar1_law, cml_example_law, cyclic_example_law, identity_law
 from cmseq.models import _identity_residuals
@@ -504,3 +507,21 @@ def test_model_covariance_dispatches_on_type():
     b = model_covariance(build_backward(law, FIRST, BC1))
     np.testing.assert_allclose(f.covariance.data, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(b.covariance.data, np.eye(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("law_class", list(LawClass))
+def test_random_law_diagonal_is_one_plus_the_absolute_row_sum(law_class, monkeypatch):
+    """Bit for bit: each diagonal block is (1 + the sum, block by block in
+    column order, of the absolute off-diagonal entries of its row) * I."""
+    built = []
+    invert = models.invert_spd
+    monkeypatch.setattr(models, "invert_spd", lambda a: built.append(a) or invert(a))
+    for n, d, seed in product((3, 5, 10, 20), (1, 2, 4), range(3)):
+        random_law(law_class, n, d, seed)
+        a = built.pop()
+        for i in range(n + 1):
+            rows = slice(i * d, (i + 1) * d)
+            row_abs = sum(
+                np.abs(a[rows, j * d : (j + 1) * d]).sum() for j in range(n + 1) if j != i
+            )
+            assert np.array_equal(a[rows, rows], (1.0 + row_abs) * np.eye(d)), (n, d, seed, i)

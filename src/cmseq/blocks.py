@@ -5,8 +5,9 @@ components is fully described by its ``(N+1)d x (N+1)d`` covariance matrix,
 viewed as an ``(N+1) x (N+1)`` grid of ``d x d`` blocks.  Everything downstream
 (pattern detection, classification, dynamic models) works on that block grid,
 so the primitives here are deliberately small: a read-only block view, a
-pivot-reporting Cholesky, an SPD inverse, and the sweep of boundary-anchored
-marginal precisions, all on numpy alone.  A :class:`SequenceLaw` factorizes
+pivot-reporting Cholesky (also over a stack of matrices in one LAPACK
+call), an SPD inverse, and the sweep of boundary-anchored marginal
+precisions, all on numpy alone.  A :class:`SequenceLaw` factorizes
 its covariance once, at construction, and derives its precision from that
 factor on first use.
 """
@@ -171,6 +172,35 @@ def _check_pivots(pivots, diag):
     raise NotPositiveDefiniteError(small[0], pivots[small[0]])
 
 
+def _cholesky_stack(stack):
+    """:func:`cholesky_spd` of each matrix of a ``(K, n, n)`` stack, as one
+    ``(K, n, n)`` array of lower factors.
+
+    A finite, exactly symmetric stack whose pivots all pass is factorized by
+    one stacked LAPACK call, which gives each matrix the factor
+    :func:`cholesky_spd` gives it alone.  Any other stack is factorized one
+    matrix at a time, in stack order, so the first matrix that fails raises
+    what :func:`cholesky_spd` raises for it, and a nearly symmetric one is
+    factorized symmetrized.
+    """
+    stack = np.asarray(stack, dtype=float)
+    if np.isfinite(stack).all():
+        # a sum that overflows leaves sym unequal to stack; the loop reports it
+        with np.errstate(over="ignore"):
+            sym = (stack + stack.swapaxes(1, 2)) / 2.0
+        if np.array_equal(sym, stack):
+            try:
+                lower = np.linalg.cholesky(sym)
+            except np.linalg.LinAlgError:  # some matrix fails: the loop finds which
+                pass
+            else:
+                pivots = np.diagonal(lower, axis1=1, axis2=2) ** 2
+                diag_max = np.diagonal(sym, axis1=1, axis2=2).max(axis=1)
+                if (pivots > _PIVOT_RTOL * np.maximum(diag_max, 0.0)[:, None]).all():
+                    return lower
+    return np.stack([cholesky_spd(m) for m in stack])
+
+
 def _factor(a):
     """``np.linalg.cholesky`` of the symmetric ``a``.  Where numpy fails,
     bisection over leading blocks finds the pivot, so
@@ -194,14 +224,16 @@ def _factor(a):
 
 
 def _cho_solve(lower, b):
-    """Solve ``(L L') x = b`` from the lower Cholesky factor ``L``."""
-    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
+    """Solve ``(L L') x = b`` from the lower Cholesky factor ``L``, or from a
+    stack of them, one right-hand side (stack) per factor."""
+    return np.linalg.solve(lower.swapaxes(-1, -2), np.linalg.solve(lower, b))
 
 
 def _inverse_from_factor(lower):
-    """Exactly symmetric inverse of ``L L'`` from its lower Cholesky factor."""
-    inv = _cho_solve(lower, np.eye(lower.shape[0]))
-    return (inv + inv.T) / 2.0
+    """Exactly symmetric inverse of ``L L'`` from its lower Cholesky factor,
+    or the inverses of a stack of them, each as it would be alone."""
+    inv = _cho_solve(lower, np.eye(lower.shape[-1]))
+    return (inv + inv.swapaxes(-1, -2)) / 2.0
 
 
 def invert_spd(m):

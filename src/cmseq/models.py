@@ -21,6 +21,17 @@ through its mirror, the forward model of the reversed sequence, and their
 results are mapped back to its own times.  SG assembly and sampling
 (:mod:`cmseq.simulate`) both read the recursions from the plan.
 
+A model owns read-only float copies of its gains and noises, in read-only
+mappings, and what it derives from them it computes once.  Construction
+checks every noise covariance in one stacked Cholesky factorization and
+keeps each factor and inverse; the parameter checks, the assembled
+precision and the sampler read those.  The plan and the assembled
+precision are built on first use and kept, and a backward model's mirror
+shares its arrays.  Since nothing can change a model, nothing kept goes
+stale, and a round trip (build, checks, precision, model covariance,
+sampling) takes the same number of factorizations for every N.  Building
+a model regresses all its interior steps in one stacked call.
+
 The model family is exactly as expressive as the CM_c class: building a model
 from a law and reassembling its precision reproduces the law *iff* the law is
 CM_c for the chosen conditioning side.  For any SPD input the construction
@@ -37,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -46,8 +58,9 @@ from .blocks import (
     SequenceLaw,
     Tolerance,
     _cho_solve,
+    _cholesky_stack,
+    _inverse_from_factor,
     _reverse_time,
-    cholesky_spd,
     invert_spd,
 )
 from .patterns import PatternSpec, allowed_support
@@ -106,6 +119,13 @@ def _check_gain_grid(name, grid, expected_keys, d):
             raise ValueError(f"{name}[{k}] has shape {np.shape(g)}, expected {(d, d)}")
 
 
+def _frozen(g):
+    """A read-only float copy of ``g``; the caller's array stays writable."""
+    a = np.array(g, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class _CmcModel:
     """Fields and validation shared by the two time directions.
@@ -113,6 +133,10 @@ class _CmcModel:
     ``_forward`` is the forward model of the same law, and ``_time(j)`` is
     this model's time for its time ``j``.  Validation reads the model on its
     own time axis, so its messages name the caller's times and sides.
+
+    ``_noise_lower`` and ``_noise_inv`` stack, in time order, the lower
+    Cholesky factor and the inverse of every noise covariance, from the one
+    stacked factorization that validates them.
     """
 
     n_last: int
@@ -161,6 +185,26 @@ class _CmcModel:
             head = [(0, [])]
         return [(t(k), [(gain, t(src)) for gain, src in terms]) for k, terms in head + interior]
 
+    @cached_property
+    def _precision(self):
+        """:func:`assemble_precision`, built on first use and kept."""
+        sg = assemble_script_g(self).data
+        d = self.dim
+        noise_inv = np.zeros_like(sg)
+        for k, inv in enumerate(self._noise_inv):
+            noise_inv[k * d : (k + 1) * d, k * d : (k + 1) * d] = inv
+        a = sg.T @ noise_inv @ sg
+        twice = a + a.T
+        if np.isfinite(twice).all():
+            # exactly symmetric, and symmetrize would return it unchanged
+            return BlockMatrix._wrap_symmetric(twice / 2.0, d)
+        return BlockMatrix(twice / 2.0, d)
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle: rebuild from plain dicts instead
+        grids = (dict(self.g_trans), dict(self.g_cond), dict(self.g_noise))
+        return type(self), (self.n_last, self.dim, self.c, self.bc, *grids, self.boundary_gain)
+
     def __post_init__(self):
         n, d, c = self.n_last, self.dim, self.c
         if n < 1 or d < 1:
@@ -175,11 +219,20 @@ class _CmcModel:
         _check_gain_grid("g_trans", self.g_trans, expected, d)
         _check_gain_grid("g_cond", self.g_cond, expected, d)
         _check_gain_grid("g_noise", self.g_noise, set(range(n + 1)), d)
-        for t in range(n + 1):
-            cholesky_spd(self.g_noise[t])  # noise covariances must be SPD
+        for name in ("g_trans", "g_cond", "g_noise"):
+            grid = {k: _frozen(g) for k, g in getattr(self, name).items()}
+            object.__setattr__(self, name, MappingProxyType(grid))
+        # noise covariances must be SPD; the factors that show it are kept
+        lower = _cholesky_stack([self.g_noise[t] for t in range(n + 1)])
+        inv = _inverse_from_factor(lower)
+        lower.setflags(write=False)
+        inv.setflags(write=False)
+        object.__setattr__(self, "_noise_lower", lower)
+        object.__setattr__(self, "_noise_inv", inv)
         if not chain:
             if self.boundary_gain is None or np.shape(self.boundary_gain) != (d, d):
                 raise ValueError(f"c={c.name} requires a d x d boundary_gain")
+            object.__setattr__(self, "boundary_gain", _frozen(self.boundary_gain))
         else:
             if self.boundary_gain is not None:
                 raise ValueError(f"boundary_gain is only meaningful for c={_OTHER_SIDE[c].name}")
@@ -212,7 +265,8 @@ class BackwardCmcModel(_CmcModel):
     time; ``boundary_gain`` exists for c=FIRST (x_0 on x_N under BC1, x_N on
     x_0 under BC2); for c=LAST the chain starts at x_N = e_N and the k=N-1
     step splits its weight equally.  Its mirror, that forward model in the
-    reversed time, is built on first use and kept.
+    reversed time, is built on first use and kept; it shares this model's
+    read-only arrays.
     """
 
     direction = "backward"
@@ -223,6 +277,9 @@ class BackwardCmcModel(_CmcModel):
         mirror = object.__new__(ForwardCmcModel)
         names = [f.name for f in fields(self)]
         mirror.__dict__.update(zip(names, _mirrored(*(getattr(self, a) for a in names))))
+        mirror.__dict__.update(
+            _noise_lower=self._noise_lower[::-1], _noise_inv=self._noise_inv[::-1]
+        )
         return mirror
 
     def _time(self, j):
@@ -235,7 +292,10 @@ def _mirrored(n, d, c, bc, g_trans, g_cond, g_noise, boundary_gain):
     Time k becomes N-k and FIRST/LAST swap; ``bc`` and ``boundary_gain`` are
     kept.  Applying it twice gives the fields back.
     """
-    grids = ({n - k: g for k, g in grid.items()} for grid in (g_trans, g_cond, g_noise))
+    grids = (
+        MappingProxyType({n - k: g for k, g in grid.items()})
+        for grid in (g_trans, g_cond, g_noise)
+    )
     return (n, d, _OTHER_SIDE[c], bc, *grids, boundary_gain)
 
 
@@ -252,44 +312,58 @@ def _block(mat, d, i, j):
     return mat[i * d : (i + 1) * d, j * d : (j + 1) * d]
 
 
-def _regress(mat, d, target, given):
-    """Gaussian conditional coefficients of x_target on the listed times.
+def _regress(mat, d, targets, givens):
+    """Gaussian conditional coefficients of each x_target on its given times.
 
-    Returns (one d x d gain per given time, conditional covariance).
+    ``givens`` holds one list of times per target, all of one length g.  The
+    K regressions share one gather, one stacked factorization and one pair
+    of stacked solves, and each gives the bits it would give alone.
+    Returns (gains, noises) of shapes (K, d, g d) and (K, d, d): column
+    block j of ``gains[i]`` is the gain on the j-th given time of target i,
+    and ``noises[i]`` is its conditional covariance.
     """
-    ig = np.concatenate([np.arange(t * d, (t + 1) * d) for t in given])
-    it = np.arange(target * d, (target + 1) * d)
-    cross = mat[np.ix_(it, ig)]
-    lower = cholesky_spd(mat[np.ix_(ig, ig)])
-    gains = _cho_solve(lower, cross.T).T
-    noise = mat[np.ix_(it, it)] - gains @ cross.T
-    noise = (noise + noise.T) / 2.0
-    return [gains[:, i * d : (i + 1) * d].copy() for i in range(len(given))], noise
+    span = np.arange(d)
+    ig = (np.asarray(givens)[:, :, None] * d + span).reshape(len(givens), -1)
+    it = np.asarray(targets)[:, None] * d + span
+    cross_t = mat[it[:, :, None], ig[:, None, :]].swapaxes(1, 2)
+    gains = _cho_solve(_cholesky_stack(mat[ig[:, :, None], ig[:, None, :]]), cross_t)
+    gains = gains.swapaxes(1, 2)
+    noises = mat[it[:, :, None], it[:, None, :]] - gains @ cross_t
+    return gains, (noises + noises.swapaxes(1, 2)) / 2.0
 
 
 def _regressions(mat, n, d, c, bc):
-    """The forward model's fields read off the covariance ``mat``."""
+    """The forward model's fields read off the covariance ``mat``.
+
+    The interior steps are regressed in one stacked call and the boundary
+    step in another, in the order the model draws them.
+    """
     g_trans, g_cond, g_noise = {}, {}, {}
-    bg = None
+
+    def interior(ks, ci):
+        if not ks:
+            return
+        gains, noises = _regress(mat, d, ks, [[k - 1, ci] for k in ks])
+        for k, gain, noise in zip(ks, gains, noises):
+            g_trans[k], g_cond[k], g_noise[k] = gain[:, :d].copy(), gain[:, d:].copy(), noise
+
+    def boundary(start, end):
+        """x_start = e_start, and x_end regressed on it alone."""
+        g_noise[start] = _block(mat, d, start, start).copy()
+        gains, noises = _regress(mat, d, [end], [[start]])
+        g_noise[end] = noises[0]
+        return gains[0].copy()
+
     if c is ConditioningSide.LAST:
-        for k in range(1, n):
-            (gt, gc), noise = _regress(mat, d, k, [k - 1, n])
-            g_trans[k], g_cond[k], g_noise[k] = gt, gc, noise
-        if bc is BoundaryCondition.BC1:
-            g_noise[0] = _block(mat, d, 0, 0).copy()
-            (bg,), g_noise[n] = _regress(mat, d, n, [0])
-        else:
-            g_noise[n] = _block(mat, d, n, n).copy()
-            (bg,), g_noise[0] = _regress(mat, d, 0, [n])
+        interior(list(range(1, n)), n)
+        bg = boundary(0, n) if bc is BoundaryCondition.BC1 else boundary(n, 0)
     else:
         # c = FIRST: x_0 = e_0, and the k=1 step sees x_{k-1} = x_c = x_0
-        g_noise[0] = _block(mat, d, 0, 0).copy()
-        (w,), g_noise[1] = _regress(mat, d, 1, [0])
+        w = boundary(0, 1)
         g_trans[1] = w / 2.0
         g_cond[1] = w / 2.0
-        for k in range(2, n + 1):
-            (gt, gc), noise = _regress(mat, d, k, [k - 1, 0])
-            g_trans[k], g_cond[k], g_noise[k] = gt, gc, noise
+        interior(list(range(2, n + 1)), 0)
+        bg = None
     return n, d, c, bc, g_trans, g_cond, g_noise, bg
 
 
@@ -347,15 +421,11 @@ def assemble_script_g(model) -> BlockMatrix:
 def assemble_precision(model) -> BlockMatrix:
     """Precision matrix A = SG' G^{-1} SG of the model's own law.
 
-    Formed on the model's own time axis, for either direction.
+    Formed on the model's own time axis, for either direction, from the
+    noise inverses the model keeps.  It is computed once per model, and
+    every call returns that read-only matrix.
     """
-    sg = assemble_script_g(model).data
-    d = model.dim
-    noise_inv = np.zeros_like(sg)
-    for k in range(model.n_last + 1):
-        noise_inv[k * d : (k + 1) * d, k * d : (k + 1) * d] = invert_spd(model.g_noise[k])
-    a = sg.T @ noise_inv @ sg
-    return BlockMatrix((a + a.T) / 2.0, d)
+    return model._precision
 
 
 # one definition for both directions; the backward names stay public
@@ -364,10 +434,13 @@ assemble_precision_backward = assemble_precision
 
 
 def model_covariance(model) -> SequenceLaw:
-    """The law realized by a model: inverse of its assembled precision."""
+    """The law realized by a model: inverse of its assembled precision.
+
+    The inverse is read off the precision's own kept Cholesky factor.
+    """
     if not isinstance(model, _CmcModel):
         raise TypeError(f"expected a forward or backward model, got {type(model)!r}")
-    return SequenceLaw(invert_spd(assemble_precision(model).data), model.dim)
+    return SequenceLaw(_inverse_from_factor(assemble_precision(model)._spd_factor()), model.dim)
 
 
 def _identity_residuals(pairs, floor=0.0):
@@ -408,8 +481,7 @@ def check_reciprocity_forward(model, tol: Tolerance = Tolerance()) -> CheckResul
     pairs = {}
     floor = 0.0
     for k in ks:
-        inv_k = invert_spd(fwd.g_noise[k])
-        inv_next = invert_spd(fwd.g_noise[k + 1])
+        inv_k, inv_next = fwd._noise_inv[k], fwd._noise_inv[k + 1]
         floor = max(floor, float(np.linalg.norm(inv_k)), float(np.linalg.norm(inv_next)))
         lhs = inv_k @ fwd.g_cond[k]
         rhs = fwd.g_trans[k + 1].T @ inv_next @ fwd.g_cond[k + 1]
@@ -433,12 +505,12 @@ def check_markov_forward(model, tol: Tolerance = Tolerance()) -> CheckResult:
     if n == 1:
         return CheckResult(True, 0.0, None)
     if fwd.c is ConditioningSide.LAST:
-        inv_1 = invert_spd(fwd.g_noise[1])
+        inv_1 = fwd._noise_inv[1]
         if fwd.bc is BoundaryCondition.BC1:
-            inv_b = invert_spd(fwd.g_noise[n])
+            inv_b = fwd._noise_inv[n]
             rhs = fwd.g_cond[1].T @ inv_1 @ fwd.g_trans[1]
         else:
-            inv_b = invert_spd(fwd.g_noise[0])
+            inv_b = fwd._noise_inv[0]
             rhs = fwd.g_trans[1].T @ inv_1 @ fwd.g_cond[1]
         lhs = inv_b @ fwd.boundary_gain
         floor = max(float(np.linalg.norm(inv_b)), float(np.linalg.norm(inv_1)))

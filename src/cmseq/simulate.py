@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockMatrix, SequenceLaw, cholesky_spd
+from .blocks import BlockMatrix, SequenceLaw
 from .models import BackwardCmcModel, ForwardCmcModel, model_covariance
 
 __all__ = [
@@ -146,8 +146,7 @@ def _sample(model, n_replicates, seed):
         raise ValueError(f"seed must be >= 0, got {seed}")
     plan = model._generation_plan
     steps = len(plan)
-    # one lower Cholesky factor per noise covariance, fixed for the model
-    factors = {k: cholesky_spd(model.g_noise[k]) for k in model.g_noise}
+    factors = model._noise_lower  # one per noise covariance, kept by the model
     # phase 1: per-replicate substreams produce the standard normal draws
     z = np.empty((m, steps, d))
     bitgen = np.random.PCG64(0)

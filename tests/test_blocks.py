@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from cmseq import (
     invert_spd,
     symmetrize,
 )
-from cmseq.blocks import marginal_precisions
+from cmseq import blocks
+from cmseq.blocks import _cholesky_stack, _inverse_from_factor, marginal_precisions
 from cmseq.fixtures import ar1_covariance, ar1_law
 
 
@@ -192,6 +194,92 @@ def test_invert_spd_double_inversion_property(n, seed):
     m = (m + m.T) / 2.0
     np.fill_diagonal(m, np.abs(m).sum(axis=1) + 1.0)
     np.testing.assert_allclose(invert_spd(invert_spd(m)), m, rtol=1e-9, atol=1e-9)
+
+
+def random_spd_stack(k, n, seed):
+    """``k`` exactly symmetric, well conditioned ``n x n`` SPD matrices."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((k, n, n))
+    m = b @ b.swapaxes(1, 2) + n * np.eye(n)
+    return (m + m.swapaxes(1, 2)) / 2.0
+
+
+def stacked_results(stack):
+    lower = _cholesky_stack(stack)
+    return lower, _inverse_from_factor(lower)
+
+
+def per_matrix_results(stack):
+    """The reference: cholesky_spd, then invert_spd, on each matrix in order."""
+    lowers = [cholesky_spd(m) for m in stack]
+    return np.stack(lowers), np.stack([invert_spd(m) for m in stack])
+
+
+def raised(fn, *args):
+    with pytest.raises((NotPositiveDefiniteError, NotSymmetricError)) as err:
+        fn(*args)
+    e = err.value
+    return type(e), str(e), getattr(e, "pivot_index", None)
+
+
+STACK_SIZES = dict(
+    k=st.integers(min_value=1, max_value=9),
+    n=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**STACK_SIZES)
+def test_stacked_factors_and_inverses_match_the_per_matrix_calls(k, n, seed):
+    """Bit for bit, from one stacked LAPACK call and no per-matrix one."""
+    stack = random_spd_stack(k, n, seed)
+    with mock.patch.object(blocks, "cholesky_spd", wraps=blocks.cholesky_spd) as loop:
+        lower, inv = stacked_results(stack)
+    assert loop.call_count == 0
+    want_lower, want_inv = per_matrix_results(stack)
+    assert lower.tobytes() == want_lower.tobytes()
+    assert inv.tobytes() == want_inv.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    **STACK_SIZES,
+    where=st.integers(min_value=0, max_value=8),
+    kind=st.sampled_from(["indefinite", "nan", "asymmetric"]),
+    later=st.booleans(),
+)
+def test_a_failing_member_raises_what_the_per_matrix_loop_raises(k, n, seed, where, kind, later):
+    """Same type, message and pivot index, from the first failing matrix;
+    with ``later`` a second, different failure follows it in the stack."""
+    assume(kind != "asymmetric" or n >= 2)
+    stack = random_spd_stack(k, n, seed)
+    j, p = where % k, seed % n
+    if kind == "indefinite":
+        stack[j, p, p] = -1.0  # leading pivots pass, pivot p fails
+    elif kind == "nan":
+        stack[j, p, p] = np.nan
+    else:
+        stack[j, 0, n - 1] += 1.0
+    if later and j + 1 < k:
+        stack[k - 1, 0, 0] = -2.0
+    assert raised(stacked_results, stack) == raised(per_matrix_results, stack)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**STACK_SIZES, where=st.integers(min_value=0, max_value=8))
+def test_a_nearly_symmetric_stack_gives_the_symmetrized_results(k, n, seed, where):
+    """One entry off by an ulp: symmetrize accepts the gap, and the stack
+    gets what each matrix gets from cholesky_spd and invert_spd."""
+    assume(n >= 2)
+    stack = random_spd_stack(k, n, seed)
+    m = stack[where % k]
+    m[0, n - 1] = np.nextafter(m[0, n - 1], np.inf)
+    assert 0 < np.linalg.norm(m - m.T) <= 1e-12 * np.linalg.norm(m)
+    lower, inv = stacked_results(stack)
+    want_lower, want_inv = per_matrix_results(stack)
+    assert lower.tobytes() == want_lower.tobytes()
+    assert inv.tobytes() == want_inv.tobytes()
 
 
 def test_block_matrix_addressing_and_immutability():

@@ -1,5 +1,7 @@
 """White-noise-driven dynamic models: extraction, assembly, parameter checks."""
 
+import pickle
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -30,8 +32,10 @@ from cmseq import (
     model_covariance,
     random_law,
 )
-from cmseq import models
+from cmseq import blocks, models
 from cmseq.blocks import _cho_solve, cholesky_spd
+from cmseq.serialize import save_model
+from cmseq.simulate import sample_backward, sample_forward
 from cmseq.fixtures import ar1_law, cml_example_law, cyclic_example_law, identity_law
 from cmseq.models import _identity_residuals
 
@@ -456,6 +460,126 @@ def test_model_constructor_enforces_boundary_gain_rules():
         BackwardCmcModel(
             2, 1, LAST, BC1, {1: one(0.1), 2: one(0.1)}, {0: one(0.1), 1: one(0.1)}, noise
         )
+
+
+# --- what a model owns and derives -----------------------------------------
+
+SHAPES = [(build_forward, c, bc) for c, bc in FORWARD_COMBOS] + [
+    (build_backward, c, bc) for c, bc in BACKWARD_COMBOS
+]
+
+
+def round_trip_bytes(model, tmp_path):
+    """Everything a model gives its callers, as bytes."""
+    sample = sample_forward if model.direction == "forward" else sample_backward
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    return [
+        repr(check_reciprocity_forward(model)),
+        repr(check_markov_forward(model)),
+        assemble_script_g(model).data.tobytes(),
+        assemble_precision(model).data.tobytes(),
+        model_covariance(model).covariance.data.tobytes(),
+        sample(model, 7, 3).data.tobytes(),
+        path.read_bytes(),
+    ]
+
+
+def as_lists(model):
+    """The same model, constructed from nested lists."""
+    grids = [{k: g.tolist() for k, g in grid.items()} for grid in
+             (model.g_trans, model.g_cond, model.g_noise)]
+    bg = None if model.boundary_gain is None else model.boundary_gain.tolist()
+    return type(model)(model.n_last, model.dim, model.c, model.bc, *grids, bg)
+
+
+@pytest.mark.parametrize("build,c,bc", SHAPES)
+def test_a_model_built_from_lists_works_everywhere(build, c, bc, tmp_path):
+    model = build(random_law(LawClass.GENERIC, 4, 2, seed=5), c, bc)
+    assert round_trip_bytes(as_lists(model), tmp_path) == round_trip_bytes(model, tmp_path)
+
+
+@pytest.mark.parametrize("build,c,bc", SHAPES)
+def test_a_model_owns_read_only_copies_of_its_fields(build, c, bc, tmp_path):
+    """The parameter route and the cached pattern route cannot drift apart:
+    no gain, noise or grid of a built model can be changed."""
+    model = build(random_law(LawClass.MARKOV, 4, 1, seed=0), c, bc)
+    before = round_trip_bytes(model, tmp_path)
+    k = next(iter(model.g_cond))
+    with pytest.raises(TypeError):
+        model.g_cond[k] = model.g_cond[k] + 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        model.g_cond[k] += 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        model.g_noise[k][0, 0] = 2.0
+    if model.boundary_gain is not None:
+        with pytest.raises(ValueError, match="read-only"):
+            model.boundary_gain[0, 0] = 2.0
+    assert round_trip_bytes(model, tmp_path) == before
+    # a backward model's mirror reads the very same read-only arrays
+    fwd, n = model._forward, model.n_last
+    for name in ("g_trans", "g_cond", "g_noise"):
+        grid, mirrored = getattr(model, name), getattr(fwd, name)
+        assert all(mirrored[model._time(t)] is g for t, g in grid.items())
+        with pytest.raises(TypeError):
+            mirrored[n] = np.eye(1)
+
+
+def test_a_model_copies_the_callers_arrays_and_leaves_them_writable():
+    gains = {1: np.array([[0.5]]), 2: np.array([[0.2]])}
+    noise = {t: np.eye(1) for t in range(4)}
+    model = ForwardCmcModel(3, 1, LAST, BC1, gains, {1: one(0.1), 2: one(0.3)}, noise, one(0.25))
+    before = assemble_precision(model).data.copy()
+    gains[1][0, 0] = 9.0
+    noise[2][0, 0] = 9.0
+    gains[2] = np.array([[7.0]])
+    assert model.g_trans[1][0, 0] == 0.5 and model.g_trans[2][0, 0] == 0.2
+    assert model.g_noise[2][0, 0] == 1.0
+    assert np.array_equal(assemble_precision(model).data, before)
+
+
+def test_a_model_pickles(tmp_path):
+    model = build_backward(random_law(LawClass.RECIPROCAL, 4, 2, seed=1), FIRST, BC2)
+    again = pickle.loads(pickle.dumps(model))
+    assert type(again) is BackwardCmcModel
+    assert round_trip_bytes(again, tmp_path) == round_trip_bytes(model, tmp_path)
+
+
+@pytest.mark.parametrize("build,c,bc", SHAPES)
+def test_a_round_trip_factorizes_a_number_of_times_independent_of_n(build, c, bc, monkeypatch):
+    """LAPACK Cholesky calls over build, both checks, two assemblies, the
+    model covariance and a sample do not grow with N, and after construction
+    no SPD routine is handed a noise covariance."""
+    d = 2
+    sample = sample_forward if build is build_forward else sample_backward
+    counts = {}
+    for n in (3, 9):
+        law = random_law(LawClass.GENERIC, n, d, seed=n)
+        calls = Counter()
+        cholesky = np.linalg.cholesky
+
+        def counted(*args, **kwargs):
+            calls["cholesky"] += 1
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        model = build(law, c, bc)
+        shapes = []
+        for module, name in ((blocks, "cholesky_spd"), (blocks, "invert_spd"),
+                             (models, "invert_spd")):
+            spd = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda m, spd=spd: shapes.append(np.shape(m)) or spd(m)
+            )
+        check_reciprocity_forward(model)
+        check_markov_forward(model)
+        assert assemble_precision(model) is assemble_precision(model)
+        model_covariance(model)
+        sample(model, 5, 0)
+        assert (d, d) not in shapes
+        monkeypatch.undo()
+        counts[n] = calls["cholesky"]
+    assert counts[3] == counts[9] <= 5
 
 
 # --- random law generator ---------------------------------------------------

@@ -225,14 +225,18 @@ def _factor(a):
 
 def _cho_solve(lower, b):
     """Solve ``(L L') x = b`` from the lower Cholesky factor ``L``, or from a
-    stack of them, one right-hand side (stack) per factor."""
+    stack of them, one right-hand side (stack) per factor.
+
+    For a stack, ``b`` must have the stack's own number of dimensions: numpy
+    1.x reads one dimension fewer as a stack of vectors, numpy 2 as a matrix.
+    """
     return np.linalg.solve(lower.swapaxes(-1, -2), np.linalg.solve(lower, b))
 
 
 def _inverse_from_factor(lower):
     """Exactly symmetric inverse of ``L L'`` from its lower Cholesky factor,
     or the inverses of a stack of them, each as it would be alone."""
-    inv = _cho_solve(lower, np.eye(lower.shape[-1]))
+    inv = _cho_solve(lower, np.broadcast_to(np.eye(lower.shape[-1]), lower.shape))
     return (inv + inv.swapaxes(-1, -2)) / 2.0
 
 
@@ -351,13 +355,17 @@ class BlockMatrix:
             self._ratios = ratios
         return self._ratios
 
-    def _spd_factor(self):
+    def _spd_factor(self, keep=True):
         """Lower factor from :func:`cholesky_spd` of the whole matrix (with no
-        symmetry check for a marked one), computed once per matrix; raises
-        :class:`NotPositiveDefiniteError` on every call while it fails."""
-        if self._lower is None:
-            self._lower = _cholesky(self._data) if self._symmetric else cholesky_spd(self._data)
-        return self._lower
+        symmetry check for a marked one), computed once per matrix unless
+        ``keep`` is false; raises :class:`NotPositiveDefiniteError` on every
+        call while it fails."""
+        if self._lower is not None:
+            return self._lower
+        lower = _cholesky(self._data) if self._symmetric else cholesky_spd(self._data)
+        if keep:
+            self._lower = lower
+        return lower
 
     def max_block_norm(self):
         """Largest block Frobenius norm over the whole grid."""

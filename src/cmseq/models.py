@@ -436,11 +436,13 @@ assemble_precision_backward = assemble_precision
 def model_covariance(model) -> SequenceLaw:
     """The law realized by a model: inverse of its assembled precision.
 
-    The inverse is read off the precision's own kept Cholesky factor.
+    The precision the model keeps is factored for each call, and the factor
+    is not kept: a model holds one dense matrix, not two.
     """
     if not isinstance(model, _CmcModel):
         raise TypeError(f"expected a forward or backward model, got {type(model)!r}")
-    return SequenceLaw(_inverse_from_factor(assemble_precision(model)._spd_factor()), model.dim)
+    lower = assemble_precision(model)._spd_factor(keep=False)
+    return SequenceLaw(_inverse_from_factor(lower), model.dim)
 
 
 def _identity_residuals(pairs, floor=0.0):

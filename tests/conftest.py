@@ -2,6 +2,7 @@
 
 import sys
 
+import numpy as np
 import pytest
 
 from cmseq import Tolerance
@@ -41,3 +42,23 @@ def cyclic_law():
 @pytest.fixture(scope="session")
 def cml_law():
     return cml_example_law()
+
+
+@pytest.fixture
+def numpy1_solve(monkeypatch):
+    """``np.linalg.solve`` with numpy 1.x's reading of the right-hand side.
+
+    numpy 1.x reads a ``b`` with one dimension fewer than ``a`` as a stack
+    of vectors; numpy 2 reads only a 1-D ``b`` as a vector.  The package
+    declares ``numpy>=1.24``, so its stacked solves must give the same
+    results under both readings.
+    """
+    solve = np.linalg.solve
+
+    def numpy1(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        if b.ndim == a.ndim - 1:
+            return solve(a, b[..., None])[..., 0]
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", numpy1)

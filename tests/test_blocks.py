@@ -282,6 +282,17 @@ def test_a_nearly_symmetric_stack_gives_the_symmetrized_results(k, n, seed, wher
     assert inv.tobytes() == want_inv.tobytes()
 
 
+@pytest.mark.parametrize("k,n", [(1, 1), (3, 3), (4, 2), (2, 5)])
+def test_stacked_results_are_the_same_under_numpy_1_solve(k, n, numpy1_solve):
+    """Also where the stack holds as many matrices as each has rows, which
+    numpy 1.x would read without error but wrongly."""
+    stack = random_spd_stack(k, n, seed=k * n)
+    lower, inv = stacked_results(stack)
+    want_lower, want_inv = per_matrix_results(stack)
+    assert lower.tobytes() == want_lower.tobytes()
+    assert inv.tobytes() == want_inv.tobytes()
+
+
 def test_block_matrix_addressing_and_immutability():
     data = np.arange(16, dtype=float).reshape(4, 4)
     data = data + data.T  # symmetric, not required but tidy

@@ -525,6 +525,24 @@ def test_a_model_owns_read_only_copies_of_its_fields(build, c, bc, tmp_path):
             mirrored[n] = np.eye(1)
 
 
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("build,c,bc", SHAPES)
+def test_a_round_trip_is_the_same_under_numpy_1_solve(build, c, bc, n, d, tmp_path, request):
+    """The stacked noise inverses and regressions read alike on numpy 1.x,
+    also with as many noises as components (N + 1 == d)."""
+    law = random_law(LawClass.GENERIC, n, d, seed=n)
+    want = round_trip_bytes(build(law, c, bc), tmp_path)
+    request.getfixturevalue("numpy1_solve")
+    assert round_trip_bytes(build(law, c, bc), tmp_path) == want
+
+
+def test_model_covariance_keeps_no_factor():
+    model = build_forward(random_law(LawClass.GENERIC, 4, 2, seed=3), LAST, BC1)
+    first = model_covariance(model).covariance.data
+    assert assemble_precision(model)._lower is None
+    assert np.array_equal(model_covariance(model).covariance.data, first)
+
+
 def test_a_model_copies_the_callers_arrays_and_leaves_them_writable():
     gains = {1: np.array([[0.5]]), 2: np.array([[0.2]])}
     noise = {t: np.eye(1) for t in range(4)}

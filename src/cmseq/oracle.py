@@ -6,7 +6,8 @@ partial covariance ``Cov(x_a, x_b | x_s) = C_ab - C_as C_ss^-1 C_sb``
 vanishes.  The sweeps below enumerate all such statements implied by the
 Markov / reciprocal / conditionally-Markov definitions and report the worst
 residual, giving definition-level ground truth that is completely independent
-of any precision-matrix pattern reasoning.
+of any precision-matrix pattern reasoning.  Statements of one shape are
+evaluated as one stack, each with the bits it would get alone.
 
 Sweeps are exact enumerations, never subsampled; they refuse inputs larger
 than ``(N+1) * d > 16`` scalars rather than approximate.
@@ -14,6 +15,7 @@ than ``(N+1) * d > 16`` scalars rather than approximate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +24,12 @@ from .blocks import (
     BlockMatrix,
     ConditioningSide,
     IndexInterval,
+    NotPositiveDefiniteError,
+    NotSymmetricError,
     SequenceLaw,
     Tolerance,
     _cho_solve,
+    _cholesky_stack,
     cholesky_spd,
 )
 
@@ -45,18 +50,32 @@ class OracleSizeError(ValueError):
     """Raised when a law is too large for exhaustive enumeration."""
 
 
+def _index(t):
+    """``t`` as an int; a TypeError names a time index that is not one."""
+    try:
+        return operator.index(t)
+    except TypeError:
+        raise TypeError(f"time index {t!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class CiQuery:
-    """One conditional-independence statement: x_target vs x_dropped given x_retained."""
+    """One conditional-independence statement: x_target vs x_dropped given x_retained.
+
+    Its times are non-negative integers, each at most once over the three
+    fields.
+    """
 
     target: int
     retained: tuple[int, ...]
     dropped: tuple[int, ...]
 
     def __post_init__(self):
-        ret, drop = set(self.retained), set(self.dropped)
-        if self.target in ret | drop or ret & drop:
-            raise ValueError(f"query index sets must be disjoint: {self}")
+        times = [_index(t) for t in (self.target, *self.retained, *self.dropped)]
+        if min(times) < 0:
+            raise ValueError(f"query time indices must be non-negative: {self}")
+        if len(set(times)) < len(times):
+            raise ValueError(f"query index sets must be disjoint, without repeats: {self}")
 
 
 @dataclass(frozen=True)
@@ -66,13 +85,6 @@ class OracleVerdict:
     holds: bool
     worst_ratio: float
     worst_query: CiQuery | None
-
-
-def _scalar_indices(times, d):
-    idx = []
-    for t in times:
-        idx.extend(range(t * d, (t + 1) * d))
-    return np.asarray(idx, dtype=int)
 
 
 def partial_covariance(cov: BlockMatrix, a, b, s):
@@ -92,23 +104,71 @@ def partial_covariance(cov: BlockMatrix, a, b, s):
         ``|a|d x |b|d`` matrix; exactly zero iff x_a and x_b are independent
         given x_s.
     """
-    a, b, s = sorted(set(a)), sorted(set(b)), sorted(set(s))
+    a, b, s = (tuple(sorted({_index(t) for t in times})) for times in (a, b, s))
     if (set(a) & set(b)) or (set(a) & set(s)) or (set(b) & set(s)):
         raise ValueError("index sets a, b, s must be pairwise disjoint")
     n = cov.n_blocks
     for t in a + b + s:
         if not 0 <= t < n:
             raise IndexError(f"time index {t} out of range [0, {n - 1}]")
-    d = cov.block_dim
-    mat = cov.data
-    ia, ib = _scalar_indices(a, d), _scalar_indices(b, d)
-    c_ab = mat[np.ix_(ia, ib)]
-    if not s:
-        return c_ab.copy()
-    js = _scalar_indices(s, d)
-    c_ss = mat[np.ix_(js, js)]
-    lower = cholesky_spd(c_ss)  # NotPositiveDefiniteError names the pivot
-    return c_ab - mat[np.ix_(ia, js)] @ _cho_solve(lower, mat[np.ix_(js, ib)])
+    [(_, stack)] = _evaluate(cov, [(a, b, s)])
+    return stack[0]
+
+
+def _evaluate(cov: BlockMatrix, triples):
+    """``Cov(x_a, x_b | x_s)`` for each ``(a, b, s)`` in ``triples``, in
+    stacks of one shape ``(|a|, |b|, |s|)``.
+
+    Each triple holds pairwise disjoint, increasing tuples of times in
+    ``[0, n_blocks)``.  Returns ``[(positions, stack)]``: ``stack[i]``
+    belongs to ``triples[positions[i]]`` and has the bits a stack of that
+    one triple would give it, as the stacked factorization and solves
+    treat each matrix alone.  If some conditioning block ``C_ss`` is not
+    SPD, the first such triple in the given order raises what
+    :func:`~cmseq.blocks.cholesky_spd` raises for its ``C_ss``, with a
+    :class:`NotPositiveDefiniteError` naming the covariance's own scalar
+    row.
+    """
+    groups = {}
+    for i, (a, b, s) in enumerate(triples):
+        positions, times = groups.setdefault((len(a), len(b), len(s)), ([], []))
+        positions.append(i)
+        times.append(a + b + s)
+    mat, d = cov.data, cov.block_dim
+    out, failures = [], []
+    for (na, nb, ns), (positions, times) in groups.items():
+        times = np.array(times, dtype=np.intp)
+        rows = (times[:, :, None] * d + np.arange(d)).reshape(len(positions), -1)
+        ia, ib, js = rows[:, : na * d], rows[:, na * d : (na + nb) * d], rows[:, (na + nb) * d :]
+        c_ab = mat[ia[:, :, None], ib[:, None, :]]
+        if not ns:
+            out.append((positions, c_ab))
+            continue
+        c_ss = mat[js[:, :, None], js[:, None, :]]
+        try:
+            lower = _cholesky_stack(c_ss)
+        except (NotPositiveDefiniteError, NotSymmetricError):
+            failures.append(_first_failure(c_ss, js, positions))
+            continue
+        c_as = mat[ia[:, :, None], js[:, None, :]]
+        c_sb = mat[js[:, :, None], ib[:, None, :]]
+        out.append((positions, c_ab - c_as @ _cho_solve(lower, c_sb)))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return out
+
+
+def _first_failure(c_ss, js, positions):
+    """``(position, error)`` for the first matrix of the failing stack
+    ``c_ss`` that :func:`~cmseq.blocks.cholesky_spd` rejects, its pivot
+    index mapped through ``js`` to a scalar row of the covariance."""
+    for i, m in enumerate(c_ss):
+        try:
+            cholesky_spd(m)
+        except NotPositiveDefiniteError as err:
+            return positions[i], NotPositiveDefiniteError(js[i, err.pivot_index], err.pivot_value)
+        except NotSymmetricError as err:
+            return positions[i], err
 
 
 def _check_size(law: SequenceLaw):
@@ -120,16 +180,23 @@ def _check_size(law: SequenceLaw):
 
 
 def _sweep(cov: BlockMatrix, queries, residual_tol):
-    """Evaluate queries, normalizing residuals by the largest block norm of C."""
+    """Evaluate queries, normalizing residuals by the largest block norm of C.
+
+    The worst query is the first with the largest ratio.
+    """
     scale = cov.max_block_norm()
-    worst_ratio = 0.0
-    worst_query = None
-    for q in queries:
-        pc = partial_covariance(cov, [q.target], q.dropped, q.retained)
-        ratio = float(np.linalg.norm(pc)) / scale if scale > 0 else 0.0
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_query = q
+    ratios = np.zeros(len(queries))
+    triples = [((q.target,), tuple(sorted(q.dropped)), tuple(sorted(q.retained))) for q in queries]
+    for positions, stack in _evaluate(cov, triples):
+        flat = stack.reshape(len(positions), 1, -1)
+        # one dot product per matrix, as np.linalg.norm takes its square
+        norms = np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
+        ratios[positions] = norms / scale if scale > 0 else 0.0
+    worst_ratio, worst_query = 0.0, None
+    if queries:
+        i = int(np.argmax(ratios))
+        if ratios[i] > 0:
+            worst_ratio, worst_query = float(ratios[i]), queries[i]
     return OracleVerdict(worst_ratio <= residual_tol, worst_ratio, worst_query)
 
 

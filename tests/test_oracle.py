@@ -5,25 +5,118 @@ covariance matrix, with no reference to precision sparsity — which is exactly
 why the classifier can be cross-validated against it.
 """
 
+import random
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmseq import (
+    BlockMatrix,
     CiQuery,
     ConditioningSide,
     IndexInterval,
+    LawClass,
+    NotPositiveDefiniteError,
+    NotSymmetricError,
     OracleSizeError,
+    OracleVerdict,
     SequenceLaw,
     Tolerance,
+    cholesky_spd,
     oracle_cm_interval,
     oracle_markov,
     oracle_reciprocal,
     partial_covariance,
+    random_law,
 )
-from cmseq.fixtures import ar1_law, cyclic_example_law, identity_law
+from cmseq import oracle
+from cmseq.fixtures import ar1_covariance, ar1_law, cyclic_example_law, identity_law
 
 FIRST = ConditioningSide.FIRST
 LAST = ConditioningSide.LAST
+
+
+def _scalars(times, d):
+    return np.array([t * d + i for t in times for i in range(d)], dtype=int)
+
+
+def reference_partial_covariance(cov, a, b, s):
+    """Reference ``Cov(x_a, x_b | x_s)``, one query at a time: ``np.ix_``
+    gathers and a Cholesky of ``C_ss`` alone.  A failing pivot is reported
+    at the covariance's own scalar row.  The oracle's stacked evaluator
+    must match it bit for bit."""
+    a, b, s = sorted(set(a)), sorted(set(b)), sorted(set(s))
+    d, mat = cov.block_dim, cov.data
+    ia, ib = _scalars(a, d), _scalars(b, d)
+    c_ab = mat[np.ix_(ia, ib)]
+    if not s:
+        return c_ab.copy()
+    js = _scalars(s, d)
+    try:
+        lower = cholesky_spd(mat[np.ix_(js, js)])
+    except NotPositiveDefiniteError as err:
+        raise NotPositiveDefiniteError(js[err.pivot_index], err.pivot_value) from None
+    x = np.linalg.solve(lower.T, np.linalg.solve(lower, mat[np.ix_(js, ib)]))
+    return c_ab - mat[np.ix_(ia, js)] @ x
+
+
+def reference_sweep(cov, queries, residual_tol):
+    """Reference sweep: the queries in order, keeping the first largest ratio."""
+    scale = cov.max_block_norm()
+    worst_ratio = 0.0
+    worst_query = None
+    for q in queries:
+        pc = reference_partial_covariance(cov, [q.target], q.dropped, q.retained)
+        ratio = float(np.linalg.norm(pc)) / scale if scale > 0 else 0.0
+        if ratio > worst_ratio:
+            worst_ratio = ratio
+            worst_query = q
+    return OracleVerdict(worst_ratio <= residual_tol, worst_ratio, worst_query)
+
+
+def every_sweep(law):
+    """Verdicts of the Markov and reciprocal sweeps and of the CM sweep on
+    every interval, both sides, both directions."""
+    n = law.n_last
+    verdicts = [oracle_markov(law), oracle_reciprocal(law)]
+    for lo in range(n):
+        for hi in range(lo + 1, n + 1):
+            for side in (FIRST, LAST):
+                for use_future in (False, True):
+                    iv = IndexInterval(lo, hi)
+                    verdicts.append(oracle_cm_interval(law, iv, side, use_future=use_future))
+    return verdicts
+
+
+def same_verdicts(got, want):
+    """Equal field for field, with the ratios compared by their bits."""
+    return got == want and [v.worst_ratio.hex() for v in got] == [
+        v.worst_ratio.hex() for v in want
+    ]
+
+
+@st.composite
+def oracle_sized_laws(draw):
+    """A random law of any class with d in {1, 2, 4} and (N+1)d <= 16."""
+    law_class = draw(st.sampled_from(list(LawClass)))
+    d = draw(st.sampled_from((1, 2, 4)))
+    lo = 3 if law_class in (LawClass.CM_L_ONLY, LawClass.CM_F_ONLY) else 2
+    n = draw(st.integers(min_value=lo, max_value=16 // d - 1))
+    return random_law(law_class, n, d, seed=draw(st.integers(0, 2**16)))
+
+
+def random_queries(n_times, rng, count):
+    """``count`` valid queries over ``n_times`` times, of mixed shapes, with
+    the retained and dropped times in random order."""
+    queries = []
+    for _ in range(count):
+        times = rng.sample(range(n_times), rng.randint(3, n_times))
+        cut = rng.randint(2, len(times) - 1)
+        queries.append(CiQuery(times[0], tuple(times[1:cut]), tuple(times[cut:])))
+    return queries
 
 
 def test_partial_covariance_unconditional_is_plain_block():
@@ -145,3 +238,139 @@ def test_verdict_carries_tolerance_effect():
     loose = oracle_markov(law, Tolerance(residual_tol=10.0))
     assert not strict.holds and loose.holds
     assert strict.worst_ratio == loose.worst_ratio
+
+
+@settings(max_examples=30, deadline=None)
+@given(law=oracle_sized_laws())
+def test_every_sweep_matches_the_per_query_reference(law):
+    got = every_sweep(law)
+    with mock.patch.object(oracle, "_sweep", reference_sweep):
+        want = every_sweep(law)
+    assert same_verdicts(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=oracle_sized_laws(), seed=st.integers(0, 2**16), where=st.integers(0, 2**16))
+def test_partial_covariance_one_ulp_off_symmetric_matches_the_reference(law, seed, where):
+    """An unmarked matrix one ulp off symmetric: the conditioning blocks that
+    contain the asymmetric pair are factorized symmetrized, as alone."""
+    mat = law.covariance.data.copy()
+    size = len(mat)
+    i, j = where % size, (where // size) % size
+    if i == j:
+        j = (i + 1) % size
+    mat[i, j] = np.nextafter(mat[i, j], np.inf)
+    cov = BlockMatrix(mat, law.dim)
+    rng = random.Random(seed)
+    queries = random_queries(law.n_last + 1, rng, 12)
+    for q in queries:
+        got = partial_covariance(cov, [q.target], q.dropped, q.retained)
+        want = reference_partial_covariance(cov, [q.target], q.dropped, q.retained)
+        assert got.tobytes() == want.tobytes()
+    got = oracle._sweep(cov, queries, 1e-8)
+    assert same_verdicts([got], [reference_sweep(cov, queries, 1e-8)])
+
+
+def _raised(call):
+    try:
+        call()
+    except (NotPositiveDefiniteError, NotSymmetricError) as err:
+        return type(err), str(err), getattr(err, "pivot_index", None)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    law=oracle_sized_laws(),
+    kind=st.sampled_from(["negative", "duplicate", "nan", "asymmetric"]),
+    seed=st.integers(0, 2**16),
+)
+def test_a_failing_conditioning_block_raises_as_the_reference(law, kind, seed):
+    """The first failing query in query order raises, whichever of the
+    stacks it is in, with the same type, message and pivot row."""
+    rng = random.Random(seed)
+    mat = law.covariance.data.copy()
+    d, n_times = law.dim, law.n_last + 1
+    t, u = rng.sample(range(n_times), 2)
+    row, other = t * d + rng.randrange(d), u * d + rng.randrange(d)
+    if kind == "negative":
+        mat[row, row] = -1.0
+    elif kind == "duplicate":  # x_t's row repeats a row of x_u: singular together
+        mat[row, :] = mat[other, :]
+        mat[:, row] = mat[:, other]
+        mat[row, row] = mat[other, other]
+    elif kind == "nan":
+        mat[row, other] = mat[other, row] = np.nan
+    else:
+        mat[row, other] += 1e-3 * abs(mat[row, other]) + 1e-3
+    cov = BlockMatrix(mat, d)
+    queries = random_queries(n_times, rng, 16)
+    want = _raised(lambda: reference_sweep(cov, queries, 1e-8))
+    assert _raised(lambda: oracle._sweep(cov, queries, 1e-8)) == want
+    for q in queries:
+        args = (cov, [q.target], q.dropped, q.retained)
+        assert _raised(lambda: partial_covariance(*args)) == _raised(
+            lambda: reference_partial_covariance(*args)
+        )
+
+
+def test_a_failing_pivot_names_the_covariance_row():
+    bad = ar1_covariance(3)
+    bad[2, 2] = -1.0  # C_ss for s = {1, 2} fails at its second row
+    cov = BlockMatrix(bad, 1)
+    with pytest.raises(NotPositiveDefiniteError, match="at index 2") as sweep_err:
+        oracle._sweep(cov, [CiQuery(0, (1, 2), (3,))], 1e-9)
+    with pytest.raises(NotPositiveDefiniteError, match="at index 2") as call_err:
+        partial_covariance(cov, [0], [3], [1, 2])
+    assert sweep_err.value.pivot_index == call_err.value.pivot_index == 2
+
+
+def test_the_first_failing_query_raises_when_a_later_stack_fails_too():
+    bad = ar1_covariance(4)
+    bad[1, 1] = -1.0
+    bad[4, 4] = -2.0
+    queries = [
+        CiQuery(0, (2, 3), (4,)),  # stack (2, 1): passes
+        CiQuery(2, (4,), (0,)),  # stack (1, 1): fails at row 4 first
+        CiQuery(0, (1, 3), (2,)),  # stack (2, 1): fails at row 1 later
+    ]
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        oracle._sweep(BlockMatrix(bad, 1), queries, 1e-9)
+    assert err.value.pivot_index == 4 and err.value.pivot_value == -2.0
+
+
+def test_queries_and_indices_are_validated():
+    with pytest.raises(ValueError, match="non-negative"):
+        CiQuery(-1, (0,), (1,))
+    with pytest.raises(ValueError, match="repeats"):
+        CiQuery(0, (1, 1), (2,))
+    with pytest.raises(TypeError, match="time index 0.5 is not an integer"):
+        CiQuery(0.5, (1,), (2,))
+    cov = ar1_law(2).covariance
+    with pytest.raises(TypeError, match="time index 1.5 is not an integer"):
+        partial_covariance(cov, [0], [2], [1.5])
+    with pytest.raises(IndexError, match="time index -1 out of range"):
+        partial_covariance(cov, [-1], [2], [1])
+    with pytest.raises(IndexError, match="time index 3 out of range"):
+        partial_covariance(cov, [0], [3], [1])
+    # numpy integers are integers
+    pc = partial_covariance(cov, [np.int64(0)], [2], [np.int32(1)])
+    assert pc.tobytes() == partial_covariance(cov, [0], [2], [1]).tobytes()
+
+
+def test_sweeps_and_partial_covariance_are_the_same_under_numpy_1_solve(request):
+    laws = [random_law(c, 3, 2, seed=5) for c in LawClass] + [random_law(LawClass.GENERIC, 3, 4, 2)]
+    want = [every_sweep(law) for law in laws]
+    queries = random_queries(4, random.Random(3), 12)
+    pcs = [
+        partial_covariance(law.covariance, [q.target], q.dropped, q.retained).tobytes()
+        for law in laws
+        for q in queries
+    ]
+    request.getfixturevalue("numpy1_solve")
+    assert all(same_verdicts(every_sweep(law), v) for law, v in zip(laws, want))
+    assert pcs == [
+        partial_covariance(law.covariance, [q.target], q.dropped, q.retained).tobytes()
+        for law in laws
+        for q in queries
+    ]

@@ -4,12 +4,13 @@ A zero-mean nonsingular Gaussian law over times ``0..N`` with ``d``-dimensional
 components is fully described by its ``(N+1)d x (N+1)d`` covariance matrix,
 viewed as an ``(N+1) x (N+1)`` grid of ``d x d`` blocks.  Everything downstream
 (pattern detection, classification, dynamic models) works on that block grid,
-so the primitives here are deliberately small: a read-only block view, a
-pivot-reporting Cholesky (also over a stack of matrices in one LAPACK
-call), an SPD inverse, and the sweep of boundary-anchored marginal
-precisions, all on numpy alone.  A :class:`SequenceLaw` factorizes
-its covariance once, at construction, and derives its precision from that
-factor on first use.
+so the primitives here are deliberately small: a read-only block view, one
+pivot-reporting Cholesky routine over a stack of matrices (a single matrix
+is a stack of one), an SPD inverse, and the sweep of boundary-anchored
+marginal precisions, all on numpy alone.  A failing stack raises for its
+first failing matrix, and the error carries that matrix's ``position`` in
+the stack.  A :class:`SequenceLaw` factorizes its covariance once, at
+construction, and derives its precision from that factor on first use.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class NotPositiveDefiniteError(ValueError):
     ----------
     pivot_index : int
         Zero-based row/column at which the factorization broke down.
+    position : int
+        Raised for a matrix of a stack: that matrix's place in the stack.
     """
 
     def __init__(self, pivot_index, pivot_value):
@@ -107,6 +110,14 @@ class IndexInterval:
         return self.lo if side is ConditioningSide.FIRST else self.hi
 
 
+def _square(m):
+    """``m`` as a float ndarray, which must be a square matrix."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def symmetrize(m):
     """Return the symmetric part of ``m``, rejecting genuinely asymmetric input.
 
@@ -124,15 +135,17 @@ def symmetrize(m):
     ------
     NotSymmetricError
         If ``m`` has a NaN or infinite entry, or if the asymmetry
-        ``||m - m'||`` exceeds ``1e-12 * max(||m||, 1)``.
+        ``||m - m'||`` exceeds ``1e-12 * max(||m||, 1)``; where ``||m||``
+        overflows, of ``m`` divided by its largest absolute entry.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(m)
     if not np.isfinite(m).all():
         raise NotSymmetricError("matrix has non-finite entries")
-    scale = np.linalg.norm(m)
-    gap = np.linalg.norm(m - m.T)
+    with np.errstate(over="ignore"):
+        scale, gap = np.linalg.norm(m), np.linalg.norm(m - m.T)
+    if np.isinf(scale):
+        unit = m / np.abs(m).max()
+        scale, gap = np.linalg.norm(unit), np.linalg.norm(unit - unit.T)
     if not gap <= _SYM_RTOL * max(scale, 1.0):
         raise NotSymmetricError(
             f"matrix is not symmetric: ||m - m'|| = {gap:.3e} vs ||m|| = {scale:.3e}"
@@ -150,61 +163,58 @@ def cholesky_spd(m):
     accepts any positive pivot, so the threshold is checked on the factor's
     diagonal afterwards.
     """
-    return _cholesky(symmetrize(m))
+    return _cholesky_stack(_square(m)[None])[0]
 
 
-def _cholesky(a):
-    """:func:`cholesky_spd` of an exactly symmetric ndarray, which it does not
-    check for symmetry."""
-    if a.shape[0] == 0:
-        return np.zeros((0, 0))
-    lower = _factor(a)
-    _check_pivots(np.diag(lower) ** 2, np.diag(a))
-    return lower
+def _cholesky_stack(stack, symmetric=False):
+    """:func:`cholesky_spd` of each matrix of a ``(K, n, n)`` stack: every SPD
+    factorization of the package runs here.
 
-
-def _check_pivots(pivots, diag):
-    """Raise for the first pivot not above ``1e-12 * max(diag)``."""
-    passed = pivots > _PIVOT_RTOL * max(float(np.max(diag)), 0.0)
-    if passed.all():
-        return
-    small = np.flatnonzero(~passed)
-    raise NotPositiveDefiniteError(small[0], pivots[small[0]])
-
-
-def _cholesky_stack(stack):
-    """:func:`cholesky_spd` of each matrix of a ``(K, n, n)`` stack, as one
-    ``(K, n, n)`` array of lower factors.
-
-    A finite, exactly symmetric stack whose pivots all pass is factorized by
-    one stacked LAPACK call, which gives each matrix the factor
-    :func:`cholesky_spd` gives it alone.  Any other stack is factorized one
-    matrix at a time, in stack order, so the first matrix that fails raises
-    what :func:`cholesky_spd` raises for it, and a nearly symmetric one is
-    factorized symmetrized.
+    A finite, exactly symmetric stack (``symmetric`` skips both tests, for
+    marked input) gets one LAPACK call and one pivot compare.  Any other
+    stack, or one LAPACK fails, is factorized a matrix at a time, nearly
+    symmetric ones symmetrized.  The first failing matrix raises, its error
+    carrying its ``position``.
     """
     stack = np.asarray(stack, dtype=float)
-    if np.isfinite(stack).all():
-        # a sum that overflows leaves sym unequal to stack; the loop reports it
-        with np.errstate(over="ignore"):
-            sym = (stack + stack.swapaxes(1, 2)) / 2.0
-        if np.array_equal(sym, stack):
-            try:
-                lower = np.linalg.cholesky(sym)
-            except np.linalg.LinAlgError:  # some matrix fails: the loop finds which
-                pass
-            else:
-                pivots = np.diagonal(lower, axis1=1, axis2=2) ** 2
-                diag_max = np.diagonal(sym, axis1=1, axis2=2).max(axis=1)
-                if (pivots > _PIVOT_RTOL * np.maximum(diag_max, 0.0)[:, None]).all():
-                    return lower
-    return np.stack([cholesky_spd(m) for m in stack])
+    if symmetric or (np.isfinite(stack).all() and np.array_equal(stack, stack.swapaxes(1, 2))):
+        try:
+            lower = np.linalg.cholesky(stack)
+        except np.linalg.LinAlgError:  # some matrix fails: the loop finds which
+            pass
+        else:
+            _check_pivots(np.diagonal(lower, 0, 1, 2) ** 2, np.diagonal(stack, 0, 1, 2))
+            return lower
+    lowers = []
+    for position, m in enumerate(stack):
+        try:
+            a = m if symmetric else symmetrize(m)
+            lowers.append(_factor(a))
+            _check_pivots(np.diag(lowers[-1]) ** 2, np.diag(a))
+        except (NotSymmetricError, NotPositiveDefiniteError) as err:
+            err.position = position
+            raise
+    return np.stack(lowers)
 
 
-def _factor(a):
+def _check_pivots(pivots, diag, rows=None):
+    """Raise for the first pivot of one matrix, or of a stack of them (one
+    per row), not above ``1e-12 * max(diag)`` of its matrix, naming its
+    column, or ``rows[column]``, and its matrix's position."""
+    passed = pivots > _PIVOT_RTOL * diag.max(axis=-1, initial=0.0, keepdims=True)
+    if passed.all():
+        return
+    first = np.flatnonzero(~passed)[0]
+    position, col = divmod(int(first), pivots.shape[-1])
+    err = NotPositiveDefiniteError(col if rows is None else rows[col], pivots.flat[first])
+    err.position = position
+    raise err
+
+
+def _factor(a, rows=None):
     """``np.linalg.cholesky`` of the symmetric ``a``.  Where numpy fails,
-    bisection over leading blocks finds the pivot, so
-    :class:`NotPositiveDefiniteError` is raised in place of ``LinAlgError``."""
+    bisection over leading blocks finds the pivot, and
+    :class:`NotPositiveDefiniteError` names its row, or ``rows[row]``."""
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -218,9 +228,9 @@ def _factor(a):
         except np.linalg.LinAlgError:
             hi = mid
     lower = np.linalg.cholesky(a[:lo, :lo])
-    _check_pivots(np.diag(lower) ** 2, np.diag(a))
+    _check_pivots(np.diag(lower) ** 2, np.diag(a), rows)
     row = np.linalg.solve(lower, a[:lo, lo])
-    raise NotPositiveDefiniteError(lo, a[lo, lo] - row @ row)
+    raise NotPositiveDefiniteError(lo if rows is None else rows[lo], a[lo, lo] - row @ row)
 
 
 def _cho_solve(lower, b):
@@ -241,13 +251,9 @@ def _inverse_from_factor(lower):
 
 
 def invert_spd(m):
-    """Inverse of a symmetric positive definite matrix via Cholesky.
-
-    Returns an exactly symmetric ndarray; raises
-    :class:`NotPositiveDefiniteError` / :class:`NotSymmetricError` as
-    appropriate.
-    """
-    return _inverse_from_factor(cholesky_spd(m))
+    """Exactly symmetric inverse of a symmetric positive definite matrix,
+    from its :func:`cholesky_spd` factor, raising as that does."""
+    return _inverse_from_factor(_cholesky_stack(_square(m)[None])[0])
 
 
 class BlockMatrix:
@@ -264,14 +270,12 @@ class BlockMatrix:
     Matrices that the package builds exactly symmetric (a law's covariance
     and precision, and the marginal precisions of
     :func:`marginal_precisions`) are wrapped without a copy and carry a
-    private mark, so that no symmetry check runs on them again.  A matrix
-    from this constructor never carries it.
+    private mark, so that no symmetry or finiteness check runs on them
+    again.  A matrix from this constructor never carries it.
     """
 
     def __init__(self, data, block_dim):
-        data = np.array(data, dtype=float)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {data.shape}")
+        data = _square(np.array(data, dtype=float))
         block_dim = int(block_dim)
         if block_dim < 1:
             raise ValueError("block_dim must be >= 1")
@@ -357,12 +361,12 @@ class BlockMatrix:
 
     def _spd_factor(self, keep=True):
         """Lower factor from :func:`cholesky_spd` of the whole matrix (with no
-        symmetry check for a marked one), computed once per matrix unless
-        ``keep`` is false; raises :class:`NotPositiveDefiniteError` on every
-        call while it fails."""
+        finiteness or symmetry check for a marked one), computed once per
+        matrix unless ``keep`` is false; raises on every call while it
+        fails."""
         if self._lower is not None:
             return self._lower
-        lower = _cholesky(self._data) if self._symmetric else cholesky_spd(self._data)
+        lower = _cholesky_stack(self._data[None], self._symmetric)[0]
         if keep:
             self._lower = lower
         return lower
@@ -390,6 +394,15 @@ def _block_norms(data, d):
     return norms
 
 
+def _block_matrix(m, block_dim):
+    """``m`` itself if a :class:`BlockMatrix`, else ``BlockMatrix(m, block_dim)``."""
+    if isinstance(m, BlockMatrix):
+        return m
+    if block_dim is None:
+        raise ValueError("block_dim is required for ndarray input")
+    return BlockMatrix(m, block_dim)
+
+
 class SequenceLaw:
     """Zero-mean nonsingular Gaussian sequence law on times ``0..N``.
 
@@ -407,16 +420,12 @@ class SequenceLaw:
     """
 
     def __init__(self, covariance, block_dim=None):
-        if isinstance(covariance, BlockMatrix):
-            bm = covariance
-        else:
-            if block_dim is None:
-                raise ValueError("block_dim is required for ndarray input")
-            bm = BlockMatrix(covariance, block_dim)
-        sym = symmetrize(bm.data)  # raises NotSymmetricError
-        self._factor = _cholesky(sym)  # raises NotPositiveDefiniteError
+        bm = _block_matrix(covariance, block_dim)
+        self._factor = bm._spd_factor(keep=False)
         self._precision = None
-        self._cov = BlockMatrix._wrap_symmetric(sym, bm.block_dim)
+        if not bm._symmetric:
+            bm = BlockMatrix._wrap_symmetric((bm.data + bm.data.T) / 2.0, bm.block_dim)
+        self._cov = bm
         if self._cov.n_blocks < 2:
             raise ValueError("a sequence law needs at least two times (N >= 1)")
 
@@ -446,13 +455,8 @@ class SequenceLaw:
     @classmethod
     def from_precision(cls, precision, block_dim=None):
         """Build a law from its precision (inverse covariance) matrix."""
-        if isinstance(precision, BlockMatrix):
-            mat, d = precision.data, precision.block_dim
-        else:
-            if block_dim is None:
-                raise ValueError("block_dim is required for ndarray input")
-            mat, d = np.asarray(precision, dtype=float), block_dim
-        return cls(invert_spd(mat), d)
+        prec = _block_matrix(precision, block_dim)
+        return cls(_inverse_from_factor(prec._spd_factor(keep=False)), prec.block_dim)
 
     def __repr__(self):
         return f"SequenceLaw(n_last={self.n_last}, dim={self.dim})"
@@ -476,10 +480,10 @@ def marginal_precisions(a: BlockMatrix, keep: Keep):
     ``keep=Keep.LEADING`` eliminates times ``N, N-1, ...``: it is the
     trailing sweep of the time-reversed matrix, which it factorizes once,
     with each yield reversed back.  Each step also checks its own ``d x d``
-    pivot, so either check raises
-    :class:`NotPositiveDefiniteError`.  The sweep costs O(N^3 d^3), against
-    O(N^4 d^3) for one direct block Schur complement per interval (kept as
-    the reference in ``tests/test_blocks.py``).
+    pivot, so either check raises :class:`NotPositiveDefiniteError`, which
+    names a row of ``a`` in either direction.  The sweep costs O(N^3 d^3),
+    against O(N^4 d^3) for one direct block Schur complement per interval
+    (kept as the reference in ``tests/test_blocks.py``).
 
     Yields
     ------
@@ -497,28 +501,30 @@ def marginal_precisions(a: BlockMatrix, keep: Keep):
     lower = a._spd_factor()
     mat = a.data if a._symmetric else (a.data + a.data.T) / 2.0
     wrap = BlockMatrix._wrap_symmetric
+    rows = np.arange(mat.shape[0])
     if keep is Keep.TRAILING:
-        for k, kept in _trailing_sweep(mat, lower, d):
+        for k, kept in _trailing_sweep(mat, lower, d, rows):
             yield IndexInterval(k, n_last), wrap(kept, d)
     else:
-        mirror = _reverse_time(mat, d)
-        for k, kept in _trailing_sweep(mirror, _factor(mirror), d):
+        mirror, rows = _reverse_time(mat, d), rows.reshape(-1, d)[::-1].ravel()
+        for k, kept in _trailing_sweep(mirror, _factor(mirror, rows), d, rows):
             yield IndexInterval(0, n_last - k), wrap(_reverse_time(kept, d), d)
 
 
-def _trailing_sweep(mat, lower, d):
+def _trailing_sweep(mat, lower, d, rows):
     """``(k, marginal precision of blocks k..N)`` for ``k = 1, ..., N-1``.
 
     If ``mat = L L'``, blocks ``k..N`` have the marginal precision
     ``L[k:, k:] L[k:, k:]'`` (Golub & Van Loan, *Matrix Computations*, 4.2),
     reached from the step before by a rank-d update with the next column
     block of ``L``.  Its pivots ``diag(L_kk)^2`` get the threshold set by
-    the diagonal of the step's own pivot block.
+    the diagonal of the step's own pivot block; a failing one is reported
+    at ``rows[i]`` for its row ``i`` of ``mat``.
     """
     work = mat
     for k in range(1, mat.shape[0] // d - 1):
         done = slice((k - 1) * d, k * d)
-        _check_pivots(lower.diagonal()[done] ** 2, work.diagonal()[:d])
+        _check_pivots(lower.diagonal()[done] ** 2, work.diagonal()[:d], rows[done])
         col = lower[k * d :, done]
         work = work[d:, d:] - col @ col.T
         yield k, work

@@ -326,7 +326,8 @@ def _regress(mat, d, targets, givens):
     ig = (np.asarray(givens)[:, :, None] * d + span).reshape(len(givens), -1)
     it = np.asarray(targets)[:, None] * d + span
     cross_t = mat[it[:, :, None], ig[:, None, :]].swapaxes(1, 2)
-    gains = _cho_solve(_cholesky_stack(mat[ig[:, :, None], ig[:, None, :]]), cross_t)
+    # mat is a law's covariance or its time reversal: exactly symmetric, finite
+    gains = _cho_solve(_cholesky_stack(mat[ig[:, :, None], ig[:, None, :]], True), cross_t)
     gains = gains.swapaxes(1, 2)
     noises = mat[it[:, :, None], it[:, None, :]] - gains @ cross_t
     return gains, (noises + noises.swapaxes(1, 2)) / 2.0
@@ -441,8 +442,7 @@ def model_covariance(model) -> SequenceLaw:
     """
     if not isinstance(model, _CmcModel):
         raise TypeError(f"expected a forward or backward model, got {type(model)!r}")
-    lower = assemble_precision(model)._spd_factor(keep=False)
-    return SequenceLaw(_inverse_from_factor(lower), model.dim)
+    return SequenceLaw.from_precision(assemble_precision(model))
 
 
 def _identity_residuals(pairs, floor=0.0):

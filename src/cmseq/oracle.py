@@ -30,7 +30,6 @@ from .blocks import (
     Tolerance,
     _cho_solve,
     _cholesky_stack,
-    cholesky_spd,
 )
 
 __all__ = [
@@ -125,9 +124,9 @@ def _evaluate(cov: BlockMatrix, triples):
     one triple would give it, as the stacked factorization and solves
     treat each matrix alone.  If some conditioning block ``C_ss`` is not
     SPD, the first such triple in the given order raises what
-    :func:`~cmseq.blocks.cholesky_spd` raises for its ``C_ss``, with a
-    :class:`NotPositiveDefiniteError` naming the covariance's own scalar
-    row.
+    :func:`~cmseq.blocks.cholesky_spd` raises for its ``C_ss``, and a
+    :class:`NotPositiveDefiniteError` names the covariance's own scalar
+    row, found from the ``position`` of ``C_ss`` in its stack.
     """
     groups = {}
     for i, (a, b, s) in enumerate(triples):
@@ -146,9 +145,12 @@ def _evaluate(cov: BlockMatrix, triples):
             continue
         c_ss = mat[js[:, :, None], js[:, None, :]]
         try:
-            lower = _cholesky_stack(c_ss)
-        except (NotPositiveDefiniteError, NotSymmetricError):
-            failures.append(_first_failure(c_ss, js, positions))
+            lower = _cholesky_stack(c_ss, cov._symmetric)
+        except (NotPositiveDefiniteError, NotSymmetricError) as err:
+            i = err.position
+            if isinstance(err, NotPositiveDefiniteError):
+                err = NotPositiveDefiniteError(js[i, err.pivot_index], err.pivot_value)
+            failures.append((positions[i], err))
             continue
         c_as = mat[ia[:, :, None], js[:, None, :]]
         c_sb = mat[js[:, :, None], ib[:, None, :]]
@@ -156,19 +158,6 @@ def _evaluate(cov: BlockMatrix, triples):
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     return out
-
-
-def _first_failure(c_ss, js, positions):
-    """``(position, error)`` for the first matrix of the failing stack
-    ``c_ss`` that :func:`~cmseq.blocks.cholesky_spd` rejects, its pivot
-    index mapped through ``js`` to a scalar row of the covariance."""
-    for i, m in enumerate(c_ss):
-        try:
-            cholesky_spd(m)
-        except NotPositiveDefiniteError as err:
-            return positions[i], NotPositiveDefiniteError(js[i, err.pivot_index], err.pivot_value)
-        except NotSymmetricError as err:
-            return positions[i], err
 
 
 def _check_size(law: SequenceLaw):
@@ -182,9 +171,13 @@ def _check_size(law: SequenceLaw):
 def _sweep(cov: BlockMatrix, queries, residual_tol):
     """Evaluate queries, normalizing residuals by the largest block norm of C.
 
-    The worst query is the first with the largest ratio.
+    The worst query is the first with the largest ratio.  A covariance whose
+    largest block norm overflows to inf is refused: every ratio would be
+    NaN or 0.
     """
     scale = cov.max_block_norm()
+    if np.isinf(scale):
+        raise ValueError(f"exhaustive sweep refused: the largest block norm of C is {scale}")
     ratios = np.zeros(len(queries))
     triples = [((q.target,), tuple(sorted(q.dropped)), tuple(sorted(q.retained))) for q in queries]
     for positions, stack in _evaluate(cov, triples):

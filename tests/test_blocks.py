@@ -3,7 +3,7 @@
 import subprocess
 import sys
 import warnings
-from unittest import mock
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,9 +23,8 @@ from cmseq import (
     invert_spd,
     symmetrize,
 )
-from cmseq import blocks
 from cmseq.blocks import _cholesky_stack, _inverse_from_factor, marginal_precisions
-from cmseq.fixtures import ar1_covariance, ar1_law
+from cmseq.fixtures import ar1_covariance, ar1_law, cyclic_example_law
 
 
 def schur_complement(a: BlockMatrix, split: int, keep: Keep) -> BlockMatrix:
@@ -169,6 +168,20 @@ def test_cholesky_rejects_asymmetric_input():
         cholesky_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+def test_symmetrize_judges_a_matrix_whose_norm_overflows_by_the_same_rule():
+    """||m|| and ||m - m'|| both overflow here, and inf <= 1e-12 * inf
+    would accept any such matrix."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotSymmetricError, match="not symmetric"):
+            symmetrize([[1e160, 0.0], [5e159, 1e160]])
+        with pytest.raises(NotSymmetricError):
+            SequenceLaw(np.array([[1e160, 0.0], [5e159, 1e160]]), 1)
+        big = 1e160 * cyclic_example_law().covariance.data
+        assert np.array_equal(symmetrize(big), big)
+        SequenceLaw(big, cyclic_example_law().dim)
+
+
 def test_symmetrize_accepts_roundoff_asymmetry():
     m = np.array([[1.0, 0.5], [0.5 + 1e-16, 1.0]])
     out = symmetrize(m)
@@ -204,22 +217,65 @@ def random_spd_stack(k, n, seed):
     return (m + m.swapaxes(1, 2)) / 2.0
 
 
+def check_threshold(pivots, diag):
+    passed = pivots > 1e-12 * max(float(np.max(diag)), 0.0)
+    if not passed.all():
+        small = np.flatnonzero(~passed)[0]
+        raise NotPositiveDefiniteError(small, pivots[small])
+
+
+def reference_cholesky(m):
+    """The per-matrix reference, one matrix alone: symmetrize, LAPACK, where
+    LAPACK fails a bisection over leading blocks for the failing pivot, and
+    the ``1e-12 * max(diag)`` threshold on the factor's pivots."""
+    a = symmetrize(m)
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        lo, hi = 0, len(a)  # a[:lo, :lo] factorizes, a[:hi, :hi] does not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                np.linalg.cholesky(a[:mid, :mid])
+                lo = mid
+            except np.linalg.LinAlgError:
+                hi = mid
+        lower = np.linalg.cholesky(a[:lo, :lo])
+        check_threshold(np.diag(lower) ** 2, np.diag(a))
+        row = np.linalg.solve(lower, a[:lo, lo])
+        raise NotPositiveDefiniteError(lo, a[lo, lo] - row @ row) from None
+    check_threshold(np.diag(lower) ** 2, np.diag(a))
+    return lower
+
+
 def stacked_results(stack):
     lower = _cholesky_stack(stack)
     return lower, _inverse_from_factor(lower)
 
 
 def per_matrix_results(stack):
-    """The reference: cholesky_spd, then invert_spd, on each matrix in order."""
-    lowers = [cholesky_spd(m) for m in stack]
-    return np.stack(lowers), np.stack([invert_spd(m) for m in stack])
+    """The reference on each matrix in order, and each inverse from its
+    factor by two triangular solves."""
+    lowers = [reference_cholesky(m) for m in stack]
+    invs = [np.linalg.solve(low.T, np.linalg.solve(low, np.eye(len(low)))) for low in lowers]
+    return np.stack(lowers), np.stack([(inv + inv.T) / 2.0 for inv in invs])
 
 
 def raised(fn, *args):
     with pytest.raises((NotPositiveDefiniteError, NotSymmetricError)) as err:
         fn(*args)
     e = err.value
-    return type(e), str(e), getattr(e, "pivot_index", None)
+    return type(e), str(e), getattr(e, "pivot_index", None), getattr(e, "pivot_value", None)
+
+
+@contextmanager
+def lapack_calls():
+    """The shapes of the ``np.linalg.cholesky`` calls made inside it."""
+    calls = []
+    cholesky = np.linalg.cholesky
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", lambda a: calls.append(np.shape(a)) or cholesky(a))
+        yield calls
 
 
 STACK_SIZES = dict(
@@ -232,45 +288,82 @@ STACK_SIZES = dict(
 @settings(max_examples=80, deadline=None)
 @given(**STACK_SIZES)
 def test_stacked_factors_and_inverses_match_the_per_matrix_calls(k, n, seed):
-    """Bit for bit, from one stacked LAPACK call and no per-matrix one."""
+    """Bit for bit, from exactly one (stacked) LAPACK call."""
     stack = random_spd_stack(k, n, seed)
-    with mock.patch.object(blocks, "cholesky_spd", wraps=blocks.cholesky_spd) as loop:
+    with lapack_calls() as calls:
         lower, inv = stacked_results(stack)
-    assert loop.call_count == 0
+    assert calls == [(k, n, n)]
     want_lower, want_inv = per_matrix_results(stack)
     assert lower.tobytes() == want_lower.tobytes()
     assert inv.tobytes() == want_inv.tobytes()
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    **STACK_SIZES,
-    where=st.integers(min_value=0, max_value=8),
-    kind=st.sampled_from(["indefinite", "nan", "asymmetric"]),
-    later=st.booleans(),
-)
-def test_a_failing_member_raises_what_the_per_matrix_loop_raises(k, n, seed, where, kind, later):
-    """Same type, message and pivot index, from the first failing matrix;
-    with ``later`` a second, different failure follows it in the stack."""
-    assume(kind != "asymmetric" or n >= 2)
+@pytest.mark.parametrize("spd", [cholesky_spd, invert_spd])
+def test_a_single_matrix_is_a_stack_of_one(spd):
+    m = random_spd_stack(1, 4, seed=3)[0]
+    with lapack_calls() as calls:
+        got = spd(m)
+    assert calls == [(1, 4, 4)]
+    lower, inv = per_matrix_results(m[None])
+    assert got.tobytes() == (lower if spd is cholesky_spd else inv)[0].tobytes()
+
+
+def failing_stack(k, n, seed, where, kind, later):
+    """A stack whose matrix ``where % k`` fails as ``kind``, and, where
+    there is room after it, whose last matrix fails as ``later``."""
     stack = random_spd_stack(k, n, seed)
     j, p = where % k, seed % n
     if kind == "indefinite":
         stack[j, p, p] = -1.0  # leading pivots pass, pivot p fails
     elif kind == "nan":
         stack[j, p, p] = np.nan
+    elif kind == "tiny":  # LAPACK accepts pivot p, the threshold does not
+        stack[j, p, :] = stack[j, :, p] = 0.0
+        stack[j, p, p] = 1e-14 * stack[j].diagonal().max()
     else:
         stack[j, 0, n - 1] += 1.0
-    if later and j + 1 < k:
+    if later == "indefinite" and j + 1 < k:
         stack[k - 1, 0, 0] = -2.0
+    elif later == "asymmetric" and j + 1 < k:
+        stack[k - 1, n - 1, 0] += 1.0
+    return stack, j
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    **STACK_SIZES,
+    where=st.integers(min_value=0, max_value=8),
+    kind=st.sampled_from(["indefinite", "nan", "tiny", "asymmetric"]),
+    later=st.sampled_from([None, "indefinite", "asymmetric"]),
+)
+def test_a_failing_member_raises_what_the_per_matrix_loop_raises(k, n, seed, where, kind, later):
+    """Same type, message and pivot, from the first failing matrix, which
+    the error names by its position; with ``later`` a second, different
+    failure follows it in the stack (an indefinite matrix raises before a
+    later asymmetric one)."""
+    assume(n >= 2 or (kind in ("indefinite", "nan") and later != "asymmetric"))
+    stack, j = failing_stack(k, n, seed, where, kind, later)
     assert raised(stacked_results, stack) == raised(per_matrix_results, stack)
+    with pytest.raises((NotPositiveDefiniteError, NotSymmetricError)) as err:
+        _cholesky_stack(stack)
+    assert err.value.position == j
+
+
+@pytest.mark.parametrize("kind", ["indefinite", "nan", "tiny", "asymmetric"])
+@pytest.mark.parametrize("k,n", [(1, 3), (3, 3), (4, 2)])
+def test_a_failing_member_raises_the_same_under_numpy_1_solve(k, n, kind, request):
+    """The failure path's bisection solves one vector right-hand side."""
+    stack, _ = failing_stack(k, n, seed=k + n, where=k - 1, kind=kind, later=None)
+    want = raised(per_matrix_results, stack)
+    request.getfixturevalue("numpy1_solve")
+    assert raised(stacked_results, stack) == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(**STACK_SIZES, where=st.integers(min_value=0, max_value=8))
 def test_a_nearly_symmetric_stack_gives_the_symmetrized_results(k, n, seed, where):
     """One entry off by an ulp: symmetrize accepts the gap, and the stack
-    gets what each matrix gets from cholesky_spd and invert_spd."""
+    gets what the reference gives each matrix symmetrized."""
     assume(n >= 2)
     stack = random_spd_stack(k, n, seed)
     m = stack[where % k]
@@ -454,8 +547,21 @@ def test_leading_sweep_checks_each_pivot_against_its_own_diagonal():
     assert next(sweep)[0] == IndexInterval(0, 2)
     with pytest.raises(NotPositiveDefiniteError) as exc:
         next(sweep)
-    assert exc.value.pivot_index == 1
+    assert exc.value.pivot_index == 5  # the row of a: time 2, component 1
     assert 0 < exc.value.pivot_value < 1e-12
+
+
+def test_leading_sweep_names_a_row_of_a_where_lapack_fails_the_reversed_matrix():
+    """As above, with x_2's two components collinear given x_3 to 1e-22:
+    LAPACK fails the time-reversed matrix, and the bisection's pivot is
+    reported at the row of ``a``, not of its reversal."""
+    rows = np.eye(8)
+    rows[5] = rows[4] + 1e-5 * (rows[6] + 1e-6 * rows[5])
+    a = BlockMatrix(rows @ rows.T, 2)
+    cholesky_spd(a.data)
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        next(marginal_precisions(a, Keep.LEADING))
+    assert exc.value.pivot_index == 5
 
 
 def test_sequence_law_caches_read_only_precision():

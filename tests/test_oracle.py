@@ -339,6 +339,18 @@ def test_the_first_failing_query_raises_when_a_later_stack_fails_too():
     assert err.value.pivot_index == 4 and err.value.pivot_value == -2.0
 
 
+def test_a_covariance_whose_block_norm_overflows_is_refused(cyclic_law):
+    """Every ratio would be inf / inf or 0 / inf, so the sweep refuses
+    rather than report that the property holds."""
+    assert not oracle_markov(cyclic_law).holds
+    big = SequenceLaw(1e160 * cyclic_law.covariance.data, cyclic_law.dim)
+    for sweep in (oracle_markov, oracle_reciprocal):
+        with pytest.raises(ValueError, match="largest block norm of C is inf"):
+            sweep(big)
+    with pytest.raises(ValueError, match="largest block norm"):
+        oracle_cm_interval(big, IndexInterval(0, big.n_last), FIRST)
+
+
 def test_queries_and_indices_are_validated():
     with pytest.raises(ValueError, match="non-negative"):
         CiQuery(-1, (0,), (1,))

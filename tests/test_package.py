@@ -1,6 +1,7 @@
 """The package namespace and the demo scripts."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,25 @@ def test_marginal_precisions_and_keep_work_from_the_package_alone():
     law = cmseq.random_law(cmseq.LawClass.RECIPROCAL, 4, 1, seed=0)
     sweep = cmseq.marginal_precisions(law.precision(), cmseq.Keep.LEADING)
     assert [iv for iv, _ in sweep] == [cmseq.IndexInterval(0, k) for k in (3, 2, 1)]
+
+
+# numpy names and keywords that numpy 1.24, the declared floor, lacks or reads
+# otherwise; the package's stacked solves are covered by the numpy1_solve fixture
+NUMPY_2_ONLY = (
+    r"\bcopy=", r"\bvector_norm\b", r"\bmatrix_norm\b", r"\bmatrix_transpose\b", r"\.mT\b",
+    r"\bnp\.concat\(", r"\bnp\.astype\b", r"\bisdtype\b", r"\bunstack\b", r"\bcumulative_sum\b",
+)
+
+
+def test_the_package_uses_no_numpy_2_only_name():
+    src = Path(cmseq.__file__).parent
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if any(re.search(pattern, line) for pattern in NUMPY_2_ONLY)
+    ]
+    assert found == []
 
 
 def test_the_demos_are_found():

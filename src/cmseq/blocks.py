@@ -118,6 +118,16 @@ def _square(m):
     return m
 
 
+def _symmetric_part(m):
+    """``(m + m') / 2`` of a finite ``m``; ``m/2 + m'/2`` where the sum overflows."""
+    with np.errstate(over="ignore"):
+        part = (m + m.T) / 2.0
+    over = np.isinf(part)
+    if over.any():
+        part[over] = (m / 2.0 + m.T / 2.0)[over]
+    return part
+
+
 def symmetrize(m):
     """Return the symmetric part of ``m``, rejecting genuinely asymmetric input.
 
@@ -129,7 +139,7 @@ def symmetrize(m):
     Returns
     -------
     ndarray
-        ``(m + m') / 2``.
+        ``(m + m') / 2``, or ``m/2 + m'/2`` where the sum overflows.
 
     Raises
     ------
@@ -150,7 +160,7 @@ def symmetrize(m):
         raise NotSymmetricError(
             f"matrix is not symmetric: ||m - m'|| = {gap:.3e} vs ||m|| = {scale:.3e}"
         )
-    return (m + m.T) / 2.0
+    return _symmetric_part(m)
 
 
 def cholesky_spd(m):
@@ -329,13 +339,6 @@ class BlockMatrix:
         d = self._d
         return self._data[i * d : (i + 1) * d, j * d : (j + 1) * d].copy()
 
-    def block_norm(self, i, j):
-        """Frobenius norm of block ``(i, j)``."""
-        d = self._d
-        return float(
-            np.linalg.norm(self._data[i * d : (i + 1) * d, j * d : (j + 1) * d])
-        )
-
     def block_norms(self):
         """Frobenius norms of all blocks as a read-only ``n_blocks x n_blocks``
         array, computed once per matrix."""
@@ -424,7 +427,7 @@ class SequenceLaw:
         self._factor = bm._spd_factor(keep=False)
         self._precision = None
         if not bm._symmetric:
-            bm = BlockMatrix._wrap_symmetric((bm.data + bm.data.T) / 2.0, bm.block_dim)
+            bm = BlockMatrix._wrap_symmetric(_symmetric_part(bm.data), bm.block_dim)
         self._cov = bm
         if self._cov.n_blocks < 2:
             raise ValueError("a sequence law needs at least two times (N >= 1)")
@@ -499,7 +502,7 @@ def marginal_precisions(a: BlockMatrix, keep: Keep):
     if n_last < 2:
         return
     lower = a._spd_factor()
-    mat = a.data if a._symmetric else (a.data + a.data.T) / 2.0
+    mat = a.data if a._symmetric else _symmetric_part(a.data)
     wrap = BlockMatrix._wrap_symmetric
     rows = np.arange(mat.shape[0])
     if keep is Keep.TRAILING:

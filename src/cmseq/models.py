@@ -45,6 +45,7 @@ identity ("add-on") for Markovness, checked here with scale-free residuals.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
@@ -63,7 +64,7 @@ from .blocks import (
     _reverse_time,
     invert_spd,
 )
-from .patterns import PatternSpec, allowed_support
+from .patterns import PatternSpec, _support_grid
 
 __all__ = [
     "BoundaryCondition",
@@ -308,10 +309,6 @@ class CheckResult:
     worst_index: int | None
 
 
-def _block(mat, d, i, j):
-    return mat[i * d : (i + 1) * d, j * d : (j + 1) * d]
-
-
 def _regress(mat, d, targets, givens):
     """Gaussian conditional coefficients of each x_target on its given times.
 
@@ -350,7 +347,8 @@ def _regressions(mat, n, d, c, bc):
 
     def boundary(start, end):
         """x_start = e_start, and x_end regressed on it alone."""
-        g_noise[start] = _block(mat, d, start, start).copy()
+        t = slice(start * d, (start + 1) * d)
+        g_noise[start] = mat[t, t].copy()
         gains, noises = _regress(mat, d, [end], [[start]])
         g_noise[end] = noises[0]
         return gains[0].copy()
@@ -545,8 +543,7 @@ _CLASSES = {
 def _rescale_to(block, target_norm):
     norm = np.linalg.norm(block)
     if norm == 0.0:
-        d = block.shape[0]
-        return (target_norm / np.sqrt(d)) * np.eye(d)
+        return (target_norm / np.sqrt(len(block))) * np.eye(len(block))
     return block * (target_norm / norm)
 
 
@@ -565,7 +562,7 @@ def random_law(law_class: LawClass, n_last: int, dim: int, seed: int) -> Sequenc
     outside the class below.  Determinism depends only on
     (law_class, n_last, dim, seed).
     """
-    n, d = int(n_last), int(dim)
+    n, d = operator.index(n_last), operator.index(dim)
     if n < 2:
         raise ValueError("random_law needs n_last >= 2")
     if d < 1:
@@ -575,19 +572,18 @@ def random_law(law_class: LawClass, n_last: int, dim: int, seed: int) -> Sequenc
             f"{law_class.value} laws need n_last >= 3: at n_last = 2 every "
             "conditioning pattern is already cyclic"
         )
-    upper = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
     code, own, below = _CLASSES[law_class]
-    support = allowed_support(own(n)) if own else set(upper)
-    forbidden = support - allowed_support(below(n)) if below else set()
-    witnesses = [ij for ij in upper if ij in forbidden]
-    rng = np.random.default_rng([code, n, d, int(seed)])
-    blocks = {ij: rng.uniform(-0.5, 0.5, (d, d)) for ij in upper if ij in support}
-    if witnesses and max(np.linalg.norm(blocks[ij]) for ij in witnesses) < 0.1:
-        blocks[witnesses[0]] = _rescale_to(blocks[witnesses[0]], 0.3)
+    allowed = _support_grid(own(n)) if own else np.ones((n + 1, n + 1), dtype=bool)
+    support = np.triu(allowed, 1)  # the upper blocks the class allows
+    rng = np.random.default_rng([code, n, d, operator.index(seed)])
     grid = np.zeros((n + 1, n + 1, d, d))  # grid[i, j] is block (i, j)
-    for (i, j), b in blocks.items():
-        grid[i, j] = b
-        grid[j, i] = b.T
+    grid[support] = rng.uniform(-0.5, 0.5, (support.sum(), d, d))  # row-major order
+    if below:
+        witnesses = support & ~_support_grid(below(n))
+        if np.linalg.norm(grid[witnesses], axis=(1, 2)).max() < 0.1:
+            i, j = np.argwhere(witnesses)[0]
+            grid[i, j] = _rescale_to(grid[i, j], 0.3)
+    grid += grid.transpose(1, 0, 3, 2)  # the lower blocks mirror the upper
     # absolute sum of each block, then of each row in column order: cumsum
     # adds sequentially, where a plain sum would add pairwise
     block_abs = np.abs(grid).reshape(n + 1, n + 1, d * d).sum(axis=2)

@@ -19,8 +19,12 @@ verdict invariant to a common rescaling of the matrix (not to a per-time
 change of coordinates).  All block norms are computed in one vectorized
 pass, once per matrix: every detection on the same matrix reads the same
 cached ratio grid.  The worst off-support block is found with ``argmax``
-over a boolean mask cached per :class:`PatternSpec`; ties go to the first
-block in row-major order, and a block ties with its transpose.
+over the ratios outside the pattern's support grid; ties go to the first
+block in row-major order, and a block ties with its transpose.  That
+read-only boolean grid is the one place each pattern is written:
+``_support_grid`` builds it by index arithmetic, and :func:`allowed_support`
+and :func:`~cmseq.models.random_law` read it too.  At most 1024 grids are
+cached, which bounds their memory; a miss costs microseconds.
 
 ``detect`` rejects an asymmetric or non-finite matrix with
 :class:`~cmseq.blocks.NotSymmetricError`.  It skips that check only on the
@@ -32,6 +36,7 @@ the public ``BlockMatrix(...)`` constructor is checked on every call.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -64,7 +69,7 @@ class PatternSpec:
     n_last: int
 
     def __post_init__(self):
-        if self.n_last < 1:
+        if operator.index(self.n_last) < 1:  # TypeError for a non-integer
             raise ValueError("n_last must be >= 1")
 
     @classmethod
@@ -102,17 +107,7 @@ class PatternWitness:
 
 def allowed_support(spec: PatternSpec) -> frozenset[tuple[int, int]]:
     """The set of block positions ``(i, j)`` a pattern allows to be nonzero."""
-    n = spec.n_last
-    band = {(i, j) for i in range(n + 1) for j in range(n + 1) if abs(i - j) <= 1}
-    if spec.kind is PatternKind.TRIDIAGONAL:
-        extra = set()
-    elif spec.kind is PatternKind.CYCLIC_TRIDIAGONAL:
-        extra = {(0, n), (n, 0)}
-    elif spec.kind is PatternKind.CM_L:
-        extra = {(k, n) for k in range(n - 1)} | {(n, k) for k in range(n - 1)}
-    else:  # CM_F
-        extra = {(0, j) for j in range(2, n + 1)} | {(j, 0) for j in range(2, n + 1)}
-    return frozenset(band | extra)
+    return frozenset(map(tuple, np.argwhere(_support_grid(spec)).tolist()))
 
 
 def detect(m: BlockMatrix, spec: PatternSpec, tol: Tolerance = Tolerance()) -> PatternWitness:
@@ -140,7 +135,7 @@ def detect(m: BlockMatrix, spec: PatternSpec, tol: Tolerance = Tolerance()) -> P
         )
     if not m._symmetric:
         symmetrize(m.data)  # raises NotSymmetricError on bad input
-    ratios = np.where(_off_support_mask(spec), m._ratio_grid(), 0.0)
+    ratios = np.where(_support_grid(spec), 0.0, m._ratio_grid())
     flat = int(ratios.argmax())  # first maximum in row-major order
     worst_ratio = float(ratios.flat[flat])
     worst_block = divmod(flat, n_last + 1) if worst_ratio > 0 else None
@@ -148,11 +143,16 @@ def detect(m: BlockMatrix, spec: PatternSpec, tol: Tolerance = Tolerance()) -> P
 
 
 @lru_cache(maxsize=1024)
-def _off_support_mask(spec: PatternSpec):
-    """Read-only boolean grid, true where the pattern requires a zero block."""
-    n = spec.n_last + 1
-    mask = np.ones((n, n), dtype=bool)
-    for i, j in allowed_support(spec):
-        mask[i, j] = False
-    mask.setflags(write=False)
-    return mask
+def _support_grid(spec: PatternSpec):
+    """Read-only boolean grid, true where the pattern allows a nonzero block."""
+    grid = np.eye(spec.n_last + 1, dtype=bool)
+    i = np.arange(spec.n_last)
+    grid[i, i + 1] = grid[i + 1, i] = True  # the band |i - j| <= 1
+    if spec.kind is PatternKind.CYCLIC_TRIDIAGONAL:
+        grid[0, -1] = grid[-1, 0] = True
+    elif spec.kind is PatternKind.CM_L:
+        grid[-1] = grid[:, -1] = True
+    elif spec.kind is PatternKind.CM_F:
+        grid[0] = grid[:, 0] = True
+    grid.setflags(write=False)
+    return grid

@@ -188,6 +188,26 @@ def test_symmetrize_accepts_roundoff_asymmetry():
     np.testing.assert_allclose(out, out.T)
 
 
+def test_the_symmetric_part_does_not_overflow():
+    """Past about 9e307, m + m' overflows: those entries sum the halves
+    instead, and every other entry keeps the bits of (m + m') / 2."""
+    diag = np.diag([1e308, 1e308])
+    near = np.array([[1e308, 1e300], [1e300 * (1 + 1e-15), 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(symmetrize(diag), diag)
+        assert np.array_equal(SequenceLaw(diag, 1).covariance.data, diag)
+        off = (near[0, 1] + near[1, 0]) / 2
+        assert np.array_equal(symmetrize(near), [[1e308, off], [off, 1e308]])
+        law = SequenceLaw(near, 1)  # SPD: it must not read an inf pivot
+        assert np.array_equal(law.covariance.data, [[1e308, off], [off, 1e308]])
+        assert np.isfinite(law.precision().data).all()
+        big = BlockMatrix(np.diag([1e308] * 4), 1)  # unmarked
+        for keep in Keep:
+            for iv, delta in marginal_precisions(big, keep):
+                assert np.array_equal(delta.data, np.diag([1e308] * (iv.hi - iv.lo + 1)))
+
+
 def test_invert_spd_is_exact_inverse_and_symmetric():
     m = ar1_covariance(4)
     inv = invert_spd(m)
@@ -393,7 +413,7 @@ def test_block_matrix_addressing_and_immutability():
     assert bm.n_blocks == 2
     assert bm.shape == (4, 4)
     np.testing.assert_array_equal(bm.block(0, 1), data[0:2, 2:4])
-    assert bm.block_norm(1, 0) == pytest.approx(np.linalg.norm(data[2:4, 0:2]))
+    assert bm.block_norms()[1, 0] == pytest.approx(np.linalg.norm(data[2:4, 0:2]))
     assert bm.max_block_norm() == pytest.approx(
         max(np.linalg.norm(data[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]) for i in (0, 1) for j in (0, 1))
     )

@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmseq import (
     BackwardCmcModel,
@@ -15,7 +17,9 @@ from cmseq import (
     LawClass,
     NotPositiveDefiniteError,
     PatternSpec,
+    SequenceLaw,
     Tolerance,
+    allowed_support,
     assemble_precision,
     assemble_precision_backward,
     assemble_script_g,
@@ -33,7 +37,7 @@ from cmseq import (
     random_law,
 )
 from cmseq import blocks, models
-from cmseq.blocks import _cho_solve, cholesky_spd
+from cmseq.blocks import _cho_solve, cholesky_spd, invert_spd
 from cmseq.serialize import save_model
 from cmseq.simulate import sample_backward, sample_forward
 from cmseq.fixtures import ar1_law, cml_example_law, cyclic_example_law, identity_law
@@ -641,6 +645,68 @@ def test_random_law_size_validation():
         random_law(LawClass.CM_F_ONLY, 2, 1, 0)
     with pytest.raises(ValueError):
         random_law(LawClass.MARKOV, 3, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "args", [(3.9, 1, 0), (3, 1.7, 0), (3, 1, 2.5), (3.0, 1, 0), ("3", 1, 0)]
+)
+def test_random_law_rejects_non_integer_arguments(args):
+    """A float size, dimension or seed is not truncated to a different law."""
+    with pytest.raises(TypeError):
+        random_law(LawClass.MARKOV, *args)
+
+
+def test_random_law_accepts_numpy_integers():
+    want = random_law(LawClass.CM_F_ONLY, 5, 2, 7).covariance.data
+    got = random_law(LawClass.CM_F_ONLY, np.int64(5), np.int32(2), np.uint8(7))
+    assert got.covariance.data.tobytes() == want.tobytes()
+
+
+def reference_random_law(law_class, n_last, dim, seed):
+    """Set-built random law: the support from set algebra on
+    ``allowed_support``, one draw and one mirror per block."""
+    n, d = n_last, dim
+    upper = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    code, own, below = models._CLASSES[law_class]
+    support = allowed_support(own(n)) if own else set(upper)
+    forbidden = support - allowed_support(below(n)) if below else set()
+    witnesses = [ij for ij in upper if ij in forbidden]
+    rng = np.random.default_rng([code, n, d, seed])
+    blocks = {ij: rng.uniform(-0.5, 0.5, (d, d)) for ij in upper if ij in support}
+    if witnesses and max(np.linalg.norm(blocks[ij]) for ij in witnesses) < 0.1:
+        blocks[witnesses[0]] = models._rescale_to(blocks[witnesses[0]], 0.3)
+    grid = np.zeros((n + 1, n + 1, d, d))
+    for (i, j), b in blocks.items():
+        grid[i, j] = b
+        grid[j, i] = b.T
+    block_abs = np.abs(grid).reshape(n + 1, n + 1, d * d).sum(axis=2)
+    row_abs = np.cumsum(block_abs, axis=1)[:, -1]
+    diag = np.arange(n + 1)
+    grid[diag, diag] = (1.0 + row_abs)[:, None, None] * np.eye(d)
+    a = grid.transpose(0, 2, 1, 3).reshape((n + 1) * d, (n + 1) * d)
+    return SequenceLaw(invert_spd(a), d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    law_class=st.sampled_from(list(LawClass)),
+    n_last=st.integers(min_value=2, max_value=12),
+    d=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_random_law_matches_the_set_built_reference(law_class, n_last, d, seed):
+    if law_class in (LawClass.CM_L_ONLY, LawClass.CM_F_ONLY):
+        n_last = max(n_last, 3)
+    got = random_law(law_class, n_last, d, seed).covariance.data
+    want = reference_random_law(law_class, n_last, d, seed).covariance.data
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("law_class", list(LawClass))
+def test_a_large_random_law_matches_the_set_built_reference(law_class):
+    got = random_law(law_class, 80, 2, 1).covariance.data
+    want = reference_random_law(law_class, 80, 2, 1).covariance.data
+    assert got.tobytes() == want.tobytes()
 
 
 def test_model_covariance_dispatches_on_type():

@@ -19,6 +19,7 @@ from cmseq import (
     random_law,
 )
 from cmseq.blocks import marginal_precisions
+from cmseq.patterns import _support_grid
 
 
 def band(n):
@@ -69,6 +70,56 @@ def test_conditioning_pattern_intersection_is_cyclic(n):
 def test_pattern_spec_validation():
     with pytest.raises(ValueError):
         PatternSpec.tridiagonal(0)
+
+
+@pytest.mark.parametrize("n_last", [2.5, 3.0, "3", None])
+def test_pattern_spec_rejects_a_non_integer_size(n_last):
+    """``np.arange(3.5)`` has four entries: a float size would build a
+    4 x 4 grid for a pattern that matches no matrix."""
+    with pytest.raises(TypeError):
+        PatternSpec(PatternKind.CM_L, n_last)
+
+
+def test_pattern_spec_accepts_numpy_integers():
+    spec = PatternSpec(PatternKind.CM_F, np.int64(4))
+    assert spec == PatternSpec.cm_f(4)
+    assert allowed_support(spec) == allowed_support(PatternSpec.cm_f(4))
+
+
+def reference_support(spec):
+    """Set-built support, one comprehension per index rule."""
+    n = spec.n_last
+    band = {(i, j) for i in range(n + 1) for j in range(n + 1) if abs(i - j) <= 1}
+    if spec.kind is PatternKind.TRIDIAGONAL:
+        extra = set()
+    elif spec.kind is PatternKind.CYCLIC_TRIDIAGONAL:
+        extra = {(0, n), (n, 0)}
+    elif spec.kind is PatternKind.CM_L:
+        extra = {(k, n) for k in range(n - 1)} | {(n, k) for k in range(n - 1)}
+    else:  # CM_F
+        extra = {(0, j) for j in range(2, n + 1)} | {(j, 0) for j in range(2, n + 1)}
+    return frozenset(band | extra)
+
+
+@pytest.mark.parametrize("kind", list(PatternKind))
+def test_support_grid_matches_the_set_built_reference(kind):
+    """Every size up to 200: the same positions, as a frozenset of tuples
+    of Python ints."""
+    for n_last in range(1, 201):
+        spec = PatternSpec(kind, n_last)
+        support = allowed_support(spec)
+        assert type(support) is frozenset
+        assert support == reference_support(spec), n_last
+        assert all(type(p) is tuple and [type(i) for i in p] == [int, int] for p in support)
+
+
+@pytest.mark.parametrize("kind", list(PatternKind))
+def test_support_grid_is_read_only_and_cached(kind):
+    grid = _support_grid(PatternSpec(kind, 6))
+    assert grid.dtype == bool and grid.shape == (7, 7)
+    with pytest.raises(ValueError):
+        grid[0, 6] = not grid[0, 6]
+    assert _support_grid(PatternSpec(kind, 6)) is grid
 
 
 def matrix_with_support(n, support, coupling=-0.31):
@@ -145,8 +196,8 @@ def reference_detect(m, spec, tol=Tolerance()):
     """Per-block loop: the worst off-pattern block, first in row-major order
     among equals, with a block and its transpose counting as equal."""
     n = m.n_blocks
-    support = allowed_support(spec)
-    norms = np.array([[m.block_norm(i, j) for j in range(n)] for i in range(n)])
+    support = reference_support(spec)
+    norms = np.array([[np.linalg.norm(m.block(i, j)) for j in range(n)] for i in range(n)])
     norms = np.maximum(norms, norms.T)
     scale = norms.max()
     worst_block, worst_ratio = None, 0.0

@@ -119,12 +119,14 @@ def _square(m):
 
 
 def _symmetric_part(m):
-    """``(m + m') / 2`` of a finite ``m``; ``m/2 + m'/2`` where the sum overflows."""
+    """``(m + m') / 2`` of a finite ``m``, or of each matrix of a stack;
+    ``m/2 + m'/2`` where the sum overflows."""
+    mt = m.swapaxes(-1, -2)
     with np.errstate(over="ignore"):
-        part = (m + m.T) / 2.0
+        part = (m + mt) / 2.0
     over = np.isinf(part)
     if over.any():
-        part[over] = (m / 2.0 + m.T / 2.0)[over]
+        part[over] = (m / 2.0 + mt / 2.0)[over]
     return part
 
 
@@ -210,13 +212,14 @@ def _cholesky_stack(stack, symmetric=False):
 def _check_pivots(pivots, diag, rows=None):
     """Raise for the first pivot of one matrix, or of a stack of them (one
     per row), not above ``1e-12 * max(diag)`` of its matrix, naming its
-    column, or ``rows[column]``, and its matrix's position."""
+    column, or its entry of ``rows`` (shaped as ``pivots``), and its
+    matrix's position."""
     passed = pivots > _PIVOT_RTOL * diag.max(axis=-1, initial=0.0, keepdims=True)
     if passed.all():
         return
     first = np.flatnonzero(~passed)[0]
     position, col = divmod(int(first), pivots.shape[-1])
-    err = NotPositiveDefiniteError(col if rows is None else rows[col], pivots.flat[first])
+    err = NotPositiveDefiniteError(col if rows is None else rows.flat[first], pivots.flat[first])
     err.position = position
     raise err
 
@@ -257,7 +260,7 @@ def _inverse_from_factor(lower):
     """Exactly symmetric inverse of ``L L'`` from its lower Cholesky factor,
     or the inverses of a stack of them, each as it would be alone."""
     inv = _cho_solve(lower, np.broadcast_to(np.eye(lower.shape[-1]), lower.shape))
-    return (inv + inv.swapaxes(-1, -2)) / 2.0
+    return _symmetric_part(inv)
 
 
 def invert_spd(m):
@@ -347,17 +350,10 @@ class BlockMatrix:
         return self._norms
 
     def _ratio_grid(self):
-        """Read-only grid of ``max(norms, norms') / max(norms)`` over the block
-        norms (all zero for the zero matrix), computed once per matrix.
-
-        A block and its transpose get the same ratio, so pattern detection
-        reports the upper one of an asymmetric pair first.
-        """
+        """Read-only :func:`_ratios` grid of the block norms, computed once
+        per matrix."""
         if self._ratios is None:
-            norms = self.block_norms()
-            norms = np.maximum(norms, norms.T)
-            scale = norms.max()
-            ratios = norms / scale if scale > 0 else np.zeros_like(norms)
+            ratios = _ratios(self.block_norms())
             ratios.setflags(write=False)
             self._ratios = ratios
         return self._ratios
@@ -395,6 +391,18 @@ def _block_norms(data, d):
     norms = np.sqrt(np.einsum("iajb,iajb->ij", b, b))
     norms.setflags(write=False)
     return norms
+
+
+def _ratios(norms):
+    """``max(norms, norms') / max(norms)`` of a grid of block norms (all zero
+    for a zero grid).
+
+    A block and its transpose get the same ratio, so pattern detection
+    reports the upper one of an asymmetric pair first.
+    """
+    norms = np.maximum(norms, norms.T)
+    scale = norms.max()
+    return norms / scale if scale > 0 else np.zeros_like(norms)
 
 
 def _block_matrix(m, block_dim):
@@ -483,10 +491,13 @@ def marginal_precisions(a: BlockMatrix, keep: Keep):
     ``keep=Keep.LEADING`` eliminates times ``N, N-1, ...``: it is the
     trailing sweep of the time-reversed matrix, which it factorizes once,
     with each yield reversed back.  Each step also checks its own ``d x d``
-    pivot, so either check raises :class:`NotPositiveDefiniteError`, which
-    names a row of ``a`` in either direction.  The sweep costs O(N^3 d^3),
-    against O(N^4 d^3) for one direct block Schur complement per interval
-    (kept as the reference in ``tests/test_blocks.py``).
+    pivot before it yields, so either check raises
+    :class:`NotPositiveDefiniteError`, which names a row of ``a`` in either
+    direction.  The sweep costs O(N^3 d^3), against O(N^4 d^3) for one
+    direct block Schur complement per interval (kept as the reference in
+    ``tests/test_blocks.py``).  :func:`~cmseq.classify.full_report` runs the
+    same elimination steps without wrapping or reversing the marginals: it
+    reads its interval witnesses straight off each step.
 
     Yields
     ------
@@ -501,33 +512,52 @@ def marginal_precisions(a: BlockMatrix, keep: Keep):
     n_last = a.n_blocks - 1
     if n_last < 2:
         return
-    lower = a._spd_factor()
-    mat = a.data if a._symmetric else _symmetric_part(a.data)
+    mat, lower, rows = _elimination(a, keep)
+    pivots = lower.diagonal() ** 2
     wrap = BlockMatrix._wrap_symmetric
-    rows = np.arange(mat.shape[0])
-    if keep is Keep.TRAILING:
-        for k, kept in _trailing_sweep(mat, lower, d, rows):
+    for k, (kept, diag) in enumerate(_trailing_sweep(mat, lower, d), 1):
+        done = slice((k - 1) * d, k * d)
+        _check_pivots(pivots[done], diag, rows[done])
+        if keep is Keep.TRAILING:
             yield IndexInterval(k, n_last), wrap(kept, d)
-    else:
-        mirror, rows = _reverse_time(mat, d), rows.reshape(-1, d)[::-1].ravel()
-        for k, kept in _trailing_sweep(mirror, _factor(mirror, rows), d, rows):
+        else:
             yield IndexInterval(0, n_last - k), wrap(_reverse_time(kept, d), d)
 
 
-def _trailing_sweep(mat, lower, d, rows):
-    """``(k, marginal precision of blocks k..N)`` for ``k = 1, ..., N-1``.
+def _elimination(a, keep):
+    """``(mat, lower, rows)`` for the sweep of ``a`` toward ``keep``.
+
+    ``mat`` is the matrix the sweep eliminates in trailing order: ``a``
+    (symmetrized unless marked), or its time reversal for
+    ``Keep.LEADING``.  ``lower`` is its factor, after the check of ``a``'s
+    own factor; ``rows[i]`` is the row of ``a`` that row ``i`` of ``mat``
+    is.
+    """
+    lower = a._spd_factor()
+    mat = a.data if a._symmetric else _symmetric_part(a.data)
+    rows = np.arange(mat.shape[0])
+    if keep is Keep.TRAILING:
+        return mat, lower, rows
+    d = a.block_dim
+    mirror, rows = _reverse_time(mat, d), rows.reshape(-1, d)[::-1].ravel()
+    return mirror, _factor(mirror, rows), rows
+
+
+def _trailing_sweep(mat, lower, d):
+    """``(marginal precision of blocks k..N, pivot diagonal)`` for
+    ``k = 1, ..., N-1``.
 
     If ``mat = L L'``, blocks ``k..N`` have the marginal precision
     ``L[k:, k:] L[k:, k:]'`` (Golub & Van Loan, *Matrix Computations*, 4.2),
     reached from the step before by a rank-d update with the next column
-    block of ``L``.  Its pivots ``diag(L_kk)^2`` get the threshold set by
-    the diagonal of the step's own pivot block; a failing one is reported
-    at ``rows[i]`` for its row ``i`` of ``mat``.
+    block of ``L``.  Step ``k`` eliminates block ``k-1``: its pivots, the
+    squared diagonal of ``L`` in rows ``(k-1)d .. kd-1``, get the threshold
+    set by the diagonal it yields, that of the eliminated block.  The
+    caller checks them with :func:`_check_pivots`.
     """
     work = mat
     for k in range(1, mat.shape[0] // d - 1):
-        done = slice((k - 1) * d, k * d)
-        _check_pivots(lower.diagonal()[done] ** 2, work.diagonal()[:d], rows[done])
-        col = lower[k * d :, done]
+        diag = work.diagonal()[:d].copy()  # holds no view of a dropped step
+        col = lower[k * d :, (k - 1) * d : k * d]
         work = work[d:, d:] - col @ col.T
-        yield k, work
+        yield work, diag

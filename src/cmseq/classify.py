@@ -11,22 +11,29 @@ Interval-restricted conditional-Markov properties reduce to pattern detection
 on the marginal precision of the times inside the interval, a Schur
 complement of the precision.  Every suffix marginal ``[k, N]`` is read off one
 Cholesky factor of the precision, and every prefix marginal ``[0, k]`` off one
-factor of the time-reversed precision
-(:func:`~cmseq.blocks.marginal_precisions`): O(N^3 d^3) in all.
-``full_report`` and ``classify_cm_interval`` read their marginals from these
-sweeps, so they share one SPD check.  Each marginal is checked as soon as it
-is produced and then dropped.  Reciprocity is always computed through two
-independent routes (cyclic-tridiagonal pattern vs the conjunction of CM_L and
-CM_F) whose agreement is part of the contract.  The two interval-composition
-routes are read, by one rule, from the interval witnesses the report lists;
-``verify_composition`` is a reading of ``full_report``, not a further
-computation.
+factor of the time-reversed precision: O(N^3 d^3) in all, in the elimination
+steps of :func:`~cmseq.blocks.marginal_precisions`, whose marginals
+``classify_cm_interval`` detects on.  ``full_report`` detects the four
+whole-law patterns on the precision and runs the same elimination steps
+itself, reading both witnesses of each marginal straight off its step: one
+norm pass and one ratio grid per marginal, with no block matrix, pattern or
+detection per interval.  The two share one SPD check of the precision.  Each
+marginal is read as soon as it is produced and then dropped, and a sweep's
+pivots are checked together when it ends.  Reciprocity is always computed
+through two independent routes (cyclic-tridiagonal pattern vs the conjunction
+of CM_L and CM_F) whose agreement is part of the contract.  The two
+interval-composition routes are read, by one rule, from the interval
+witnesses the report lists; ``verify_composition`` is a reading of
+``full_report``, not a further computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import blocks
 from .blocks import (
     ConditioningSide,
     IndexInterval,
@@ -35,7 +42,7 @@ from .blocks import (
     Tolerance,
     marginal_precisions,
 )
-from .patterns import PatternSpec, PatternWitness, detect
+from .patterns import PatternSpec, PatternWitness, _support_grid, _witness, detect
 
 __all__ = [
     "UnsupportedIntervalError",
@@ -118,11 +125,14 @@ def classify_cm_interval(
 ) -> PatternWitness:
     """Is the law conditionally Markov on a boundary-anchored interval?
 
-    Supported intervals are ``[0, k2]`` and ``[k1, N]`` with the interior
-    endpoint in ``[1, N-1]``; the marginal precision of the interval is read
-    off the elimination sweep toward it, and the verdict is its pattern
-    detection.  Other intervals raise
-    :class:`UnsupportedIntervalError`.
+    This classifier covers the intervals ``[0, k2]`` and ``[k1, N]`` with
+    the interior endpoint in ``[1, N-1]``: those the elimination sweeps of
+    :func:`~cmseq.blocks.marginal_precisions` reach.  The marginal
+    precision of the interval is read off the sweep toward it, and the
+    verdict is its pattern detection.  Other intervals raise
+    :class:`UnsupportedIntervalError`; for an interval touching neither
+    boundary, :func:`~cmseq.oracle.oracle_cm_interval` decides the property
+    from the covariance.
     """
     n_last = law.n_last
     if interval.hi > n_last:
@@ -137,8 +147,8 @@ def classify_cm_interval(
         keep = Keep.TRAILING
     else:
         raise UnsupportedIntervalError(
-            f"interval {interval} touches neither boundary; only [0,k2] and [k1,N] "
-            "intervals have a marginal-precision characterization"
+            f"interval {interval} touches neither boundary; this classifier covers "
+            "only [0,k2] and [k1,N] intervals, and oracle_cm_interval decides any interval"
         )
     sweep = marginal_precisions(law.precision(), keep)
     delta = next(delta for iv, delta in sweep if iv == interval)
@@ -229,12 +239,7 @@ def full_report(law: SequenceLaw, tol: Tolerance = Tolerance()) -> Classificatio
     reciprocal = _reciprocal_witness(
         detect(a, PatternSpec.cyclic_tridiagonal(n_last), tol), cm_l, cm_f
     )
-    entries = [
-        IntervalClassEntry(iv, side, detect(delta, _cm_pattern(side, iv.hi - iv.lo), tol))
-        for keep in (Keep.LEADING, Keep.TRAILING)
-        for iv, delta in marginal_precisions(a, keep)
-        for side in (ConditioningSide.FIRST, ConditioningSide.LAST)
-    ]
+    entries = _interval_entries(a, Keep.LEADING, tol) + _interval_entries(a, Keep.TRAILING, tol)
     # the leading sweep yields its prefixes longest first; a stable sort
     # keeps each interval's FIRST entry before its LAST one
     entries = tuple(sorted(entries, key=lambda e: (e.interval.lo, e.interval.hi)))
@@ -247,3 +252,46 @@ def full_report(law: SequenceLaw, tol: Tolerance = Tolerance()) -> Classificatio
         consistency=reciprocal.routes_agree
         and _composition_agrees(reciprocal.conforms, cm_l, cm_f, entries),
     )
+
+
+def _interval_entries(a, keep, tol):
+    """The entries of every interval of the sweep of ``a`` toward ``keep``,
+    given the first endpoint and then the last, in the sweep's order.
+
+    Each elimination step is read where it is made: its block norms and
+    ratio grid once, the band masked once, and both witnesses from that one
+    grid, CM_F's without its first block row and column and CM_L's without
+    its last.  The grid is symmetric, so its first row-major maximum is an
+    upper entry, which dropping a leading or trailing row and column keeps
+    first: each witness is the one :func:`~cmseq.patterns.detect` gives on
+    the marginal of :func:`~cmseq.blocks.marginal_precisions`.  A leading
+    step holds the time-reversed marginal, so its norm grid is flipped back
+    as a view.  The steps' pivots are checked together at the end, which
+    raises what the lazy sweep raises at its first failing step.
+    """
+    d, n_last = a.block_dim, a.n_blocks - 1
+    if n_last < 2:
+        return []
+    steps = n_last - 1
+    band = _support_grid(PatternSpec.tridiagonal(n_last))
+    mat, lower, rows = blocks._elimination(a, keep)
+    diags = np.empty((steps, d))
+    entries = []
+    for k, (kept, diag) in enumerate(blocks._trailing_sweep(mat, lower, d), 1):
+        diags[k - 1] = diag
+        norms = blocks._block_norms(kept, d)
+        if keep is Keep.LEADING:
+            interval, norms = IndexInterval(0, n_last - k), norms[::-1, ::-1]
+        else:
+            interval = IndexInterval(k, n_last)
+        size = n_last + 1 - k
+        ratios = np.where(band[:size, :size], 0.0, blocks._ratios(norms))
+        entries += (
+            IntervalClassEntry(interval, ConditioningSide.FIRST, _witness(ratios[1:, 1:], tol, 1)),
+            IntervalClassEntry(interval, ConditioningSide.LAST, _witness(ratios[:-1, :-1], tol)),
+        )
+    done = steps * d
+    blocks._check_pivots(
+        (lower.diagonal()[:done] ** 2).reshape(steps, d), diags, rows[:done].reshape(steps, d)
+    )
+    return entries

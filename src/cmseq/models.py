@@ -62,6 +62,7 @@ from .blocks import (
     _cholesky_stack,
     _inverse_from_factor,
     _reverse_time,
+    _symmetric_part,
     invert_spd,
 )
 from .patterns import PatternSpec, _support_grid
@@ -327,7 +328,7 @@ def _regress(mat, d, targets, givens):
     gains = _cho_solve(_cholesky_stack(mat[ig[:, :, None], ig[:, None, :]], True), cross_t)
     gains = gains.swapaxes(1, 2)
     noises = mat[it[:, :, None], it[:, None, :]] - gains @ cross_t
-    return gains, (noises + noises.swapaxes(1, 2)) / 2.0
+    return gains, _symmetric_part(noises)
 
 
 def _regressions(mat, n, d, c, bc):

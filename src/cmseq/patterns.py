@@ -135,10 +135,16 @@ def detect(m: BlockMatrix, spec: PatternSpec, tol: Tolerance = Tolerance()) -> P
         )
     if not m._symmetric:
         symmetrize(m.data)  # raises NotSymmetricError on bad input
-    ratios = np.where(_support_grid(spec), 0.0, m._ratio_grid())
-    flat = int(ratios.argmax())  # first maximum in row-major order
-    worst_ratio = float(ratios.flat[flat])
-    worst_block = divmod(flat, n_last + 1) if worst_ratio > 0 else None
+    return _witness(np.where(_support_grid(spec), 0.0, m._ratio_grid()), tol)
+
+
+def _witness(ratios, tol, offset=0):
+    """The witness of a grid of ratios, zero where the pattern allows a
+    block: its first maximum in row-major order, at block ``(i + offset,
+    j + offset)`` for grid entry ``(i, j)``."""
+    i, j = divmod(int(ratios.argmax()), ratios.shape[1])
+    worst_ratio = float(ratios[i, j])
+    worst_block = (i + offset, j + offset) if worst_ratio > 0 else None
     return PatternWitness(worst_ratio <= tol.zero_tol, worst_block, worst_ratio)
 
 

@@ -208,6 +208,16 @@ def test_the_symmetric_part_does_not_overflow():
                 assert np.array_equal(delta.data, np.diag([1e308] * (iv.hi - iv.lo + 1)))
 
 
+def test_an_inverse_past_the_largest_finite_sum_does_not_overflow():
+    """The inverse of diag(1e-308, 1e-308) holds 1e308 on its diagonal,
+    where inv + inv' overflows: the symmetric part sums the halves there."""
+    huge = np.diag([1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(invert_spd(np.diag([1e-308, 1e-308])), huge)
+        assert np.array_equal(SequenceLaw(np.diag([1e-308, 1e-308]), 1).precision().data, huge)
+
+
 def test_invert_spd_is_exact_inverse_and_symmetric():
     m = ar1_covariance(4)
     inv = invert_spd(m)

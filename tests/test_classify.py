@@ -9,10 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmseq import (
+    BlockMatrix,
     ConditioningSide,
     IndexInterval,
+    IntervalClassEntry,
     Keep,
     LawClass,
+    NotPositiveDefiniteError,
     PatternSpec,
     SequenceLaw,
     Tolerance,
@@ -30,7 +33,7 @@ from cmseq import (
     random_law,
     verify_composition,
 )
-from cmseq import blocks, patterns
+from cmseq import blocks, classify, patterns
 from cmseq.fixtures import ar1_law, identity_law
 
 FIRST = ConditioningSide.FIRST
@@ -133,7 +136,9 @@ def test_interval_classification_on_tail_law():
 def test_unsupported_intervals_are_rejected(ar1_n3):
     with pytest.raises(UnsupportedIntervalError):
         classify_cm_interval(ar1_n3, IndexInterval(0, 3), LAST)  # full range
-    with pytest.raises(UnsupportedIntervalError):
+    with pytest.raises(
+        UnsupportedIntervalError, match=r"covers only \[0,k2\] and \[k1,N\].*oracle_cm_interval"
+    ):
         classify_cm_interval(ar1_n3, IndexInterval(1, 2), FIRST)  # interior
     with pytest.raises(UnsupportedIntervalError):
         classify_cm_interval(ar1_n3, IndexInterval(1, 9), FIRST)  # out of range
@@ -292,3 +297,134 @@ def test_full_report_checks_no_symmetry_and_takes_one_norm_pass_per_matrix(monke
     monkeypatch.setattr(blocks, "_block_norms", counted("block_norms", blocks._block_norms))
     full_report(law)
     assert calls == {"block_norms": 1 + 2 * (n_last - 1)}
+
+
+def sweep_entries(a, keep, tol=Tolerance()):
+    """The interval entries of one sweep, in its order, by the route that
+    wraps each marginal: ``marginal_precisions``, then ``detect`` per side."""
+    return [
+        IntervalClassEntry(iv, side, detect(delta, pattern(iv.hi - iv.lo), tol))
+        for iv, delta in marginal_precisions(a, keep)
+        for side, pattern in ((FIRST, PatternSpec.cm_f), (LAST, PatternSpec.cm_l))
+    ]
+
+
+def reference_interval_cm(law, tol=Tolerance()):
+    """``full_report``'s interval entries by the per-marginal route."""
+    a = law.precision()
+    entries = sweep_entries(a, Keep.LEADING, tol) + sweep_entries(a, Keep.TRAILING, tol)
+    return tuple(sorted(entries, key=lambda e: (e.interval.lo, e.interval.hi)))
+
+
+def assert_same_entries(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.interval, g.side) == (w.interval, w.side)
+        assert g.witness.conforms == w.witness.conforms
+        assert g.witness.worst_block == w.witness.worst_block
+        assert g.witness.worst_ratio.hex() == w.witness.worst_ratio.hex()
+        assert repr(g) == repr(w)
+
+
+def rescale_coordinates(law, seed):
+    """The law of ``(s_0 Q_0 x_0, ..., s_N Q_N x_N)``, ``Q_k`` random rotations
+    and ``s_k`` log-uniform over [1e-2, 1e2]: no exact zero survives."""
+    rng = np.random.default_rng(seed)
+    d = law.dim
+    t = np.zeros(law.covariance.shape)
+    for k in range(law.n_last + 1):
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        t[k * d : (k + 1) * d, k * d : (k + 1) * d] = 10.0 ** rng.uniform(-2, 2) * q
+    cov = t @ law.covariance.data @ t.T
+    return SequenceLaw((cov + cov.T) / 2.0, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    law_class=st.sampled_from(list(LawClass)),
+    n_last=st.integers(min_value=2, max_value=12),
+    d=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    rescaled=st.booleans(),
+    zero_tol=st.sampled_from([1e-14, 1e-9, 1e-3, 0.2]),
+)
+def test_interval_witnesses_are_those_of_the_per_marginal_detection(
+    law_class, n_last, d, seed, rescaled, zero_tol
+):
+    """Read off the elimination steps, every interval witness is the one
+    detect gives on the wrapped marginal: same verdict, block and ratio bits."""
+    assume(n_last >= 3 or law_class not in (LawClass.CM_L_ONLY, LawClass.CM_F_ONLY))
+    law = random_law(law_class, n_last, d, seed)
+    if rescaled:
+        law = rescale_coordinates(law, seed)
+    tol = Tolerance(zero_tol=zero_tol)
+    assert_same_entries(full_report(law, tol).interval_cm, reference_interval_cm(law, tol))
+
+
+def collinear_given_x3(delta):
+    """The pivot-failure matrices of the leading-sweep tests in
+    ``tests/test_blocks.py``: given x_3, x_2's components are collinear to
+    1e-5 * ``delta``."""
+    rows = np.eye(8)
+    rows[5] = rows[4] + 1e-5 * (rows[6] + delta * rows[5])
+    return BlockMatrix(rows @ rows.T, 2)
+
+
+def outcome(run):
+    try:
+        return run()
+    except NotPositiveDefiniteError as err:
+        return type(err), str(err), err.pivot_index, err.pivot_value.hex()
+
+
+@pytest.mark.parametrize("keep", list(Keep))
+@pytest.mark.parametrize(
+    "a",
+    [
+        collinear_given_x3(1e-2),  # a step pivot fails its own diagonal
+        collinear_given_x3(1e-6),  # LAPACK fails the time-reversed matrix
+        BlockMatrix([[1e6, 0, 0], [0, 1, np.sqrt(1 - 1e-7)], [0, np.sqrt(1 - 1e-7), 1]], 1),
+    ],
+    ids=["step-pivot", "mirror-lapack", "whole-matrix"],
+)
+def test_the_witness_sweep_raises_what_the_lazy_sweep_raises(a, keep):
+    """The witness sweep checks its pivots once, after its last step: it
+    raises the lazy sweep's error at its first failing step, or neither
+    raises and both give the same entries."""
+    want = outcome(lambda: sweep_entries(a, keep))
+    got = outcome(lambda: classify._interval_entries(a, keep, Tolerance()))
+    assert type(got) is type(want)
+    if isinstance(want, list):
+        assert_same_entries(got, want)
+    else:
+        assert got == want
+
+
+def test_full_report_detects_four_patterns_and_wraps_no_marginal(monkeypatch):
+    """Only the four whole-law patterns go through detect; the marginals are
+    read off the steps with no block matrix and no time-reversed copy, and
+    each sweep's pivots are checked in one call (plus the precision's own
+    check)."""
+    law = random_law(LawClass.CM_F_ONLY, 12, 2, 0)
+    law.precision()
+    calls = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in [
+        (classify, "detect"),
+        (patterns, "detect"),
+        (blocks, "_reverse_time"),
+        (blocks, "_check_pivots"),
+        (BlockMatrix, "_adopt"),  # every BlockMatrix, wrapped or constructed
+    ]:
+        counted(owner, name)
+    full_report(law)
+    assert calls == {"detect": 4, "_reverse_time": 1, "_check_pivots": 3}

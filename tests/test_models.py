@@ -1,6 +1,7 @@
 """White-noise-driven dynamic models: extraction, assembly, parameter checks."""
 
 import pickle
+import warnings
 from collections import Counter
 from itertools import product
 
@@ -545,6 +546,17 @@ def test_model_covariance_keeps_no_factor():
     first = model_covariance(model).covariance.data
     assert assemble_precision(model)._lower is None
     assert np.array_equal(model_covariance(model).covariance.data, first)
+
+
+@pytest.mark.parametrize("c", [FIRST, LAST])
+def test_a_noise_past_the_largest_finite_sum_does_not_overflow(c):
+    """White noise of variance 1e308: every noise is 1e308, where
+    noise + noise' overflows, so the symmetric part sums the halves."""
+    law = SequenceLaw(np.diag([1e308] * 3), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = build_forward(law, c, BC1)
+    assert all(np.array_equal(noise, [[1e308]]) for noise in model.g_noise.values())
 
 
 def test_a_model_copies_the_callers_arrays_and_leaves_them_writable():

@@ -6,7 +6,7 @@ Run from the repository root:
     PYTHONPATH=src python3 scripts/report_digest.py
 
 The corpus is ``random_law`` of every class, N in {3, 4, 5, 6, 10, 20, 40},
-d in {1, 2, 4} and seeds 0-3.  Each report feeds its ``repr`` and the
+d in {1, 2, 3, 4} and seeds 0-3.  Each report feeds its ``repr`` and the
 ``float.hex()`` of every ``worst_ratio`` in it to the hash, so two trees
 that print the same digest give the same reports bit for bit.  Run it on
 both sides of a change that claims to keep them.
@@ -18,7 +18,7 @@ from itertools import product
 from cmseq import LawClass, full_report, random_law
 
 NS = (3, 4, 5, 6, 10, 20, 40)
-DIMS = (1, 2, 4)
+DIMS = (1, 2, 3, 4)
 SEEDS = range(4)
 
 

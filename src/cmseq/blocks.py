@@ -15,8 +15,10 @@ construction, and derives its precision from that factor on first use.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -103,7 +105,8 @@ class IndexInterval:
     hi: int
 
     def __post_init__(self):
-        if self.lo < 0 or self.hi <= self.lo:
+        lo, hi = operator.index(self.lo), operator.index(self.hi)  # TypeError for a non-integer
+        if lo < 0 or hi <= lo:
             raise ValueError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
 
     def endpoint(self, side: ConditioningSide) -> int:
@@ -211,9 +214,9 @@ def _cholesky_stack(stack, symmetric=False):
 
 def _check_pivots(pivots, diag, rows=None):
     """Raise for the first pivot of one matrix, or of a stack of them (one
-    per row), not above ``1e-12 * max(diag)`` of its matrix, naming its
-    column, or its entry of ``rows`` (shaped as ``pivots``), and its
-    matrix's position."""
+    per row of the last axis, in row-major order), not above
+    ``1e-12 * max(diag)`` of its matrix, naming its column, or its entry of
+    ``rows`` (shaped as ``pivots``), and its matrix's position."""
     passed = pivots > _PIVOT_RTOL * diag.max(axis=-1, initial=0.0, keepdims=True)
     if passed.all():
         return
@@ -385,24 +388,43 @@ class BlockMatrix:
 
 
 def _block_norms(data, d):
-    """Read-only grid of the Frobenius norms of the ``d x d`` blocks of ``data``."""
-    n = data.shape[0] // d
-    b = data.reshape(n, d, n, d)
-    norms = np.sqrt(np.einsum("iajb,iajb->ij", b, b))
+    """Read-only grid of the Frobenius norms of the ``d x d`` blocks of
+    ``data``, or one grid per matrix of a stack.
+
+    Each block's sum of squares is one written-down add chain, a few
+    elementwise passes over every block at once: every entry is squared
+    once; within each block row the even and the odd columns are summed
+    apart, each in column order, and the two sums added; the block rows'
+    sums are then added in row order.  On a grid of two or more blocks this
+    is the order of numpy's ``einsum("iajb,iajb->ij")`` up to ``d = 7``, so
+    those norms keep its bits; at ``d >= 8`` einsum unrolls its loop, and a
+    ratio's last bits may differ from the einsum pass.
+    """
+    n = data.shape[-1] // d
+    sq = data.reshape(data.shape[:-2] + (n, d, n, d))
+    with np.errstate(over="ignore"):  # inf, silently, as einsum gives it
+        sq = sq * sq
+        rows = reduce(np.add, (sq[..., col] for col in range(0, d, 2)))
+        if d > 1:
+            rows = rows + reduce(np.add, (sq[..., col] for col in range(1, d, 2)))
+        norms = np.sqrt(reduce(np.add, (rows[..., row, :] for row in range(d))))
     norms.setflags(write=False)
     return norms
 
 
 def _ratios(norms):
     """``max(norms, norms') / max(norms)`` of a grid of block norms (all zero
-    for a zero grid).
+    for a zero grid), or of each grid of a stack.
 
     A block and its transpose get the same ratio, so pattern detection
     reports the upper one of an asymmetric pair first.
     """
-    norms = np.maximum(norms, norms.T)
-    scale = norms.max()
-    return norms / scale if scale > 0 else np.zeros_like(norms)
+    norms = np.maximum(norms, norms.swapaxes(-1, -2))
+    scale = norms.max(axis=(-2, -1), keepdims=True)
+    if scale.min() > 0:  # false if some grid is all zero or has a NaN
+        norms /= scale
+        return norms
+    return np.divide(norms, scale, out=np.zeros_like(norms), where=scale > 0)
 
 
 def _block_matrix(m, block_dim):
@@ -495,9 +517,11 @@ def marginal_precisions(a: BlockMatrix, keep: Keep):
     :class:`NotPositiveDefiniteError`, which names a row of ``a`` in either
     direction.  The sweep costs O(N^3 d^3), against O(N^4 d^3) for one
     direct block Schur complement per interval (kept as the reference in
-    ``tests/test_blocks.py``).  :func:`~cmseq.classify.full_report` runs the
-    same elimination steps without wrapping or reversing the marginals: it
-    reads its interval witnesses straight off each step.
+    ``tests/test_blocks.py``).  It runs the stacked elimination steps of
+    ``_trailing_sweep`` on a stack of one matrix.
+    :func:`~cmseq.classify.full_report` runs them on the stack of both
+    directions, without wrapping or reversing the marginals: it reads its
+    interval witnesses straight off each step.
 
     Yields
     ------
@@ -515,9 +539,10 @@ def marginal_precisions(a: BlockMatrix, keep: Keep):
     mat, lower, rows = _elimination(a, keep)
     pivots = lower.diagonal() ** 2
     wrap = BlockMatrix._wrap_symmetric
-    for k, (kept, diag) in enumerate(_trailing_sweep(mat, lower, d), 1):
+    for k, (kept, diag) in enumerate(_trailing_sweep(mat[None], lower[None], d), 1):
         done = slice((k - 1) * d, k * d)
-        _check_pivots(pivots[done], diag, rows[done])
+        _check_pivots(pivots[done], diag[0], rows[done])
+        kept = kept[0]
         if keep is Keep.TRAILING:
             yield IndexInterval(k, n_last), wrap(kept, d)
         else:
@@ -543,21 +568,23 @@ def _elimination(a, keep):
     return mirror, _factor(mirror, rows), rows
 
 
-def _trailing_sweep(mat, lower, d):
-    """``(marginal precision of blocks k..N, pivot diagonal)`` for
-    ``k = 1, ..., N-1``.
+def _trailing_sweep(mats, lowers, d):
+    """``(marginal precisions of blocks k..N, pivot diagonals)`` for
+    ``k = 1, ..., N-1``, of each matrix of a ``(K, n, n)`` stack at once.
 
     If ``mat = L L'``, blocks ``k..N`` have the marginal precision
     ``L[k:, k:] L[k:, k:]'`` (Golub & Van Loan, *Matrix Computations*, 4.2),
     reached from the step before by a rank-d update with the next column
-    block of ``L``.  Step ``k`` eliminates block ``k-1``: its pivots, the
-    squared diagonal of ``L`` in rows ``(k-1)d .. kd-1``, get the threshold
-    set by the diagonal it yields, that of the eliminated block.  The
-    caller checks them with :func:`_check_pivots`.
+    block of ``L``; ``lowers`` stacks the factors of ``mats``.  Each step
+    is one batched update of the whole stack, and each matrix's update has
+    the bits it has alone.  Step ``k`` eliminates block ``k-1``: its
+    pivots, the squared diagonal of ``L`` in rows ``(k-1)d .. kd-1``, get
+    the threshold set by the ``(K, d)`` diagonals it yields, those of the
+    eliminated blocks.  The caller checks them with :func:`_check_pivots`.
     """
-    work = mat
-    for k in range(1, mat.shape[0] // d - 1):
-        diag = work.diagonal()[:d].copy()  # holds no view of a dropped step
-        col = lower[k * d :, (k - 1) * d : k * d]
-        work = work[d:, d:] - col @ col.T
+    work = mats
+    for k in range(1, mats.shape[-1] // d - 1):
+        diag = work.diagonal(0, 1, 2)[:, :d].copy()  # holds no view of a dropped step
+        col = lowers[:, k * d :, (k - 1) * d : k * d]
+        work = work[:, d:, d:] - col @ col.swapaxes(1, 2)
         yield work, diag

@@ -15,11 +15,13 @@ factor of the time-reversed precision: O(N^3 d^3) in all, in the elimination
 steps of :func:`~cmseq.blocks.marginal_precisions`, whose marginals
 ``classify_cm_interval`` detects on.  ``full_report`` detects the four
 whole-law patterns on the precision and runs the same elimination steps
-itself, reading both witnesses of each marginal straight off its step: one
-norm pass and one ratio grid per marginal, with no block matrix, pattern or
-detection per interval.  The two share one SPD check of the precision.  Each
-marginal is read as soon as it is produced and then dropped, and a sweep's
-pivots are checked together when it ends.  Reciprocity is always computed
+itself, both directions as one stack, reading the witnesses of each
+marginal straight off its step: one batched update, one norm pass, one
+ratio grid and one band mask per step for its prefix and suffix marginal,
+with no block matrix, pattern or detection per interval.  The two sweeps
+share one SPD check of the precision.  Each marginal is read as soon as it
+is produced and then dropped, and the pivots of both sweeps are checked
+together when they end.  Reciprocity is always computed
 through two independent routes (cyclic-tridiagonal pattern vs the conjunction
 of CM_L and CM_F) whose agreement is part of the contract.  The two
 interval-composition routes are read, by one rule, from the interval
@@ -239,10 +241,7 @@ def full_report(law: SequenceLaw, tol: Tolerance = Tolerance()) -> Classificatio
     reciprocal = _reciprocal_witness(
         detect(a, PatternSpec.cyclic_tridiagonal(n_last), tol), cm_l, cm_f
     )
-    entries = _interval_entries(a, Keep.LEADING, tol) + _interval_entries(a, Keep.TRAILING, tol)
-    # the leading sweep yields its prefixes longest first; a stable sort
-    # keeps each interval's FIRST entry before its LAST one
-    entries = tuple(sorted(entries, key=lambda e: (e.interval.lo, e.interval.hi)))
+    entries = _interval_entries(a, tol)
     return ClassificationReport(
         markov=markov,
         reciprocal=reciprocal,
@@ -254,44 +253,58 @@ def full_report(law: SequenceLaw, tol: Tolerance = Tolerance()) -> Classificatio
     )
 
 
-def _interval_entries(a, keep, tol):
-    """The entries of every interval of the sweep of ``a`` toward ``keep``,
-    given the first endpoint and then the last, in the sweep's order.
+def _interval_entries(a, tol):
+    """The entries of every boundary-anchored interval of ``a``, in report
+    order: the prefixes ``[0, 1] .. [0, N-1]``, then the suffixes ``[1, N]
+    .. [N-1, N]``, each given the first endpoint and then the last.
 
-    Each elimination step is read where it is made: its block norms and
-    ratio grid once, the band masked once, and both witnesses from that one
-    grid, CM_F's without its first block row and column and CM_L's without
-    its last.  The grid is symmetric, so its first row-major maximum is an
-    upper entry, which dropping a leading or trailing row and column keeps
-    first: each witness is the one :func:`~cmseq.patterns.detect` gives on
-    the marginal of :func:`~cmseq.blocks.marginal_precisions`.  A leading
-    step holds the time-reversed marginal, so its norm grid is flipped back
-    as a view.  The steps' pivots are checked together at the end, which
-    raises what the lazy sweep raises at its first failing step.
+    Both directions are eliminated as one stack, ``[time-reversed a, a]``:
+    step ``k`` makes the marginals of ``[0, N-k]`` and ``[k, N]`` together,
+    and they get one norm pass, one ratio grid and one band mask.  Each
+    marginal's two witnesses come from its grid, CM_F's without its first
+    block row and column and CM_L's without its last.  The grid is
+    symmetric, so its first row-major maximum is an upper entry, which
+    dropping a leading or trailing row and column keeps first: each witness
+    is the one :func:`~cmseq.patterns.detect` gives on the marginal of
+    :func:`~cmseq.blocks.marginal_precisions`.  The band reads the same in
+    either time direction, so the reversed marginal's grid is masked first
+    and then flipped back as a view.  All pivots are checked in one call at
+    the end, the leading sweep's first: it raises what the lazy sweeps,
+    leading then trailing, raise at their first failing step, its
+    ``position`` counting the leading steps and then the trailing ones.
     """
     d, n_last = a.block_dim, a.n_blocks - 1
     if n_last < 2:
-        return []
+        return ()
     steps = n_last - 1
     band = _support_grid(PatternSpec.tridiagonal(n_last))
-    mat, lower, rows = blocks._elimination(a, keep)
-    diags = np.empty((steps, d))
-    entries = []
-    for k, (kept, diag) in enumerate(blocks._trailing_sweep(mat, lower, d), 1):
-        diags[k - 1] = diag
-        norms = blocks._block_norms(kept, d)
-        if keep is Keep.LEADING:
-            interval, norms = IndexInterval(0, n_last - k), norms[::-1, ::-1]
-        else:
-            interval = IndexInterval(k, n_last)
+    sweeps = (blocks._elimination(a, keep) for keep in (Keep.LEADING, Keep.TRAILING))
+    mats, lowers, rows = map(np.array, zip(*sweeps))
+    diags = np.empty((2, steps, d))
+    entries = [None] * (4 * steps)
+    for k, (kept, diag) in enumerate(blocks._trailing_sweep(mats, lowers, d), 1):
+        diags[:, k - 1] = diag
         size = n_last + 1 - k
-        ratios = np.where(band[:size, :size], 0.0, blocks._ratios(norms))
-        entries += (
-            IntervalClassEntry(interval, ConditioningSide.FIRST, _witness(ratios[1:, 1:], tol, 1)),
-            IntervalClassEntry(interval, ConditioningSide.LAST, _witness(ratios[:-1, :-1], tol)),
+        ratios = blocks._ratios(blocks._block_norms(kept, d))
+        np.copyto(ratios, 0.0, where=band[:size, :size])
+        prefix, suffix = 2 * (steps - k), 2 * (steps + k - 1)
+        entries[prefix : prefix + 2] = _side_entries(
+            IndexInterval(0, n_last - k), ratios[0, ::-1, ::-1], tol
         )
+        entries[suffix : suffix + 2] = _side_entries(IndexInterval(k, n_last), ratios[1], tol)
     done = steps * d
     blocks._check_pivots(
-        (lower.diagonal()[:done] ** 2).reshape(steps, d), diags, rows[:done].reshape(steps, d)
+        (lowers.diagonal(0, 1, 2)[:, :done] ** 2).reshape(2, steps, d),
+        diags,
+        rows[:, :done].reshape(2, steps, d),
     )
-    return entries
+    return tuple(entries)
+
+
+def _side_entries(interval, ratios, tol):
+    """The entries of ``interval`` given its first endpoint and then its
+    last, from its band-masked ratio grid."""
+    return (
+        IntervalClassEntry(interval, ConditioningSide.FIRST, _witness(ratios[1:, 1:], tol, 1)),
+        IntervalClassEntry(interval, ConditioningSide.LAST, _witness(ratios[:-1, :-1], tol)),
+    )

@@ -15,15 +15,18 @@ from cmseq import (
     ConditioningSide,
     IndexInterval,
     Keep,
+    LawClass,
     NotPositiveDefiniteError,
     NotSymmetricError,
     SequenceLaw,
     Tolerance,
     cholesky_spd,
     invert_spd,
+    random_law,
     symmetrize,
 )
-from cmseq.blocks import _cholesky_stack, _inverse_from_factor, marginal_precisions
+from cmseq import blocks
+from cmseq.blocks import _block_norms, _cholesky_stack, _inverse_from_factor, marginal_precisions
 from cmseq.fixtures import ar1_covariance, ar1_law, cyclic_example_law
 
 
@@ -436,6 +439,90 @@ def test_block_matrix_addressing_and_immutability():
         bm.block(2, 0)
 
 
+def einsum_block_norms(data, d):
+    """The reference norm pass: numpy's einsum over each matrix's blocks."""
+    if data.ndim == 3:
+        return np.stack([einsum_block_norms(m, d) for m in data])
+    n = data.shape[0] // d
+    b = data.reshape(n, d, n, d)
+    return np.sqrt(np.einsum("iajb,iajb->ij", b, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=7),
+    n=st.integers(min_value=2, max_value=9),
+    stack=st.sampled_from([None, 1, 2, 3]),
+    spread=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_the_norm_chain_has_the_bits_of_the_einsum_pass(d, n, stack, spread, seed):
+    """Up to d = 7 the add chain sums each block in einsum's order: the same
+    bits on one matrix and on each matrix of a stack, for entries from
+    1e-150 to 1e150, one scale per matrix or one per entry.  (A grid of one
+    block is left out: einsum sums its block as one flat run.)"""
+    rng = np.random.default_rng(seed)
+    shape = (n * d, n * d) if stack is None else (stack, n * d, n * d)
+    scale = 10.0 ** rng.uniform(-150, 150, shape if spread else shape[:-2] + (1, 1))
+    data = rng.standard_normal(shape) * scale
+    norms = _block_norms(data, d)
+    assert not norms.flags.writeable
+    assert norms.tobytes() == einsum_block_norms(data, d).tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("big", [1e155, 1e200, 1e-170, 1e-200])
+def test_the_norm_chain_overflows_and_underflows_as_the_einsum_pass(d, big):
+    """Entries whose squares overflow give inf, and entries whose squares
+    underflow give 0 (or the same subnormal sum), as the einsum pass does."""
+    rng = np.random.default_rng(d)
+    data = rng.standard_normal((2, 3 * d, 3 * d)) * big
+    data[0, :d, :d] = 0.0  # a zero block next to the out-of-range ones
+    norms = _block_norms(data, d)
+    want = einsum_block_norms(data, d)
+    assert norms.tobytes() == want.tobytes()
+    assert norms[0, 0, 0] == 0.0
+    if big > 1:
+        assert np.isinf(norms[0, 1:, 1:]).all()
+    else:
+        assert (norms < 1e-150).all()
+
+
+@pytest.mark.parametrize("d", [8, 9])
+def test_the_norm_chain_is_each_blocks_norm_past_einsums_order(d):
+    """At d >= 8 einsum unrolls its loop and the bits may part; every norm is
+    still each block's Frobenius norm to rounding."""
+    rng = np.random.default_rng(d)
+    n = 4
+    data = rng.standard_normal((2, n * d, n * d)) * 10.0 ** rng.uniform(-100, 100, (2, 1, 1))
+    norms = _block_norms(data, d)
+    each = data.reshape(2, n, d, n, d).transpose(0, 1, 3, 2, 4)
+    rtol = d * d * np.finfo(float).eps  # bounds any order of summing d*d squares
+    np.testing.assert_allclose(norms, np.linalg.norm(each, axis=(-2, -1)), rtol=rtol, atol=0)
+    np.testing.assert_allclose(norms, einsum_block_norms(data, d), rtol=rtol, atol=0)
+    assert not np.array_equal(norms, einsum_block_norms(data, d))  # the orders do part here
+
+
+def one_grid_ratios(norms):
+    """The reference ratio rule, on one grid of block norms."""
+    norms = np.maximum(norms, norms.T)
+    scale = norms.max()
+    return norms / scale if scale > 0 else np.zeros_like(norms)
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+def test_the_ratios_of_a_stack_are_each_grids_own(fill):
+    """A stack's ratio grids are those of each grid alone, bit for bit, also
+    next to an all-zero grid (all zero ratios), a NaN grid (all zero, as
+    its scale is not above 0) or an inf one (NaN, as inf / inf)."""
+    norms = np.random.default_rng(0).random((3, 5, 5))
+    norms[1] = fill
+    with np.errstate(invalid="ignore"):
+        got = blocks._ratios(norms)
+        want = np.stack([one_grid_ratios(grid) for grid in norms])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_block_matrix_rejects_bad_shapes():
     with pytest.raises(ValueError):
         BlockMatrix(np.zeros((3, 4)), 1)
@@ -594,6 +681,38 @@ def test_leading_sweep_names_a_row_of_a_where_lapack_fails_the_reversed_matrix()
     assert exc.value.pivot_index == 5
 
 
+def one_matrix_sweep(mat, lower, d):
+    """The reference elimination steps of one matrix, with 2-D products."""
+    work = mat
+    for k in range(1, mat.shape[0] // d - 1):
+        diag = work.diagonal()[:d].copy()
+        col = lower[k * d :, (k - 1) * d : k * d]
+        work = work[d:, d:] - col @ col.T
+        yield work, diag
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_last=st.integers(min_value=2, max_value=14),
+    d=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_the_stacked_sweep_gives_each_matrix_the_bits_of_its_own_sweep(n_last, d, seed):
+    """Both directions eliminated as one stack: every step's marginal and
+    pivot diagonal, for each matrix, has the bits of that matrix's sweep
+    alone."""
+    a = random_law(LawClass.GENERIC, n_last, d, seed).precision()
+    mats, lowers, _ = map(np.stack, zip(*(blocks._elimination(a, keep) for keep in Keep)))
+    alone = [list(one_matrix_sweep(m, lower, d)) for m, lower in zip(mats, lowers)]
+    stacked = list(blocks._trailing_sweep(mats, lowers, d))
+    assert len(stacked) == n_last - 1
+    for step, (work, diag) in enumerate(stacked):
+        assert work.shape == (2, (n_last - step) * d, (n_last - step) * d)
+        for i in range(2):
+            assert work[i].tobytes() == alone[i][step][0].tobytes()
+            assert diag[i].tobytes() == alone[i][step][1].tobytes()
+
+
 def test_sequence_law_caches_read_only_precision():
     law = ar1_law(3)
     prec = law.precision()
@@ -610,6 +729,19 @@ def test_index_interval_validation_and_endpoints():
         IndexInterval(2, 2)
     with pytest.raises(ValueError):
         IndexInterval(-1, 3)
+
+
+@pytest.mark.parametrize("lo,hi", [(1.5, 5), (0, 4.5), (0.0, 4), (np.float64(1), 3)])
+def test_index_interval_rejects_a_non_integer_endpoint(lo, hi):
+    with pytest.raises(TypeError):
+        IndexInterval(lo, hi)
+
+
+def test_index_interval_accepts_numpy_integers():
+    iv = IndexInterval(np.int64(1), np.int32(4))
+    assert iv == IndexInterval(1, 4)
+    with pytest.raises(ValueError):
+        IndexInterval(np.int64(3), np.int64(3))
 
 
 def test_tolerance_must_be_positive():

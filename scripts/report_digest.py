@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print one sha256 over every field of ``full_report`` on a fixed corpus.
+"""Print one sha256 over every field of ``full_report`` on a fixed corpus,
+and one over every ``classify_cm_interval`` witness of its smaller laws.
 
 Run from the repository root:
 
@@ -7,19 +8,30 @@ Run from the repository root:
 
 The corpus is ``random_law`` of every class, N in {3, 4, 5, 6, 10, 20, 40},
 d in {1, 2, 3, 4} and seeds 0-3.  Each report feeds its ``repr`` and the
-``float.hex()`` of every ``worst_ratio`` in it to the hash, so two trees
-that print the same digest give the same reports bit for bit.  Run it on
-both sides of a change that claims to keep them.
+``float.hex()`` of every ``worst_ratio`` in it to the first hash.  For each
+law with N <= 10, ``classify_cm_interval`` of every boundary-anchored
+interval and side, in report order, feeds its witness's ``repr`` and
+``worst_ratio.hex()`` to the second hash.  Two trees that print the same
+digests give the same witnesses bit for bit.  Run it on both sides of a
+change that claims to keep them.
 """
 
 import hashlib
 from itertools import product
 
-from cmseq import LawClass, full_report, random_law
+from cmseq import (
+    ConditioningSide,
+    IndexInterval,
+    LawClass,
+    classify_cm_interval,
+    full_report,
+    random_law,
+)
 
 NS = (3, 4, 5, 6, 10, 20, 40)
 DIMS = (1, 2, 3, 4)
 SEEDS = range(4)
+INTERVAL_N_MAX = 10
 
 
 def witnesses(report):
@@ -28,16 +40,31 @@ def witnesses(report):
     yield from (entry.witness for entry in report.interval_cm)
 
 
+def boundary_intervals(n_last):
+    """Every ``(interval, side)`` of ``classify_cm_interval``, in report order."""
+    prefixes = [IndexInterval(0, k) for k in range(1, n_last)]
+    suffixes = [IndexInterval(k, n_last) for k in range(1, n_last)]
+    return product(prefixes + suffixes, ConditioningSide)
+
+
 def main():
-    digest = hashlib.sha256()
-    count = 0
+    reports, intervals = hashlib.sha256(), hashlib.sha256()
+    count = interval_count = 0
     for law_class, n, d, seed in product(LawClass, NS, DIMS, SEEDS):
-        report = full_report(random_law(law_class, n, d, seed))
-        digest.update(repr(report).encode())
+        law = random_law(law_class, n, d, seed)
+        report = full_report(law)
+        reports.update(repr(report).encode())
         for witness in witnesses(report):
-            digest.update(witness.worst_ratio.hex().encode())
+            reports.update(witness.worst_ratio.hex().encode())
         count += 1
-    print(f"{digest.hexdigest()}  {count} reports")
+        if n <= INTERVAL_N_MAX:
+            for interval, side in boundary_intervals(n):
+                witness = classify_cm_interval(law, interval, side)
+                intervals.update(repr(witness).encode())
+                intervals.update(witness.worst_ratio.hex().encode())
+                interval_count += 1
+    print(f"{reports.hexdigest()}  {count} reports")
+    print(f"{intervals.hexdigest()}  {interval_count} classify_cm_interval witnesses")
 
 
 if __name__ == "__main__":

@@ -6,10 +6,10 @@ viewed as an ``(N+1) x (N+1)`` grid of ``d x d`` blocks.  Everything downstream
 (pattern detection, classification, dynamic models) works on that block grid,
 so the primitives here are deliberately small: a read-only block view, one
 pivot-reporting Cholesky routine over a stack of matrices (a single matrix
-is a stack of one), an SPD inverse, and the sweep of boundary-anchored
-marginal precisions, all on numpy alone.  A failing stack raises for its
-first failing matrix, and the error carries that matrix's ``position`` in
-the stack.  A :class:`SequenceLaw` factorizes its covariance once, at
+is a stack of one), an SPD inverse, and the elimination steps that give
+the boundary-anchored marginal precisions, all on numpy alone.  A failing
+stack raises for its first failing matrix, and the error carries that
+matrix's ``position`` in the stack.  A :class:`SequenceLaw` factorizes its covariance once, at
 construction, and derives its precision from that factor on first use.
 """
 
@@ -26,7 +26,6 @@ __all__ = [
     "NotSymmetricError",
     "NotPositiveDefiniteError",
     "ConditioningSide",
-    "Keep",
     "Tolerance",
     "IndexInterval",
     "BlockMatrix",
@@ -34,7 +33,6 @@ __all__ = [
     "symmetrize",
     "cholesky_spd",
     "invert_spd",
-    "marginal_precisions",
 ]
 
 _SYM_RTOL = 1e-12
@@ -70,13 +68,6 @@ class ConditioningSide(Enum):
 
     FIRST = "first"
     LAST = "last"
-
-
-class Keep(Enum):
-    """Which block range a Schur complement retains."""
-
-    LEADING = "leading"
-    TRAILING = "trailing"
 
 
 @dataclass(frozen=True)
@@ -284,10 +275,9 @@ class BlockMatrix:
         Component dimension ``d``.
 
     Matrices that the package builds exactly symmetric (a law's covariance
-    and precision, and the marginal precisions of
-    :func:`marginal_precisions`) are wrapped without a copy and carry a
-    private mark, so that no symmetry or finiteness check runs on them
-    again.  A matrix from this constructor never carries it.
+    and precision) are wrapped without a copy and carry a private mark, so
+    that no symmetry or finiteness check runs on them again.  A matrix from
+    this constructor never carries it.
     """
 
     def __init__(self, data, block_dim):
@@ -441,8 +431,9 @@ class SequenceLaw:
 
     Wraps the covariance matrix as a :class:`BlockMatrix` and checks symmetry
     and positive definiteness on construction.  The Cholesky factor from that
-    check is kept until :meth:`precision` first needs it; the precision is
-    then cached and the factor dropped, so a law holds one of the two.
+    check is kept until :meth:`SequenceLaw.precision` first needs it; the
+    precision is then cached and the factor dropped, so a law holds one of
+    the two.
 
     Parameters
     ----------
@@ -501,71 +492,27 @@ def _reverse_time(mat, d):
     return mat.reshape(n_blocks, d, n_blocks, d)[::-1, :, ::-1].reshape(mat.shape)
 
 
-def marginal_precisions(a: BlockMatrix, keep: Keep):
-    """Marginal precisions of every boundary-anchored interval, one sweep.
+def _elimination(a):
+    """``(mats, lowers, rows)``: the ``(2, n, n)`` stacks that the two
+    sweeps of ``a`` eliminate in trailing order, ``[time-reversed a, a]``.
 
-    Eliminates one time at a time from the SPD matrix ``a`` (N+1 block
-    rows): times ``0, 1, ...`` for ``keep=Keep.TRAILING``.  ``a`` first gets
-    the :func:`cholesky_spd` check on the whole matrix, once per matrix
-    however many sweeps read it, and every step is read off the factor of
-    that check.  Neither the check nor the sweep symmetrizes a matrix that
-    the package built exactly symmetric, such as a law's precision.
-    ``keep=Keep.LEADING`` eliminates times ``N, N-1, ...``: it is the
-    trailing sweep of the time-reversed matrix, which it factorizes once,
-    with each yield reversed back.  Each step also checks its own ``d x d``
-    pivot before it yields, so either check raises
-    :class:`NotPositiveDefiniteError`, which names a row of ``a`` in either
-    direction.  The sweep costs O(N^3 d^3), against O(N^4 d^3) for one
-    direct block Schur complement per interval (kept as the reference in
-    ``tests/test_blocks.py``).  It runs the stacked elimination steps of
-    ``_trailing_sweep`` on a stack of one matrix.
-    :func:`~cmseq.classify.full_report` runs them on the stack of both
-    directions, without wrapping or reversing the marginals: it reads its
-    interval witnesses straight off each step.
-
-    Yields
-    ------
-    (IndexInterval, BlockMatrix)
-        ``[0, k]`` for ``k = N-1, ..., 1`` (leading) or ``[k, N]`` for
-        ``k = 1, ..., N-1`` (trailing).  Each matrix wraps, without a
-        copy, an array the sweep has just computed and no longer writes: it
-        owns that array, is exactly symmetric, and carries the mark that
-        lets :func:`~cmseq.patterns.detect` skip its symmetry check.
-    """
-    d = a.block_dim
-    n_last = a.n_blocks - 1
-    if n_last < 2:
-        return
-    mat, lower, rows = _elimination(a, keep)
-    pivots = lower.diagonal() ** 2
-    wrap = BlockMatrix._wrap_symmetric
-    for k, (kept, diag) in enumerate(_trailing_sweep(mat[None], lower[None], d), 1):
-        done = slice((k - 1) * d, k * d)
-        _check_pivots(pivots[done], diag[0], rows[done])
-        kept = kept[0]
-        if keep is Keep.TRAILING:
-            yield IndexInterval(k, n_last), wrap(kept, d)
-        else:
-            yield IndexInterval(0, n_last - k), wrap(_reverse_time(kept, d), d)
-
-
-def _elimination(a, keep):
-    """``(mat, lower, rows)`` for the sweep of ``a`` toward ``keep``.
-
-    ``mat`` is the matrix the sweep eliminates in trailing order: ``a``
-    (symmetrized unless marked), or its time reversal for
-    ``Keep.LEADING``.  ``lower`` is its factor, after the check of ``a``'s
-    own factor; ``rows[i]`` is the row of ``a`` that row ``i`` of ``mat``
-    is.
+    ``a`` (symmetrized unless marked) first gets the :func:`cholesky_spd`
+    check on the whole matrix, once per matrix, and ``lowers`` stacks the
+    factors of both matrices; ``rows[0][i]`` is the row of ``a`` that row
+    ``i`` of its reversal is, so a failing pivot of either sweep names a
+    row of ``a``.  Eliminating times ``0, 1, ...`` of the reversal
+    eliminates times ``N, N-1, ...`` of ``a``.
     """
     lower = a._spd_factor()
     mat = a.data if a._symmetric else _symmetric_part(a.data)
-    rows = np.arange(mat.shape[0])
-    if keep is Keep.TRAILING:
-        return mat, lower, rows
     d = a.block_dim
-    mirror, rows = _reverse_time(mat, d), rows.reshape(-1, d)[::-1].ravel()
-    return mirror, _factor(mirror, rows), rows
+    rows = np.arange(mat.shape[0])
+    mirror, mirror_rows = _reverse_time(mat, d), rows.reshape(-1, d)[::-1].ravel()
+    return (
+        np.array([mirror, mat]),
+        np.array([_factor(mirror, mirror_rows), lower]),
+        np.array([mirror_rows, rows]),
+    )
 
 
 def _trailing_sweep(mats, lowers, d):

@@ -11,22 +11,21 @@ Interval-restricted conditional-Markov properties reduce to pattern detection
 on the marginal precision of the times inside the interval, a Schur
 complement of the precision.  Every suffix marginal ``[k, N]`` is read off one
 Cholesky factor of the precision, and every prefix marginal ``[0, k]`` off one
-factor of the time-reversed precision: O(N^3 d^3) in all, in the elimination
-steps of :func:`~cmseq.blocks.marginal_precisions`, whose marginals
-``classify_cm_interval`` detects on.  ``full_report`` detects the four
-whole-law patterns on the precision and runs the same elimination steps
-itself, both directions as one stack, reading the witnesses of each
-marginal straight off its step: one batched update, one norm pass, one
-ratio grid and one band mask per step for its prefix and suffix marginal,
-with no block matrix, pattern or detection per interval.  The two sweeps
-share one SPD check of the precision.  Each marginal is read as soon as it
-is produced and then dropped, and the pivots of both sweeps are checked
-together when they end.  Reciprocity is always computed
+factor of the time-reversed precision: O(N^3 d^3) in all.  ``full_report``
+detects the four whole-law patterns on the precision and runs these
+elimination steps itself, both directions as one stack, reading the
+witnesses of each marginal straight off its step: one batched update, one
+norm pass, one ratio grid and one band mask per step for its prefix and
+suffix marginal, with no block matrix, pattern or detection per interval.
+The two sweeps share one SPD check of the precision.  Each marginal is read
+as soon as it is produced and then dropped, and the pivots of both sweeps
+are checked together when they end.  Reciprocity is always computed
 through two independent routes (cyclic-tridiagonal pattern vs the conjunction
 of CM_L and CM_F) whose agreement is part of the contract.  The two
 interval-composition routes are read, by one rule, from the interval
-witnesses the report lists; ``verify_composition`` is a reading of
-``full_report``, not a further computation.
+witnesses the report lists.  ``classify_cm_interval`` and
+``verify_composition`` are readings of that one sweep, not further
+computations.
 """
 
 from __future__ import annotations
@@ -36,14 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocks
-from .blocks import (
-    ConditioningSide,
-    IndexInterval,
-    Keep,
-    SequenceLaw,
-    Tolerance,
-    marginal_precisions,
-)
+from .blocks import ConditioningSide, IndexInterval, SequenceLaw, Tolerance
 from .patterns import PatternSpec, PatternWitness, _support_grid, _witness, detect
 
 __all__ = [
@@ -129,12 +121,11 @@ def classify_cm_interval(
 
     This classifier covers the intervals ``[0, k2]`` and ``[k1, N]`` with
     the interior endpoint in ``[1, N-1]``: those the elimination sweeps of
-    :func:`~cmseq.blocks.marginal_precisions` reach.  The marginal
-    precision of the interval is read off the sweep toward it, and the
-    verdict is its pattern detection.  Other intervals raise
-    :class:`UnsupportedIntervalError`; for an interval touching neither
-    boundary, :func:`~cmseq.oracle.oracle_cm_interval` decides the property
-    from the covariance.
+    :func:`full_report` reach.  Its witness is the report's entry for the
+    interval and side, read off one run of those sweeps.  Other intervals
+    raise :class:`UnsupportedIntervalError`; for an interval touching
+    neither boundary, :func:`~cmseq.oracle.oracle_cm_interval` decides the
+    property from the covariance.
     """
     n_last = law.n_last
     if interval.hi > n_last:
@@ -143,18 +134,13 @@ def classify_cm_interval(
         raise UnsupportedIntervalError(
             "interval covers all times; use the full-sequence classifiers"
         )
-    if interval.lo == 0:
-        keep = Keep.LEADING
-    elif interval.hi == n_last:
-        keep = Keep.TRAILING
-    else:
+    if interval.lo != 0 and interval.hi != n_last:
         raise UnsupportedIntervalError(
             f"interval {interval} touches neither boundary; this classifier covers "
             "only [0,k2] and [k1,N] intervals, and oracle_cm_interval decides any interval"
         )
-    sweep = marginal_precisions(law.precision(), keep)
-    delta = next(delta for iv, delta in sweep if iv == interval)
-    return detect(delta, _cm_pattern(c, interval.hi - interval.lo), tol)
+    entries = _interval_entries(law.precision(), tol)
+    return {(e.interval, e.side): e.witness for e in entries}[interval, c]
 
 
 def classify_markov(law: SequenceLaw, tol: Tolerance = Tolerance()) -> PatternWitness:
@@ -265,21 +251,20 @@ def _interval_entries(a, tol):
     block row and column and CM_L's without its last.  The grid is
     symmetric, so its first row-major maximum is an upper entry, which
     dropping a leading or trailing row and column keeps first: each witness
-    is the one :func:`~cmseq.patterns.detect` gives on the marginal of
-    :func:`~cmseq.blocks.marginal_precisions`.  The band reads the same in
-    either time direction, so the reversed marginal's grid is masked first
-    and then flipped back as a view.  All pivots are checked in one call at
-    the end, the leading sweep's first: it raises what the lazy sweeps,
-    leading then trailing, raise at their first failing step, its
-    ``position`` counting the leading steps and then the trailing ones.
+    is the one :func:`~cmseq.patterns.detect` gives on the marginal
+    itself.  The band reads the same in either time direction, so the
+    reversed marginal's grid is masked first and then flipped back as a
+    view.  All pivots are checked in one call at the end, the leading
+    sweep's first, so the error names the first failing step of the
+    leading sweep, else of the trailing one, its ``position`` counting the
+    leading steps and then the trailing ones.
     """
     d, n_last = a.block_dim, a.n_blocks - 1
     if n_last < 2:
         return ()
     steps = n_last - 1
     band = _support_grid(PatternSpec.tridiagonal(n_last))
-    sweeps = (blocks._elimination(a, keep) for keep in (Keep.LEADING, Keep.TRAILING))
-    mats, lowers, rows = map(np.array, zip(*sweeps))
+    mats, lowers, rows = blocks._elimination(a)
     diags = np.empty((2, steps, d))
     entries = [None] * (4 * steps)
     for k, (kept, diag) in enumerate(blocks._trailing_sweep(mats, lowers, d), 1):

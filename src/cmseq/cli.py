@@ -11,6 +11,7 @@ carries human-readable summaries only.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -169,13 +170,20 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     sample = sample_forward if isinstance(model, ForwardCmcModel) else sample_backward
-    # an --out that cannot be opened fails here, before the sampling work
+    # an --out that cannot be opened fails here, before the sampling work;
+    # a file this probe creates is removed again if a later step fails
+    created = not os.path.lexists(args.out)
     open(args.out, "a").close()
-    batch = sample(model, args.samples, args.seed)
-    if args.format == "csv":
-        save_batch_csv(args.out, batch)
-    else:
-        save_batch_json(args.out, batch)
+    try:
+        batch = sample(model, args.samples, args.seed)
+        if args.format == "csv":
+            save_batch_csv(args.out, batch)
+        else:
+            save_batch_json(args.out, batch)
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     print(
         f"{batch.n_replicates} trajectories (N={batch.n_last}, d={batch.dim}, "
         f"seed={batch.seed}) written to {args.out}"

@@ -28,10 +28,9 @@ cached, which bounds their memory; a miss costs microseconds.
 
 ``detect`` rejects an asymmetric or non-finite matrix with
 :class:`~cmseq.blocks.NotSymmetricError`.  It skips that check only on the
-matrices the package builds exactly symmetric: a law's covariance and
-precision, and each marginal precision that
-:func:`~cmseq.blocks.marginal_precisions` yields.  Every matrix built with
-the public ``BlockMatrix(...)`` constructor is checked on every call.
+matrices the package builds exactly symmetric, such as a law's covariance
+and precision.  Every matrix built with the public ``BlockMatrix(...)``
+constructor is checked on every call.
 """
 
 from __future__ import annotations

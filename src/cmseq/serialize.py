@@ -142,6 +142,8 @@ def _gain_grid_from_json(fld, raw, d):
             k = int(key)
         except ValueError as exc:
             raise SchemaError(f"{fld}: key {key!r} is not a time index") from exc
+        if key != str(k):  # "01", " 1" and "+1" would all load as time 1
+            raise SchemaError(f"{fld}: key {key!r} is not a canonical time index")
         grid[k] = _as_matrix(f"{fld}[{key}]", val, (d, d))
     return grid
 

@@ -236,12 +236,17 @@ def mc_validate(
     covariance (roughly four standard errors of a variance estimate).  Pass
     ``reference`` to compare against a different law than the model's own —
     e.g. to demonstrate that a perturbed model no longer matches the
-    original.
+    original.  The reference must have the model's ``(n_last, dim)``.
     """
     if n_replicates < 2:
         raise InsufficientSamplesError(f"need at least 2 replicates, got {n_replicates}")
     if reference is None:
         reference = model_covariance(model)
+    elif (reference.n_last, reference.dim) != (model.n_last, model.dim):
+        raise ValueError(
+            f"reference law has N={reference.n_last}, d={reference.dim}, "
+            f"but the model has N={model.n_last}, d={model.dim}"
+        )
     ref = reference.covariance.data
     floor = 4.0 * np.sqrt(2.0 / n_replicates) * float(np.max(np.diag(ref)))
     if not tol_abs >= floor:  # also rejects NaN

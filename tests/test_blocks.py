@@ -14,7 +14,6 @@ from cmseq import (
     BlockMatrix,
     ConditioningSide,
     IndexInterval,
-    Keep,
     LawClass,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -25,18 +24,21 @@ from cmseq import (
     random_law,
     symmetrize,
 )
-from cmseq import blocks
-from cmseq.blocks import _block_norms, _cholesky_stack, _inverse_from_factor, marginal_precisions
+from cmseq import blocks, classify
+from cmseq.blocks import _block_norms, _cholesky_stack, _inverse_from_factor
 from cmseq.fixtures import ar1_covariance, ar1_law, cyclic_example_law
 
 
-def schur_complement(a: BlockMatrix, split: int, keep: Keep) -> BlockMatrix:
+LEADING, TRAILING = "leading", "trailing"  # which block range a complement keeps
+
+
+def schur_complement(a: BlockMatrix, split: int, keep: str) -> BlockMatrix:
     """Reference block Schur complement, formed directly for one split.
 
     Returns the marginal precision of blocks ``0..split``
-    (``keep=Keep.LEADING``) or ``split..N`` (``keep=Keep.TRAILING``) of the
-    SPD ``a``, after the whole-matrix :func:`cholesky_spd` check.
-    ``marginal_precisions`` must match it on every interval.
+    (``keep=LEADING``) or ``split..N`` (``keep=TRAILING``) of the SPD
+    ``a``, after the whole-matrix :func:`cholesky_spd` check.  The
+    elimination sweep must match it on every interval.
     """
     n_last = a.n_blocks - 1
     if not 1 <= split <= n_last:
@@ -44,7 +46,7 @@ def schur_complement(a: BlockMatrix, split: int, keep: Keep) -> BlockMatrix:
     d = a.block_dim
     mat = symmetrize(a.data)
     cholesky_spd(mat)
-    if keep is Keep.LEADING:
+    if keep == LEADING:
         cut = (split + 1) * d
         kept, dropped = slice(0, cut), slice(cut, mat.shape[0])
     else:
@@ -206,9 +208,8 @@ def test_the_symmetric_part_does_not_overflow():
         assert np.array_equal(law.covariance.data, [[1e308, off], [off, 1e308]])
         assert np.isfinite(law.precision().data).all()
         big = BlockMatrix(np.diag([1e308] * 4), 1)  # unmarked
-        for keep in Keep:
-            for iv, delta in marginal_precisions(big, keep):
-                assert np.array_equal(delta.data, np.diag([1e308] * (iv.hi - iv.lo + 1)))
+        for iv, delta in sweep_marginals(big):
+            assert np.array_equal(delta, np.diag([1e308] * (iv.hi - iv.lo + 1)))
 
 
 def test_an_inverse_past_the_largest_finite_sum_does_not_overflow():
@@ -560,27 +561,27 @@ def test_sequence_law_precision_round_trip():
 
 def test_schur_complement_hand_example():
     a = BlockMatrix(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]), 1)
-    lead = schur_complement(a, 1, Keep.LEADING)
+    lead = schur_complement(a, 1, LEADING)
     np.testing.assert_allclose(lead.data, [[2.0, 1.0], [1.0, 2.75]], atol=1e-14)
-    trail = schur_complement(a, 1, Keep.TRAILING)
+    trail = schur_complement(a, 1, TRAILING)
     np.testing.assert_allclose(trail.data, [[2.5, 1.0], [1.0, 4.0]], atol=1e-14)
 
 
 def test_schur_complement_degenerate_keep_all():
     a = BlockMatrix(ar1_covariance(2), 1)
-    out = schur_complement(a, 2, Keep.LEADING)
+    out = schur_complement(a, 2, LEADING)
     np.testing.assert_array_equal(out.data, a.data)
 
 
 def test_schur_complement_split_range():
     a = BlockMatrix(ar1_covariance(2), 1)
     with pytest.raises(ValueError):
-        schur_complement(a, 0, Keep.LEADING)
+        schur_complement(a, 0, LEADING)
     with pytest.raises(ValueError):
-        schur_complement(a, 3, Keep.TRAILING)
+        schur_complement(a, 3, TRAILING)
 
 
-@pytest.mark.parametrize("keep,split", [(Keep.LEADING, 2), (Keep.TRAILING, 2)])
+@pytest.mark.parametrize("keep,split", [(LEADING, 2), (TRAILING, 2)])
 def test_schur_complement_is_marginal_precision(keep, split):
     """Schur complement of the precision == precision of the marginal law.
 
@@ -590,7 +591,7 @@ def test_schur_complement_is_marginal_precision(keep, split):
     law = ar1_law(4, a=0.37)
     prec = law.precision()
     comp = schur_complement(prec, split, keep)
-    if keep is Keep.LEADING:
+    if keep == LEADING:
         kept = slice(0, split + 1)
     else:
         kept = slice(split, 5)
@@ -603,6 +604,17 @@ def random_spd_blocks(n_last, d, seed):
     size = (n_last + 1) * d
     m = rng.standard_normal((size, size))
     return BlockMatrix(m @ m.T + size * np.eye(size), d)
+
+
+def sweep_marginals(a):
+    """``(interval, marginal precision)`` at every step of the stacked
+    elimination sweep of ``a``, prefix then suffix, the prefix reversed
+    back to time order; the sweep's pivots are not checked."""
+    d, n_last = a.block_dim, a.n_blocks - 1
+    mats, lowers, _ = blocks._elimination(a)
+    for k, (kept, _) in enumerate(blocks._trailing_sweep(mats, lowers, d), 1):
+        yield IndexInterval(0, n_last - k), blocks._reverse_time(kept[0], d)
+        yield IndexInterval(k, n_last), kept[1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -618,21 +630,22 @@ def test_marginal_sweep_matches_schur_complement(n_last, d, seed):
     data = random_spd_blocks(n_last, d, seed).data.copy()
     data[-1, d] = np.nextafter(data[-1, d], np.inf)
     a = BlockMatrix(data, d)
-    expected = {
-        Keep.LEADING: [IndexInterval(0, k) for k in range(n_last - 1, 0, -1)],
-        Keep.TRAILING: [IndexInterval(k, n_last) for k in range(1, n_last)],
-    }
-    for keep, intervals in expected.items():
-        seen = []
-        for interval, delta in marginal_precisions(a, keep):
-            seen.append(interval)
-            k = interval.hi if keep is Keep.LEADING else interval.lo
-            ref = schur_complement(a, k, keep).data
-            assert delta.block_dim == d
-            assert np.array_equal(delta.data, delta.data.T)
-            err = np.linalg.norm(delta.data - ref) / np.linalg.norm(ref)
-            assert err <= 1e-10, (keep, k, err)
-        assert seen == intervals
+    seen = []
+    for interval, delta in sweep_marginals(a):
+        seen.append(interval)
+        if interval.lo == 0:
+            ref = schur_complement(a, interval.hi, LEADING).data
+        else:
+            ref = schur_complement(a, interval.lo, TRAILING).data
+        assert delta.shape == ref.shape
+        assert np.array_equal(delta, delta.T)
+        err = np.linalg.norm(delta - ref) / np.linalg.norm(ref)
+        assert err <= 1e-10, (interval, err)
+    assert seen == [
+        iv
+        for k in range(1, n_last)
+        for iv in (IndexInterval(0, n_last - k), IndexInterval(k, n_last))
+    ]
 
 
 def test_marginal_sweep_keeps_whole_matrix_spd_check():
@@ -640,10 +653,10 @@ def test_marginal_sweep_keeps_whole_matrix_spd_check():
     # matrix has a pivot below 1e-12 * max(diag), as schur_complement reports
     r = np.sqrt(1.0 - 1e-7)
     a = BlockMatrix([[1e6, 0.0, 0.0], [0.0, 1.0, r], [0.0, r, 1.0]], 1)
-    for keep in Keep:
-        with pytest.raises(NotPositiveDefiniteError) as exc:
-            list(marginal_precisions(a, keep))
-        assert exc.value.pivot_index == 2
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        classify._interval_entries(a, Tolerance())
+    assert exc.value.pivot_index == 2
+    for keep in (LEADING, TRAILING):
         with pytest.raises(NotPositiveDefiniteError):
             schur_complement(a, 1, keep)
 
@@ -651,21 +664,19 @@ def test_marginal_sweep_keeps_whole_matrix_spd_check():
 def test_leading_sweep_checks_each_pivot_against_its_own_diagonal():
     """The whole matrix passes its check in time order (its smallest pivot is
     1e-10 of the diagonal), but given x_3 the two components of x_2 are
-    nearly collinear: a pivot of 1e-14 against a diagonal of 1.  The leading
-    sweep raises at that step, after one yield; the trailing sweep never
-    conditions x_2 on x_3 and passes."""
+    nearly collinear: a pivot of 1e-14 against a diagonal of 1.  The error
+    names the leading sweep's second step, position 1 of the stack's steps;
+    the trailing sweep never conditions x_2 on x_3."""
     eps, delta = 1e-5, 1e-2
     rows = np.eye(8)
     rows[5] = rows[4] + eps * (rows[6] + delta * rows[5])
     a = BlockMatrix(rows @ rows.T, 2)
     cholesky_spd(a.data)
-    assert len(list(marginal_precisions(a, Keep.TRAILING))) == 2
-    sweep = marginal_precisions(a, Keep.LEADING)
-    assert next(sweep)[0] == IndexInterval(0, 2)
     with pytest.raises(NotPositiveDefiniteError) as exc:
-        next(sweep)
+        classify._interval_entries(a, Tolerance())
     assert exc.value.pivot_index == 5  # the row of a: time 2, component 1
     assert 0 < exc.value.pivot_value < 1e-12
+    assert exc.value.position == 1
 
 
 def test_leading_sweep_names_a_row_of_a_where_lapack_fails_the_reversed_matrix():
@@ -677,7 +688,7 @@ def test_leading_sweep_names_a_row_of_a_where_lapack_fails_the_reversed_matrix()
     a = BlockMatrix(rows @ rows.T, 2)
     cholesky_spd(a.data)
     with pytest.raises(NotPositiveDefiniteError) as exc:
-        next(marginal_precisions(a, Keep.LEADING))
+        classify._interval_entries(a, Tolerance())
     assert exc.value.pivot_index == 5
 
 
@@ -702,7 +713,7 @@ def test_the_stacked_sweep_gives_each_matrix_the_bits_of_its_own_sweep(n_last, d
     pivot diagonal, for each matrix, has the bits of that matrix's sweep
     alone."""
     a = random_law(LawClass.GENERIC, n_last, d, seed).precision()
-    mats, lowers, _ = map(np.stack, zip(*(blocks._elimination(a, keep) for keep in Keep)))
+    mats, lowers, _ = blocks._elimination(a)
     alone = [list(one_matrix_sweep(m, lower, d)) for m, lower in zip(mats, lowers)]
     stacked = list(blocks._trailing_sweep(mats, lowers, d))
     assert len(stacked) == n_last - 1

@@ -13,7 +13,6 @@ from cmseq import (
     ConditioningSide,
     IndexInterval,
     IntervalClassEntry,
-    Keep,
     LawClass,
     NotPositiveDefiniteError,
     PatternSpec,
@@ -26,15 +25,16 @@ from cmseq import (
     classify_reciprocal,
     detect,
     full_report,
-    marginal_precisions,
     oracle_cm_interval,
     oracle_markov,
     oracle_reciprocal,
     random_law,
+    symmetrize,
     verify_composition,
 )
 from cmseq import blocks, classify, patterns
 from cmseq.fixtures import ar1_law, identity_law
+from test_blocks import one_matrix_sweep
 
 FIRST = ConditioningSide.FIRST
 LAST = ConditioningSide.LAST
@@ -191,10 +191,11 @@ def test_composition_routes_on_fixtures(ar1_n3, cyclic_law, cml_law, white_n3):
 def two_route_composition(law, tol):
     """Reference interval-composition cross-check, computed directly.
 
-    Runs its own detections on the precision and its own sweeps, and stops
-    each route at its first failing interval.  Route (i) is CM on every
-    ``[k1, N]`` given the first endpoint, route (ii) CM on every ``[0, k2]``
-    given the last; both also need CM_L and CM_F over the whole range.
+    Runs its own detections on the precision and on the marginals of the
+    reference sweeps, and stops each route at its first failing interval.
+    Route (i) is CM on every ``[k1, N]`` given the first endpoint, route
+    (ii) CM on every ``[0, k2]`` given the last; both also need CM_L and
+    CM_F over the whole range.
     """
     a = law.precision()
     n_last = law.n_last
@@ -203,13 +204,16 @@ def two_route_composition(law, tol):
         detect(a, PatternSpec.cm_l(n_last), tol).conforms
         and detect(a, PatternSpec.cm_f(n_last), tol).conforms
     )
+    marginals = list(reference_marginals(a))
     route_first = cm_both and all(
         detect(delta, PatternSpec.cm_f(iv.hi - iv.lo), tol).conforms
-        for iv, delta in marginal_precisions(a, Keep.TRAILING)
+        for iv, delta in marginals
+        if iv.lo > 0
     )
     route_last = cm_both and all(
         detect(delta, PatternSpec.cm_l(iv.hi - iv.lo), tol).conforms
-        for iv, delta in marginal_precisions(a, Keep.LEADING)
+        for iv, delta in marginals
+        if iv.lo == 0
     )
     return recip == route_first and recip == route_last
 
@@ -312,22 +316,28 @@ def test_full_report_checks_no_symmetry_and_takes_one_norm_pass_per_matrix(monke
     assert calls == {"block_norms": 1 + (n_last - 1)}
 
 
-def sweep_entries(a, keep, tol=Tolerance()):
-    """The interval entries of one sweep, in its order, by the route that
-    wraps each marginal: ``marginal_precisions``, then ``detect`` per side."""
-    return [
-        IntervalClassEntry(iv, side, detect(delta, pattern(iv.hi - iv.lo), tol))
-        for iv, delta in marginal_precisions(a, keep)
-        for side, pattern in ((FIRST, PatternSpec.cm_f), (LAST, PatternSpec.cm_l))
-    ]
+def reference_marginals(a):
+    """``(interval, marginal)`` for every boundary-anchored interval of
+    ``a``, by the 2-D reference sweep of ``a`` and of its time reversal,
+    each marginal wrapped as a block matrix, the prefixes reversed back."""
+    d, n_last = a.block_dim, a.n_blocks - 1
+    mat = symmetrize(a.data)
+    mirror = blocks._reverse_time(mat, d)
+    sweeps = [one_matrix_sweep(m, np.linalg.cholesky(m), d) for m in (mirror, mat)]
+    for k, ((prefix, _), (suffix, _)) in enumerate(zip(*sweeps), 1):
+        yield IndexInterval(0, n_last - k), BlockMatrix(blocks._reverse_time(prefix, d), d)
+        yield IndexInterval(k, n_last), BlockMatrix(suffix, d)
 
 
 def reference_entries(a, tol=Tolerance()):
     """The interval entries of ``a`` in report order by the per-marginal
-    route: the lazy leading sweep, then the lazy trailing one."""
-    entries = sweep_entries(a, Keep.LEADING, tol) + sweep_entries(a, Keep.TRAILING, tol)
-    # the leading sweep yields its prefixes longest first; a stable sort
-    # keeps each interval's FIRST entry before its LAST one
+    route: ``detect`` on each wrapped reference marginal, per side."""
+    entries = [
+        IntervalClassEntry(iv, side, detect(delta, pattern(iv.hi - iv.lo), tol))
+        for iv, delta in reference_marginals(a)
+        for side, pattern in ((FIRST, PatternSpec.cm_f), (LAST, PatternSpec.cm_l))
+    ]
+    # a stable sort keeps each interval's FIRST entry before its LAST one
     return tuple(sorted(entries, key=lambda e: (e.interval.lo, e.interval.hi)))
 
 
@@ -400,28 +410,29 @@ def outcome(run):
 
 
 @pytest.mark.parametrize(
-    "a",
+    "a,want",
     [
-        collinear_given_x3(1e-2),  # a step pivot fails its own diagonal
+        # a step pivot fails its own diagonal
+        (collinear_given_x3(1e-2), ("9.992e-15", 5, "0x1.6800000000001p-47")),
         # as above, where the trailing step's diagonal would pass it
-        collinear_given_x3(1e-2, x1_scale=1e-3),
-        collinear_given_x3(1e-6),  # LAPACK fails the time-reversed matrix
-        BlockMatrix([[1e6, 0, 0], [0, 1, np.sqrt(1 - 1e-7)], [0, np.sqrt(1 - 1e-7), 1]], 1),
+        (collinear_given_x3(1e-2, x1_scale=1e-3), ("9.992e-15", 5, "0x1.6800000000001p-47")),
+        # LAPACK fails the time-reversed matrix
+        (collinear_given_x3(1e-6), ("0.000e+00", 5, "0x0.0p+0")),
+        (
+            BlockMatrix([[1e6, 0, 0], [0, 1, np.sqrt(1 - 1e-7)], [0, np.sqrt(1 - 1e-7), 1]], 1),
+            ("1.000e-07", 2, "0x1.ad7f29a800000p-24"),
+        ),
     ],
     ids=["step-pivot", "step-pivot-small-x1", "mirror-lapack", "whole-matrix"],
 )
-def test_the_witness_sweep_raises_what_the_lazy_sweep_raises(a):
+def test_the_witness_sweep_raises_its_pinned_error(a, want):
     """The witness sweep runs both directions as one stack and checks all
-    their pivots once, after its last step: it raises what the lazy leading
-    sweep and then the lazy trailing sweep raise at their first failing
-    step, or neither raises and both give the same entries."""
-    want = outcome(lambda: reference_entries(a))
+    their pivots once, after its last step, the leading sweep's first: the
+    error, its message, row and pivot bits are pinned."""
+    pivot, index, bits = want
+    message = f"matrix is not positive definite: pivot {pivot} at index {index}"
     got = outcome(lambda: classify._interval_entries(a, Tolerance()))
-    assert type(got) is type(want)
-    if isinstance(want, list):
-        assert_same_entries(got, want)
-    else:
-        assert got == want
+    assert got == (NotPositiveDefiniteError, message, index, bits)
 
 
 def test_full_report_detects_four_patterns_and_wraps_no_marginal(monkeypatch):

@@ -305,6 +305,15 @@ def test_exit_code_2_on_bad_sampling_values(model_file, tmp_path, capsys, argv):
     argv = [a.format(model=model_file, tmp=tmp_path) for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "b.csv").exists()  # the --out probe leaves no file behind
+
+
+def test_a_failed_simulate_keeps_an_existing_out_file(model_file, tmp_path):
+    out = tmp_path / "b.csv"
+    out.write_text("kept\n")
+    argv = ["simulate", model_file, "--samples", "-5", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert out.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(

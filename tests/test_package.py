@@ -1,9 +1,11 @@
 """The package namespace and the demo scripts."""
 
+import importlib
 import os
 import re
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -23,10 +25,57 @@ def test_package_names_are_the_modules_public_names():
             assert getattr(cmseq, name) is getattr(module, name), name
 
 
-def test_marginal_precisions_and_keep_work_from_the_package_alone():
-    law = cmseq.random_law(cmseq.LawClass.RECIPROCAL, 4, 1, seed=0)
-    sweep = cmseq.marginal_precisions(law.precision(), cmseq.Keep.LEADING)
-    assert [iv for iv, _ in sweep] == [cmseq.IndexInterval(0, k) for k in (3, 2, 1)]
+# a Sphinx cross-reference role; "~" only shortens the rendered name
+CROSS_REFERENCE = re.compile(r":(?:func|class|meth|mod):`~?([\w.]+)`")
+
+
+def resolve(module, name):
+    """The object a docstring cross-reference names: ``cmseq.x.y`` as an
+    absolute path, any other name looked up in ``module``."""
+    parts = name.split(".")
+    if parts[0] == "cmseq":
+        cut = max(n for n in range(1, len(parts) + 1) if is_module(".".join(parts[:n])))
+        module, parts = importlib.import_module(".".join(parts[:cut])), parts[cut:]
+    return reduce(getattr, parts, module)
+
+
+def is_module(name):
+    try:
+        importlib.import_module(name)
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_every_docstring_cross_reference_resolves():
+    src = Path(cmseq.__file__).parent
+    checked, missing = 0, []
+    for path in sorted(src.glob("*.py")):
+        stem = "" if path.stem == "__init__" else f".{path.stem}"
+        module = importlib.import_module(f"cmseq{stem}")
+        for ref in CROSS_REFERENCE.findall(path.read_text()):
+            checked += 1
+            try:
+                resolve(module, ref)
+            except AttributeError:
+                missing.append(f"{path.name}: {ref}")
+    assert missing == []
+    assert checked > 0
+
+
+def test_a_dangling_cross_reference_is_found():
+    assert resolve(classify, "full_report") is classify.full_report
+    assert resolve(blocks, "SequenceLaw.precision") is blocks.SequenceLaw.precision
+    assert resolve(patterns, "cmseq.models.random_law") is models.random_law
+    assert resolve(blocks, "cmseq.simulate") is simulate
+    for module, name in [
+        (classify, "detect_interval"),
+        (blocks, "cmseq.blocks.marginal_precisions"),
+        (blocks, "SequenceLaw.marginals"),
+        (blocks, "cmseq.no_such_module"),
+    ]:
+        with pytest.raises(AttributeError):
+            resolve(module, name)
 
 
 # numpy names and keywords that numpy 1.24, the declared floor, lacks or reads

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cmseq import (
     BlockMatrix,
-    Keep,
     LawClass,
     NotSymmetricError,
     PatternKind,
@@ -18,7 +17,6 @@ from cmseq import (
     detect,
     random_law,
 )
-from cmseq.blocks import marginal_precisions
 from cmseq.patterns import _support_grid
 
 
@@ -241,14 +239,9 @@ def test_vectorized_detect_matches_reference_loop(n_last, d, kind, off_scale, se
 
 
 def marked_matrices(law):
-    """A law's covariance and precision, and every marginal precision of
-    both sweeps of that precision: the matrices built exactly symmetric."""
-    a = law.precision()
+    """A law's covariance and precision: matrices built exactly symmetric."""
     yield law.covariance
-    yield a
-    for keep in Keep:
-        for _, delta in marginal_precisions(a, keep):
-            yield delta
+    yield law.precision()
 
 
 def _dense_spd(size, seed):

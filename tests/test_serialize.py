@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,19 @@ def test_model_schema_rejects_wrong_gain_keys(tmp_path):
     obj["g_trans"]["2"] = obj["g_trans"].pop("1")
     dump_json(path, obj)
     with pytest.raises(SchemaError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "1 ", "1_0", "-0"])
+def test_model_schema_rejects_a_time_key_that_is_not_canonical(tmp_path, key):
+    """Only the decimal form ``str(k)`` names time ``k``: another spelling
+    would load as the same time, the later of the two winning silently."""
+    path = tmp_path / "model.json"
+    save_model(path, build_forward(ar1_law(2), LAST, BC1))
+    obj = json.loads(path.read_text())
+    obj["g_trans"][key] = [[123.0]]
+    dump_json(path, obj)
+    with pytest.raises(SchemaError, match=re.escape(f"g_trans: key {key!r}")):
         load_model(path)
 
 

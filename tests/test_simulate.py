@@ -125,6 +125,20 @@ def test_mc_validate_catches_wrong_reference():
     assert i != j  # the AR(1) cross-correlations are what the white law lacks
 
 
+@pytest.mark.parametrize(
+    "reference",
+    [identity_law(1, dim=2), identity_law(2), identity_law(3, dim=2)],
+    ids=["same-size-other-blocks", "fewer-times", "other-dim"],
+)
+def test_mc_validate_rejects_a_reference_of_another_shape(reference):
+    """An N=1, d=2 law has the 4 x 4 covariance of an N=3, d=1 model, but
+    another block layout; a reference of another size cannot be compared."""
+    model = build_forward(ar1_law(3), LAST, BC1)
+    message = r"reference law has N=\d, d=\d, but the model has N=3, d=1"
+    with pytest.raises(ValueError, match=message):
+        mc_validate(model, 20000, seed=6, tol_abs=0.05, reference=reference)
+
+
 def test_mc_validate_rejects_hopeless_tolerance():
     with pytest.raises(ValueError):
         mc_validate(AR1_MODEL, 100, seed=0, tol_abs=0.02)

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 over every field of ``full_report`` on a fixed corpus,
-and one over every ``classify_cm_interval`` witness of its smaller laws.
+one over every ``classify_cm_interval`` witness of its smaller laws, and
+one over its models and oracle verdicts.
 
 Run from the repository root:
 
@@ -11,20 +12,38 @@ d in {1, 2, 3, 4} and seeds 0-3.  Each report feeds its ``repr`` and the
 ``float.hex()`` of every ``worst_ratio`` in it to the first hash.  For each
 law with N <= 10, ``classify_cm_interval`` of every boundary-anchored
 interval and side, in report order, feeds its witness's ``repr`` and
-``worst_ratio.hex()`` to the second hash.  Two trees that print the same
-digests give the same witnesses bit for bit.  Run it on both sides of a
+``worst_ratio.hex()`` to the second hash.  Each law of the corpus is built
+into a model of each of the six shapes (direction, side, boundary
+recursion); every field of the model, the ``repr`` and
+``worst_ratio.hex()`` of both parameter checks and the bytes of the model
+covariance feed the third hash.  Each law small enough for the oracle
+(``(N+1)d <= 16``) feeds it the ``repr`` and ``worst_ratio.hex()`` of the
+Markov and reciprocal sweeps and of the CM sweep on every interval, side
+and ``use_future``.  Two trees that print the same digests give the same
+witnesses, models and verdicts bit for bit.  Run it on both sides of a
 change that claims to keep them.
 """
 
 import hashlib
 from itertools import product
 
+import numpy as np
+
 from cmseq import (
+    BoundaryCondition,
     ConditioningSide,
     IndexInterval,
     LawClass,
+    build_backward,
+    build_forward,
+    check_markov_forward,
+    check_reciprocity_forward,
     classify_cm_interval,
     full_report,
+    model_covariance,
+    oracle_cm_interval,
+    oracle_markov,
+    oracle_reciprocal,
     random_law,
 )
 
@@ -32,6 +51,17 @@ NS = (3, 4, 5, 6, 10, 20, 40)
 DIMS = (1, 2, 3, 4)
 SEEDS = range(4)
 INTERVAL_N_MAX = 10
+ORACLE_SCALARS_MAX = 16
+FIRST, LAST = ConditioningSide
+BC1, BC2 = BoundaryCondition
+MODEL_SHAPES = (
+    (build_forward, LAST, BC1),
+    (build_forward, LAST, BC2),
+    (build_forward, FIRST, BC1),
+    (build_backward, FIRST, BC1),
+    (build_backward, FIRST, BC2),
+    (build_backward, LAST, BC1),
+)
 
 
 def witnesses(report):
@@ -47,9 +77,36 @@ def boundary_intervals(n_last):
     return product(prefixes + suffixes, ConditioningSide)
 
 
+def model_bytes(model):
+    """Every field of a model, its two parameter checks and the bytes of its
+    model covariance, as one byte string; each grid in time order."""
+    parts = [repr(model).encode()]
+    for grid in (model.g_trans, model.g_cond, model.g_noise):
+        for k in sorted(grid):
+            parts += [str(k).encode(), np.ascontiguousarray(grid[k]).tobytes()]
+    gain = model.boundary_gain
+    parts.append(b"None" if gain is None else np.ascontiguousarray(gain).tobytes())
+    for check in (check_reciprocity_forward(model), check_markov_forward(model)):
+        parts += [repr(check).encode(), check.worst_ratio.hex().encode()]
+    parts.append(model_covariance(model).covariance.data.tobytes())
+    return b"".join(parts)
+
+
+def oracle_verdicts(law):
+    """The Markov and reciprocal verdicts, then the CM verdict of every
+    interval, side and ``use_future``."""
+    yield oracle_markov(law)
+    yield oracle_reciprocal(law)
+    n_last = law.n_last
+    for lo, hi in product(range(n_last + 1), repeat=2):
+        if lo < hi:
+            for side, use_future in product(ConditioningSide, (False, True)):
+                yield oracle_cm_interval(law, IndexInterval(lo, hi), side, use_future=use_future)
+
+
 def main():
-    reports, intervals = hashlib.sha256(), hashlib.sha256()
-    count = interval_count = 0
+    reports, intervals, models = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    count = interval_count = model_count = verdict_count = 0
     for law_class, n, d, seed in product(LawClass, NS, DIMS, SEEDS):
         law = random_law(law_class, n, d, seed)
         report = full_report(law)
@@ -63,8 +120,17 @@ def main():
                 intervals.update(repr(witness).encode())
                 intervals.update(witness.worst_ratio.hex().encode())
                 interval_count += 1
+        for build, c, bc in MODEL_SHAPES:
+            models.update(model_bytes(build(law, c, bc)))
+            model_count += 1
+        if (n + 1) * d <= ORACLE_SCALARS_MAX:
+            for verdict in oracle_verdicts(law):
+                models.update(repr(verdict).encode())
+                models.update(verdict.worst_ratio.hex().encode())
+                verdict_count += 1
     print(f"{reports.hexdigest()}  {count} reports")
     print(f"{intervals.hexdigest()}  {interval_count} classify_cm_interval witnesses")
+    print(f"{models.hexdigest()}  {model_count} models, {verdict_count} oracle verdicts")
 
 
 if __name__ == "__main__":

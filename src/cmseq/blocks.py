@@ -6,11 +6,15 @@ viewed as an ``(N+1) x (N+1)`` grid of ``d x d`` blocks.  Everything downstream
 (pattern detection, classification, dynamic models) works on that block grid,
 so the primitives here are deliberately small: a read-only block view, one
 pivot-reporting Cholesky routine over a stack of matrices (a single matrix
-is a stack of one), an SPD inverse, and the elimination steps that give
-the boundary-anchored marginal precisions, all on numpy alone.  A failing
-stack raises for its first failing matrix, and the error carries that
-matrix's ``position`` in the stack.  A :class:`SequenceLaw` factorizes its covariance once, at
-construction, and derives its precision from that factor on first use.
+is a stack of one), an SPD inverse, one Gaussian-conditioning routine, and
+the elimination steps that give the boundary-anchored marginal precisions,
+all on numpy alone.  A failing stack raises for its first failing matrix,
+and the error carries that matrix's ``position`` in the stack.  The
+conditioning routine computes ``C_ss^-1 C_sb`` and ``C_ab - C_as C_ss^-1
+C_sb`` for stacks of time triples ``(a, b, s)``: the models' regressions
+and the oracle's partial covariances are both read off it.  A
+:class:`SequenceLaw` factorizes its covariance once, at construction, and
+derives its precision from that factor on first use.
 """
 
 from __future__ import annotations
@@ -70,6 +74,15 @@ class ConditioningSide(Enum):
     LAST = "last"
 
 
+def _member(value, enum):
+    """``value``, which must be a member of the Enum class ``enum``: every
+    public function taking such an argument reads it here, and any other
+    value, its string value included, raises TypeError."""
+    if not isinstance(value, enum):
+        raise TypeError(f"expected a {enum.__name__}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical thresholds used throughout.
@@ -101,7 +114,7 @@ class IndexInterval:
             raise ValueError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
 
     def endpoint(self, side: ConditioningSide) -> int:
-        return self.lo if side is ConditioningSide.FIRST else self.hi
+        return self.lo if _member(side, ConditioningSide) is ConditioningSide.FIRST else self.hi
 
 
 def _square(m):
@@ -261,6 +274,54 @@ def invert_spd(m):
     """Exactly symmetric inverse of a symmetric positive definite matrix,
     from its :func:`cholesky_spd` factor, raising as that does."""
     return _inverse_from_factor(_cholesky_stack(_square(m)[None])[0])
+
+
+def _condition(cov, triples):
+    """Gaussian conditioning on ``x_s`` for each ``(a, b, s)`` in
+    ``triples``, the package's one such routine: it gives the models their
+    regressions and the oracle its partial covariances.
+
+    Each triple holds tuples of times of the covariance ``cov``, each
+    gathered in its given order, ``s`` disjoint from ``a`` and ``b``.
+    Triples of one shape ``(|a|, |b|, |s|)`` share one gather of their
+    rows and columns ``a + b + s``, one :func:`cholesky_spd` stack of their
+    ``C_ss`` and one pair of stacked solves.  Returns ``[(positions, solved, partial)]``, one entry
+    per shape: for ``triples[positions[i]]``, ``solved[i]`` is
+    ``C_ss^-1 C_sb`` and ``partial[i]`` is ``Cov(x_a, x_b | x_s) = C_ab -
+    C_as C_ss^-1 C_sb``, each with the bits a stack of that one triple
+    gives it.  If some ``C_ss`` is not SPD, the first such triple in the
+    given order raises what :func:`cholesky_spd` raises for it, and a
+    :class:`NotPositiveDefiniteError` names the covariance's own scalar
+    row.
+    """
+    groups = {}
+    for i, (a, b, s) in enumerate(triples):
+        positions, times = groups.setdefault((len(a), len(b), len(s)), ([], []))
+        positions.append(i)
+        times.append(a + b + s)
+    mat, d = cov.data, cov.block_dim
+    out, failures = [], []
+    for (na, nb, ns), (positions, times) in groups.items():
+        times = np.array(times, dtype=np.intp)
+        rows = (times[:, :, None] * d + np.arange(d)).reshape(len(positions), -1)
+        a, b, s = slice(0, na * d), slice(na * d, (na + nb) * d), slice((na + nb) * d, None)
+        block = mat[rows[:, :, None], rows[:, None, :]]
+        if not ns:
+            out.append((positions, block[:, s, b], block[:, a, b]))
+            continue
+        try:
+            lower = _cholesky_stack(block[:, s, s], cov._symmetric)
+        except (NotPositiveDefiniteError, NotSymmetricError) as err:
+            i = err.position
+            if isinstance(err, NotPositiveDefiniteError):
+                err = NotPositiveDefiniteError(rows[i, s][err.pivot_index], err.pivot_value)
+            failures.append((positions[i], err))
+            continue
+        solved = _cho_solve(lower, block[:, s, b])
+        out.append((positions, solved, block[:, a, b] - block[:, a, s] @ solved))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return out
 
 
 class BlockMatrix:

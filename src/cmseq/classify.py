@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocks
-from .blocks import ConditioningSide, IndexInterval, SequenceLaw, Tolerance
+from .blocks import ConditioningSide, IndexInterval, SequenceLaw, Tolerance, _member
 from .patterns import PatternSpec, PatternWitness, _support_grid, _witness, detect
 
 __all__ = [
@@ -96,7 +96,7 @@ class ClassificationReport:
 
 
 def _cm_pattern(side: ConditioningSide, n_last: int) -> PatternSpec:
-    if side is ConditioningSide.LAST:
+    if _member(side, ConditioningSide) is ConditioningSide.LAST:
         return PatternSpec.cm_l(n_last)
     return PatternSpec.cm_f(n_last)
 
@@ -127,6 +127,7 @@ def classify_cm_interval(
     neither boundary, :func:`~cmseq.oracle.oracle_cm_interval` decides the
     property from the covariance.
     """
+    _member(c, ConditioningSide)
     n_last = law.n_last
     if interval.hi > n_last:
         raise UnsupportedIntervalError(f"interval {interval} exceeds n_last={n_last}")

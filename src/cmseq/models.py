@@ -30,7 +30,10 @@ precision are built on first use and kept, and a backward model's mirror
 shares its arrays.  Since nothing can change a model, nothing kept goes
 stale, and a round trip (build, checks, precision, model covariance,
 sampling) takes the same number of factorizations for every N.  Building
-a model regresses all its interior steps in one stacked call.
+a model makes one call of :func:`~cmseq.blocks._condition`, the package's
+one Gaussian-conditioning routine, with one ``(t, t, givens)`` triple per
+step in draw order; a backward model's mirror reads the law's own
+covariance at the mirrored times, so an error names the law's own row.
 
 The model family is exactly as expressive as the CM_c class: building a model
 from a law and reassembling its precision reproduces the law *iff* the law is
@@ -58,10 +61,10 @@ from .blocks import (
     ConditioningSide,
     SequenceLaw,
     Tolerance,
-    _cho_solve,
     _cholesky_stack,
+    _condition,
     _inverse_from_factor,
-    _reverse_time,
+    _member,
     _symmetric_part,
     invert_spd,
 )
@@ -208,6 +211,8 @@ class _CmcModel:
         return type(self), (self.n_last, self.dim, self.c, self.bc, *grids, self.boundary_gain)
 
     def __post_init__(self):
+        _member(self.c, ConditioningSide)
+        _member(self.bc, BoundaryCondition)
         n, d, c = self.n_last, self.dim, self.c
         if n < 1 or d < 1:
             raise ValueError("need n_last >= 1 and dim >= 1")
@@ -310,60 +315,38 @@ class CheckResult:
     worst_index: int | None
 
 
-def _regress(mat, d, targets, givens):
-    """Gaussian conditional coefficients of each x_target on its given times.
+def _regressions(cov, c, bc, time=lambda j: j):
+    """The forward model's fields read off the covariance ``cov``, its time
+    ``j`` being time ``time(j)`` of ``cov``: a backward model's mirror reads
+    the law's own covariance at the mirrored times.
 
-    ``givens`` holds one list of times per target, all of one length g.  The
-    K regressions share one gather, one stacked factorization and one pair
-    of stacked solves, and each gives the bits it would give alone.
-    Returns (gains, noises) of shapes (K, d, g d) and (K, d, d): column
-    block j of ``gains[i]`` is the gain on the j-th given time of target i,
-    and ``noises[i]`` is its conditional covariance.
+    Each step, in the order the model draws them, is the triple
+    ``(t, t, givens)``, and all go to one
+    :func:`~cmseq.blocks._condition` call: the start step, with no givens,
+    yields its plain block, and every other step its gains (the transposed
+    solves) and noise (the symmetric part of the residual).
     """
-    span = np.arange(d)
-    ig = (np.asarray(givens)[:, :, None] * d + span).reshape(len(givens), -1)
-    it = np.asarray(targets)[:, None] * d + span
-    cross_t = mat[it[:, :, None], ig[:, None, :]].swapaxes(1, 2)
-    # mat is a law's covariance or its time reversal: exactly symmetric, finite
-    gains = _cho_solve(_cholesky_stack(mat[ig[:, :, None], ig[:, None, :]], True), cross_t)
-    gains = gains.swapaxes(1, 2)
-    noises = mat[it[:, :, None], it[:, None, :]] - gains @ cross_t
-    return gains, _symmetric_part(noises)
-
-
-def _regressions(mat, n, d, c, bc):
-    """The forward model's fields read off the covariance ``mat``.
-
-    The interior steps are regressed in one stacked call and the boundary
-    step in another, in the order the model draws them.
-    """
-    g_trans, g_cond, g_noise = {}, {}, {}
-
-    def interior(ks, ci):
-        if not ks:
-            return
-        gains, noises = _regress(mat, d, ks, [[k - 1, ci] for k in ks])
-        for k, gain, noise in zip(ks, gains, noises):
-            g_trans[k], g_cond[k], g_noise[k] = gain[:, :d].copy(), gain[:, d:].copy(), noise
-
-    def boundary(start, end):
-        """x_start = e_start, and x_end regressed on it alone."""
-        t = slice(start * d, (start + 1) * d)
-        g_noise[start] = mat[t, t].copy()
-        gains, noises = _regress(mat, d, [end], [[start]])
-        g_noise[end] = noises[0]
-        return gains[0].copy()
-
+    n, d = cov.n_blocks - 1, cov.block_dim
     if c is ConditioningSide.LAST:
-        interior(list(range(1, n)), n)
-        bg = boundary(0, n) if bc is BoundaryCondition.BC1 else boundary(n, 0)
+        start, end = (0, n) if bc is BoundaryCondition.BC1 else (n, 0)
+        interior = [(k, (k - 1, n)) for k in range(1, n)]
     else:
         # c = FIRST: x_0 = e_0, and the k=1 step sees x_{k-1} = x_c = x_0
-        w = boundary(0, 1)
-        g_trans[1] = w / 2.0
-        g_cond[1] = w / 2.0
-        interior(list(range(2, n + 1)), 0)
-        bg = None
+        start, end = 0, 1
+        interior = [(k, (k - 1, 0)) for k in range(2, n + 1)]
+    steps = [(start, ()), (end, (start,)), *interior]
+    gains, g_noise = [None] * len(steps), {}
+    triples = [((time(t),), (time(t),), tuple(map(time, givens))) for t, givens in steps]
+    for positions, solved, partial in _condition(cov, triples):
+        for i, x, noise in zip(positions, solved.swapaxes(1, 2), _symmetric_part(partial)):
+            gains[i], g_noise[steps[i][0]] = x, noise
+    w = gains[1].copy()  # x_end on x_start alone
+    if c is ConditioningSide.LAST:
+        g_trans, g_cond, bg = {}, {}, w
+    else:
+        g_trans, g_cond, bg = {1: w / 2.0}, {1: w / 2.0}, None
+    for (k, _), gain in zip(interior, gains[2:]):
+        g_trans[k], g_cond[k] = gain[:, :d].copy(), gain[:, d:].copy()
     return n, d, c, bc, g_trans, g_cond, g_noise, bg
 
 
@@ -381,7 +364,9 @@ def build_forward(
     is CM_c for this side; it is a valid model of *some* CM_c law for every
     SPD input.
     """
-    return ForwardCmcModel(*_regressions(law.covariance.data, law.n_last, law.dim, c, bc))
+    _member(c, ConditioningSide)
+    _member(bc, BoundaryCondition)
+    return ForwardCmcModel(*_regressions(law.covariance, c, bc))
 
 
 def build_backward(
@@ -396,8 +381,9 @@ def build_backward(
     to the original times.  c=FIRST admits BC1 (x_N drawn first) and BC2;
     c=LAST starts at x_N and admits only BC1.
     """
-    reversed_cov = _reverse_time(law.covariance.data, law.dim)
-    mirror = _regressions(reversed_cov, law.n_last, law.dim, _OTHER_SIDE[c], bc)
+    _member(c, ConditioningSide)
+    _member(bc, BoundaryCondition)
+    mirror = _regressions(law.covariance, _OTHER_SIDE[c], bc, lambda j: law.n_last - j)
     return BackwardCmcModel(*_mirrored(*mirror))
 
 
@@ -563,6 +549,7 @@ def random_law(law_class: LawClass, n_last: int, dim: int, seed: int) -> Sequenc
     outside the class below.  Determinism depends only on
     (law_class, n_last, dim, seed).
     """
+    _member(law_class, LawClass)
     n, d = operator.index(n_last), operator.index(dim)
     if n < 2:
         raise ValueError("random_law needs n_last >= 2")

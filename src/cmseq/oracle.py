@@ -6,8 +6,10 @@ partial covariance ``Cov(x_a, x_b | x_s) = C_ab - C_as C_ss^-1 C_sb``
 vanishes.  The sweeps below enumerate all such statements implied by the
 Markov / reciprocal / conditionally-Markov definitions and report the worst
 residual, giving definition-level ground truth that is completely independent
-of any precision-matrix pattern reasoning.  Statements of one shape are
-evaluated as one stack, each with the bits it would get alone.
+of any precision-matrix pattern reasoning.  Every statement is evaluated
+by :func:`~cmseq.blocks._condition`, the package's one Gaussian-conditioning
+routine, which the models' regressions share: statements of one shape are
+one stack, each with the bits it would get alone.
 
 Sweeps are exact enumerations, never subsampled; they refuse inputs larger
 than ``(N+1) * d > 16`` scalars rather than approximate.
@@ -24,12 +26,9 @@ from .blocks import (
     BlockMatrix,
     ConditioningSide,
     IndexInterval,
-    NotPositiveDefiniteError,
-    NotSymmetricError,
     SequenceLaw,
     Tolerance,
-    _cho_solve,
-    _cholesky_stack,
+    _condition,
 )
 
 __all__ = [
@@ -110,54 +109,8 @@ def partial_covariance(cov: BlockMatrix, a, b, s):
     for t in a + b + s:
         if not 0 <= t < n:
             raise IndexError(f"time index {t} out of range [0, {n - 1}]")
-    [(_, stack)] = _evaluate(cov, [(a, b, s)])
-    return stack[0]
-
-
-def _evaluate(cov: BlockMatrix, triples):
-    """``Cov(x_a, x_b | x_s)`` for each ``(a, b, s)`` in ``triples``, in
-    stacks of one shape ``(|a|, |b|, |s|)``.
-
-    Each triple holds pairwise disjoint, increasing tuples of times in
-    ``[0, n_blocks)``.  Returns ``[(positions, stack)]``: ``stack[i]``
-    belongs to ``triples[positions[i]]`` and has the bits a stack of that
-    one triple would give it, as the stacked factorization and solves
-    treat each matrix alone.  If some conditioning block ``C_ss`` is not
-    SPD, the first such triple in the given order raises what
-    :func:`~cmseq.blocks.cholesky_spd` raises for its ``C_ss``, and a
-    :class:`NotPositiveDefiniteError` names the covariance's own scalar
-    row, found from the ``position`` of ``C_ss`` in its stack.
-    """
-    groups = {}
-    for i, (a, b, s) in enumerate(triples):
-        positions, times = groups.setdefault((len(a), len(b), len(s)), ([], []))
-        positions.append(i)
-        times.append(a + b + s)
-    mat, d = cov.data, cov.block_dim
-    out, failures = [], []
-    for (na, nb, ns), (positions, times) in groups.items():
-        times = np.array(times, dtype=np.intp)
-        rows = (times[:, :, None] * d + np.arange(d)).reshape(len(positions), -1)
-        ia, ib, js = rows[:, : na * d], rows[:, na * d : (na + nb) * d], rows[:, (na + nb) * d :]
-        c_ab = mat[ia[:, :, None], ib[:, None, :]]
-        if not ns:
-            out.append((positions, c_ab))
-            continue
-        c_ss = mat[js[:, :, None], js[:, None, :]]
-        try:
-            lower = _cholesky_stack(c_ss, cov._symmetric)
-        except (NotPositiveDefiniteError, NotSymmetricError) as err:
-            i = err.position
-            if isinstance(err, NotPositiveDefiniteError):
-                err = NotPositiveDefiniteError(js[i, err.pivot_index], err.pivot_value)
-            failures.append((positions[i], err))
-            continue
-        c_as = mat[ia[:, :, None], js[:, None, :]]
-        c_sb = mat[js[:, :, None], ib[:, None, :]]
-        out.append((positions, c_ab - c_as @ _cho_solve(lower, c_sb)))
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return out
+    [(_, _, partial)] = _condition(cov, [(a, b, s)])
+    return partial[0]
 
 
 def _check_size(law: SequenceLaw):
@@ -180,8 +133,8 @@ def _sweep(cov: BlockMatrix, queries, residual_tol):
         raise ValueError(f"exhaustive sweep refused: the largest block norm of C is {scale}")
     ratios = np.zeros(len(queries))
     triples = [((q.target,), tuple(sorted(q.dropped)), tuple(sorted(q.retained))) for q in queries]
-    for positions, stack in _evaluate(cov, triples):
-        flat = stack.reshape(len(positions), 1, -1)
+    for positions, _, partial in _condition(cov, triples):
+        flat = partial.reshape(len(positions), 1, -1)
         # one dot product per matrix, as np.linalg.norm takes its square
         norms = np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
         ratios[positions] = norms / scale if scale > 0 else 0.0

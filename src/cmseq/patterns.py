@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blocks import BlockMatrix, Tolerance, symmetrize
+from .blocks import BlockMatrix, Tolerance, _member, symmetrize
 
 __all__ = [
     "PatternKind",
@@ -68,6 +68,7 @@ class PatternSpec:
     n_last: int
 
     def __post_init__(self):
+        _member(self.kind, PatternKind)
         if operator.index(self.n_last) < 1:  # TypeError for a non-integer
             raise ValueError("n_last must be >= 1")
 

@@ -19,6 +19,7 @@ draws are the same bits as those of the per-replicate construction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,12 +137,12 @@ def _substream_states(seed, r):
 
 def _sample(model, n_replicates, seed):
     n, d = model.n_last, model.dim
-    m = int(n_replicates)
+    m = operator.index(n_replicates)  # TypeError for a non-integer
     if m < 0:
         raise ValueError("n_replicates must be >= 0")
     if m > 1 << 32:
         raise ValueError("n_replicates must be <= 2**32")
-    seed = int(seed)
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     plan = model._generation_plan
@@ -238,6 +239,7 @@ def mc_validate(
     e.g. to demonstrate that a perturbed model no longer matches the
     original.  The reference must have the model's ``(n_last, dim)``.
     """
+    n_replicates = operator.index(n_replicates)  # TypeError for a non-integer
     if n_replicates < 2:
         raise InsufficientSamplesError(f"need at least 2 replicates, got {n_replicates}")
     if reference is None:
@@ -265,6 +267,6 @@ def mc_validate(
         worst_abs_dev=worst,
         worst_entry=(int(worst_entry[0]), int(worst_entry[1])),
         tol_abs=float(tol_abs),
-        n_replicates=int(n_replicates),
+        n_replicates=n_replicates,
         seed=int(seed),
     )

@@ -616,6 +616,39 @@ def test_a_round_trip_factorizes_a_number_of_times_independent_of_n(build, c, bc
     assert counts[3] == counts[9] <= 5
 
 
+@pytest.mark.parametrize("build,c,bc", SHAPES)
+def test_a_build_conditions_every_step_in_one_call(build, c, bc, monkeypatch):
+    """The start step, the boundary step and every interior step of a model
+    go to one call of the package's one Gaussian-conditioning routine."""
+    calls = []
+    condition = models._condition
+
+    def counted(cov, triples):
+        calls.append(len(triples))
+        return condition(cov, triples)
+
+    monkeypatch.setattr(models, "_condition", counted)
+    for n in (2, 3, 6):
+        build(random_law(LawClass.GENERIC, n, 2, seed=n), c, bc)
+    assert calls == [3, 4, 7]  # one triple per time
+
+
+def test_a_failing_pivot_of_a_build_names_the_laws_own_row():
+    """x_0 = 1e-2 z_0 and x_1 = z_0 + 1e-5 z_1 pass the law's own SPD check,
+    x_0 coming first, but x_0 given x_1 has variance 1e-14: the regression
+    of x_2 on (x_1, x_0) fails at the second pivot of its block, the row of
+    x_0 in the law.  The same holds for x_2 = z_0 + 1e-5 z_2 read by the
+    backward c=FIRST regression of x_1 on (x_2, x_0)."""
+    mixing = np.array([[1e-2, 0, 0, 0], [1, 1e-5, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
+    with pytest.raises(NotPositiveDefiniteError, match="pivot 1.000e-14 at index 0"):
+        build_forward(SequenceLaw(mixing @ mixing.T, 1), FIRST)
+    mixing = np.array([[1e-2, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1e-5, 0], [0, 0, 1, 1]])
+    law = SequenceLaw(mixing @ mixing.T, 1)
+    for bc in (BC1, BC2):
+        with pytest.raises(NotPositiveDefiniteError, match="pivot 1.000e-14 at index 0"):
+            build_backward(law, FIRST, bc)
+
+
 # --- random law generator ---------------------------------------------------
 
 

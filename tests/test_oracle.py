@@ -6,6 +6,7 @@ why the classifier can be cross-validated against it.
 """
 
 import random
+import traceback
 from unittest import mock
 
 import numpy as np
@@ -337,6 +338,21 @@ def test_the_first_failing_query_raises_when_a_later_stack_fails_too():
     with pytest.raises(NotPositiveDefiniteError) as err:
         oracle._sweep(BlockMatrix(bad, 1), queries, 1e-9)
     assert err.value.pivot_index == 4 and err.value.pivot_value == -2.0
+
+
+def test_the_oracle_reaches_cholesky_only_through_the_conditioning_routine(monkeypatch):
+    law = random_law(LawClass.GENERIC, 3, 2, seed=1)
+    callers = []
+    cholesky = np.linalg.cholesky
+
+    def traced(*args, **kwargs):
+        callers.append({frame.name for frame in traceback.extract_stack()})
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", traced)
+    every_sweep(law)
+    partial_covariance(law.covariance, [0], [3], [1, 2])
+    assert callers and all("_condition" in names for names in callers)
 
 
 def test_a_covariance_whose_block_norm_overflows_is_refused(cyclic_law):

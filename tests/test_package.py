@@ -11,6 +11,20 @@ from pathlib import Path
 import pytest
 
 import cmseq
+from cmseq import (
+    BoundaryCondition,
+    ConditioningSide,
+    IndexInterval,
+    LawClass,
+    PatternKind,
+    PatternSpec,
+    build_backward,
+    build_forward,
+    classify_cm_interval,
+    classify_cmc,
+    oracle_cm_interval,
+    random_law,
+)
 from cmseq import blocks, classify, models, oracle, patterns, simulate
 
 MODULES = (blocks, patterns, classify, oracle, models, simulate)
@@ -95,6 +109,64 @@ def test_the_package_uses_no_numpy_2_only_name():
         if any(re.search(pattern, line) for pattern in NUMPY_2_ONLY)
     ]
     assert found == []
+
+
+# the Cholesky and solve calls of the package, all behind blocks
+LINEAR_ALGEBRA = re.compile(r"\b_cho_solve\b|\bnp\.linalg\.(?:solve|cholesky)\b")
+
+
+def test_only_blocks_factorizes_or_solves():
+    src = Path(cmseq.__file__).parent
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "blocks.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if LINEAR_ALGEBRA.search(line)
+    ]
+    assert found == []
+
+
+FIRST, LAST = ConditioningSide
+BC1 = BoundaryCondition.BC1
+
+
+def with_field(model, name, value):
+    """``model``'s constructor called with its own fields, one replaced."""
+    fields = dict(vars(model), **{name: value})
+    names = ("n_last", "dim", "c", "bc", "g_trans", "g_cond", "g_noise", "boundary_gain")
+    return type(model)(*(fields[n] for n in names))
+
+
+# every public name taking one of the package's enums, as a call of a law
+# (random_law(CM_L_ONLY, 5, 1, 0)) and of that argument, with a member it accepts
+ENUM_CALLS = {
+    "IndexInterval.endpoint": (FIRST, lambda law, v: IndexInterval(0, 5).endpoint(v)),
+    "classify_cmc": (LAST, lambda law, v: classify_cmc(law, v)),
+    "classify_cm_interval": (LAST, lambda law, v: classify_cm_interval(law, IndexInterval(0, 2), v)),
+    "oracle_cm_interval": (FIRST, lambda law, v: oracle_cm_interval(law, IndexInterval(0, 5), v)),
+    "build_forward-c": (LAST, lambda law, v: build_forward(law, v)),
+    "build_forward-bc": (BC1, lambda law, v: build_forward(law, LAST, v)),
+    "build_backward-c": (FIRST, lambda law, v: build_backward(law, v)),
+    "build_backward-bc": (BC1, lambda law, v: build_backward(law, FIRST, v)),
+    "ForwardCmcModel-c": (LAST, lambda law, v: with_field(build_forward(law, LAST), "c", v)),
+    "ForwardCmcModel-bc": (BC1, lambda law, v: with_field(build_forward(law, LAST), "bc", v)),
+    "BackwardCmcModel-c": (FIRST, lambda law, v: with_field(build_backward(law, FIRST), "c", v)),
+    "BackwardCmcModel-bc": (BC1, lambda law, v: with_field(build_backward(law, FIRST), "bc", v)),
+    "PatternSpec": (PatternKind.CM_L, lambda law, v: PatternSpec(v, 4)),
+    "random_law": (LawClass.MARKOV, lambda law, v: random_law(v, 3, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("wrong", ["string value", "None"])
+@pytest.mark.parametrize("member, call", ENUM_CALLS.values(), ids=ENUM_CALLS)
+def test_an_enum_argument_must_be_a_member(member, call, wrong):
+    """A string value or None is not read as some member: ``"last"`` once
+    gave the CM_F verdict of ``classify_cmc`` and a model of another law."""
+    law = random_law(LawClass.CM_L_ONLY, 5, 1, 0)
+    call(law, member)
+    with pytest.raises(TypeError, match=f"expected a {type(member).__name__}, got"):
+        call(law, member.value if wrong == "string value" else None)
 
 
 def test_the_demos_are_found():

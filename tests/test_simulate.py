@@ -235,3 +235,27 @@ def test_bad_seed_or_count_is_rejected(m, seed):
 def test_mc_validate_needs_two_replicates(m):
     with pytest.raises(InsufficientSamplesError):
         mc_validate(AR1_MODEL, m, seed=0, tol_abs=0.05)
+
+
+@pytest.mark.parametrize("m, seed", [(2.9, 1), (2, 1.7), (2.0, 1), ("2", 1), (2, "1")])
+def test_a_count_or_seed_that_is_not_an_integer_is_rejected(m, seed):
+    """A float count or seed is not truncated to another batch."""
+    with pytest.raises(TypeError):
+        sample_forward(AR1_MODEL, m, seed)
+    with pytest.raises(TypeError):
+        sample_backward(build_backward(ar1_law(4), FIRST, BC1), m, seed)
+
+
+def test_mc_validate_rejects_a_count_that_is_not_an_integer():
+    """The statistical floor is not computed from one count and the batch
+    drawn with another."""
+    with pytest.raises(TypeError):
+        mc_validate(AR1_MODEL, 1000.9, seed=0, tol_abs=1.0)
+
+
+def test_numpy_integer_counts_and_seeds_are_integers():
+    want = sample_forward(AR1_MODEL, 5, 3)
+    got = sample_forward(AR1_MODEL, np.int64(5), np.uint8(3))
+    assert (got.n_replicates, got.seed) == (5, 3)
+    assert type(got.n_replicates) is int and type(got.seed) is int
+    assert got.data.tobytes() == want.data.tobytes()

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print one sha256 over every field of ``full_report`` on a fixed corpus,
-one over every ``classify_cm_interval`` witness of its smaller laws, and
-one over its models and oracle verdicts.
+one over every ``classify_cm_interval`` witness of its smaller laws, one
+over its models and oracle verdicts, and one over sample batches and their
+files.
 
 Run from the repository root:
 
@@ -19,13 +20,21 @@ recursion); every field of the model, the ``repr`` and
 covariance feed the third hash.  Each law small enough for the oracle
 (``(N+1)d <= 16``) feeds it the ``repr`` and ``worst_ratio.hex()`` of the
 Markov and reciprocal sweeps and of the CM sweep on every interval, side
-and ``use_future``.  Two trees that print the same digests give the same
-witnesses, models and verdicts bit for bit.  Run it on both sides of a
-change that claims to keep them.
+and ``use_future``.  Every class at N = 4, d in {1, 2, 3}, seed 0 is built
+into each of the six model shapes and sampled with M in {1, 1027} (1027
+crosses the 1024-replicate block of the sampler and the batch writers) and
+two seeds, one of them >= 2**64; the bytes of each batch's data, of its CSV
+file and of its structured JSON file feed the fourth hash.  Two trees that
+print the same digests give the same witnesses, models, verdicts, samples
+and batch files bit for bit.  Run it on both sides of a change that claims
+to keep them, under the same BLAS thread count: the first and third digests
+change with it (for example ``OPENBLAS_NUM_THREADS=1`` against the default).
 """
 
 import hashlib
+import tempfile
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -45,7 +54,10 @@ from cmseq import (
     oracle_markov,
     oracle_reciprocal,
     random_law,
+    sample_backward,
+    sample_forward,
 )
+from cmseq.serialize import save_batch_csv, save_batch_json
 
 NS = (3, 4, 5, 6, 10, 20, 40)
 DIMS = (1, 2, 3, 4)
@@ -54,6 +66,9 @@ INTERVAL_N_MAX = 10
 ORACLE_SCALARS_MAX = 16
 FIRST, LAST = ConditioningSide
 BC1, BC2 = BoundaryCondition
+BATCH_N, BATCH_DIMS = 4, (1, 2, 3)
+BATCH_SIZES = (1, 1027)
+BATCH_SEEDS = (7, 2**64 + 5)
 MODEL_SHAPES = (
     (build_forward, LAST, BC1),
     (build_forward, LAST, BC2),
@@ -104,6 +119,22 @@ def oracle_verdicts(law):
                 yield oracle_cm_interval(law, IndexInterval(lo, hi), side, use_future=use_future)
 
 
+def batch_bytes(directory):
+    """The data, CSV file and structured JSON file of every batch of the
+    batch corpus, one byte string per batch."""
+    csv_path, json_path = Path(directory, "batch.csv"), Path(directory, "batch.json")
+    for law_class, d in product(LawClass, BATCH_DIMS):
+        law = random_law(law_class, BATCH_N, d, 0)
+        for build, c, bc in MODEL_SHAPES:
+            model = build(law, c, bc)
+            sample = sample_forward if build is build_forward else sample_backward
+            for m, seed in product(BATCH_SIZES, BATCH_SEEDS):
+                batch = sample(model, m, seed)
+                save_batch_csv(csv_path, batch)
+                save_batch_json(json_path, batch)
+                yield batch.data.tobytes() + csv_path.read_bytes() + json_path.read_bytes()
+
+
 def main():
     reports, intervals, models = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     count = interval_count = model_count = verdict_count = 0
@@ -128,9 +159,15 @@ def main():
                 models.update(repr(verdict).encode())
                 models.update(verdict.worst_ratio.hex().encode())
                 verdict_count += 1
+    batches, batch_count = hashlib.sha256(), 0
+    with tempfile.TemporaryDirectory() as directory:
+        for blob in batch_bytes(directory):
+            batches.update(blob)
+            batch_count += 1
     print(f"{reports.hexdigest()}  {count} reports")
     print(f"{intervals.hexdigest()}  {interval_count} classify_cm_interval witnesses")
     print(f"{models.hexdigest()}  {model_count} models, {verdict_count} oracle verdicts")
+    print(f"{batches.hexdigest()}  {batch_count} sample batches with their CSV and JSON files")
 
 
 if __name__ == "__main__":

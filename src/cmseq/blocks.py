@@ -343,7 +343,7 @@ class BlockMatrix:
 
     def __init__(self, data, block_dim):
         data = _square(np.array(data, dtype=float))
-        block_dim = int(block_dim)
+        block_dim = operator.index(block_dim)  # TypeError for a non-integer
         if block_dim < 1:
             raise ValueError("block_dim must be >= 1")
         if data.shape[0] % block_dim != 0:

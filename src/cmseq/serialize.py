@@ -28,7 +28,7 @@ from .models import (
     BoundaryCondition,
     ForwardCmcModel,
 )
-from .simulate import SampleBatch
+from .simulate import _BLOCK, SampleBatch
 
 __all__ = [
     "SchemaError",
@@ -44,8 +44,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
-# replicates per formatted write in save_batch_csv
-_CSV_BLOCK = 4096
 
 
 class SchemaError(ValueError):
@@ -235,19 +233,34 @@ def classification_report_dict(law: SequenceLaw, report: ClassificationReport, t
     }
 
 
+def _items(text):
+    """The item strings of a one-line list encoding ``[a, b, ...]``."""
+    return text[1:-1].split(", ") if len(text) > 2 else []
+
+
+def _indented(items, level):
+    """The list of encoded ``items`` laid out as ``json.dumps(indent=2)`` lays
+    out a list whose opening bracket is at nesting ``level``."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+
+
 def save_batch_csv(path, batch: SampleBatch):
     """One row per (replicate, time): replicate, k, x_1..x_d.  No header.
 
     The bytes are those of ``csv.writer`` (excel dialect) fed
     ``[r, k] + [repr(float(v)) for v in x]``: float reprs need no quoting,
-    and rows end in ``\\r\\n``.  Rows are formatted and written a block of
-    replicates at a time.
+    and rows end in ``\\r\\n``.  Rows are written a block of replicates at a
+    time, and the floats of a block are spelled by one ``repr`` of their
+    list, so the memory beyond the batch is one block's text.
     """
     steps, d = batch.n_last + 1, batch.dim
     with open(path, "w", newline="") as fh:
-        for r0 in range(0, batch.n_replicates, _CSV_BLOCK):
-            block = np.asarray(batch.data[r0:r0 + _CSV_BLOCK], dtype=float)
-            values = map(float.__repr__, block.ravel().tolist())
+        for r0 in range(0, batch.n_replicates, _BLOCK):
+            block = np.asarray(batch.data[r0:r0 + _BLOCK], dtype=float)
+            values = iter(_items(repr(block.ravel().tolist())))
             rows = zip(*[values] * d)  # the d values of each (r, k), in order
             fh.write("".join([
                 f"{r},{k},{','.join(next(rows))}\r\n"
@@ -257,8 +270,16 @@ def save_batch_csv(path, batch: SampleBatch):
 
 
 def save_batch_json(path, batch: SampleBatch):
-    dump_json(
-        path,
+    """The structured batch file: the bytes of :func:`dump_json` of the dict
+    of the batch's shape, seed and ``data.tolist()``.
+
+    ``data`` is written a block of replicates at a time into a template of
+    the indented layout, its values spelled by json's own encoder on the
+    block's flat list (so NaN and infinities read ``NaN`` and ``Infinity``,
+    and an integer array writes integers).  The memory beyond the batch is
+    one block's text.
+    """
+    head, tail = json.dumps(
         {
             "schema_version": SCHEMA_VERSION,
             "kind": "sample_batch",
@@ -266,6 +287,19 @@ def save_batch_json(path, batch: SampleBatch):
             "N": batch.n_last,
             "d": batch.dim,
             "seed": batch.seed,
-            "data": batch.data.tolist(),
+            "data": None,
         },
-    )
+        sort_keys=True,
+        indent=2,
+    ).split('"data": null')
+    # one replicate's (steps, d) list, its values left as %s
+    replicate = _indented([_indented(["%s"] * batch.dim, 3)] * (batch.n_last + 1), 2)
+    m = batch.n_replicates
+    with open(path, "w") as fh:
+        fh.write(head + '"data": ' + ("[" if m else "[]"))
+        for r0 in range(0, m, _BLOCK):
+            block = batch.data[r0:r0 + _BLOCK]
+            values = _items(json.dumps(block.ravel().tolist()))
+            text = ",\n    ".join([replicate] * len(block)) % tuple(values)
+            fh.write(("\n    " if r0 == 0 else ",\n    ") + text)
+        fh.write(("\n  ]" if m else "") + tail + "\n")

@@ -3,18 +3,31 @@
 Each replicate owns an independent, deterministically derived random
 substream (PCG64 seeded from ``SeedSequence(entropy=seed, spawn_key=(r,))``),
 so batches are bit-identical regardless of evaluation order, parallelism, or
-how many replicates surround a given one.  Within a replicate, one standard
-normal vector is consumed per time step in the model's generation order
-(boundary recursion first, then the chain).  That order is the generation
-plan of :mod:`cmseq.models`, the same steps SG is assembled from.
+how many replicates surround a given one (a batch of one replicate aside,
+see below).  Within a replicate, one standard normal vector is consumed per
+time step in the model's generation order (boundary recursion first, then
+the chain).  That order is the generation plan of :mod:`cmseq.models`, the
+same steps SG is assembled from.
+
+Replicates are drawn a block of ``_BLOCK`` at a time.  Each block's
+standard normals fill one reused block array, one replicate's substream
+after another; the block then runs through the generation plan at once and
+fills its rows of the batch.  The only array that grows with the number of
+replicates is the batch itself: the memory beyond it is one block's draws,
+substream states and propagation temporaries.  The bits do not depend on
+the block size.  numpy multiplies a one-row block by BLAS's vector routine
+(gemv), whose last bits at d >= 2 can differ from those of the matrix
+routine (gemm) that longer blocks take.  So no block has one row unless the
+batch has one replicate, and that replicate can differ in its last bits
+from replicate 0 of a longer batch.
 
 The substreams are not built one ``SeedSequence``/``PCG64`` pair at a time.
 The spawn key is the last word ``SeedSequence`` mixes into its pool, so the
-pool of ``SeedSequence(seed)`` is mixed with every replicate index at once
-in ``uint32`` arithmetic, a block of replicates at a time, and numpy's
-``generate_state`` and PCG64 seeding are replayed on the result.  Each
-replicate's PCG64 state is then loaded into one reused generator.  The
-draws are the same bits as those of the per-replicate construction.
+pool of ``SeedSequence(seed)`` is mixed with every replicate index of a
+block at once in ``uint32`` arithmetic, and numpy's ``generate_state`` and
+PCG64 seeding are replayed on the result.  Each replicate's PCG64 state is
+then loaded into one reused generator.  The draws are the same bits as
+those of the per-replicate construction.
 """
 
 from __future__ import annotations
@@ -46,8 +59,9 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-# replicates whose substreams are set up together; bounds the setup memory
-_BLOCK = 4096
+# replicates sampled together, and written together by the batch writers of
+# serialize; the memory beyond the batch grows with it, not with the batch
+_BLOCK = 1024
 
 
 class InsufficientSamplesError(ValueError):
@@ -124,15 +138,13 @@ def _substream_seed_words(seed, r):
 
 
 def _substream_states(seed, r):
-    """The PCG64 ``(state, inc)`` of each replicate's substream in ``r``."""
-    states = []
+    """The PCG64 ``(state, inc)`` of each replicate's substream in ``r``, in turn."""
     for s_hi, s_lo, i_hi, i_lo in _substream_seed_words(seed, r).tolist():
         # PCG64 seeding: state = 0, inc = 2*initseq + 1, step,
         # state += initstate, step; every step is state*MULT + inc
         inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
         state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+        yield state, inc
 
 
 def _sample(model, n_replicates, seed):
@@ -146,16 +158,20 @@ def _sample(model, n_replicates, seed):
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     plan = model._generation_plan
-    steps = len(plan)
     factors = model._noise_lower  # one per noise covariance, kept by the model
-    # phase 1: per-replicate substreams produce the standard normal draws
-    z = np.empty((m, steps, d))
+    data = np.zeros((m, n + 1, d))
+    z = np.empty((min(m, _BLOCK), len(plan), d))  # one block's draws, reused
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    for r0 in range(0, m, _BLOCK):
-        block = z[r0:r0 + _BLOCK]
-        states = _substream_states(seed, np.arange(r0, r0 + len(block)))
-        for zr, (state, inc) in zip(block, states):
+    # a one-row block would take gemv, not gemm (see the module docstring):
+    # a lone last row takes one row from the block before it
+    starts = list(range(0, m, _BLOCK))
+    if m > 1 and m % _BLOCK == 1:
+        starts[-1] -= 1
+    for r0, r1 in zip(starts, starts[1:] + [m]):
+        zb, rows = z[:r1 - r0], data[r0:r1]
+        # per-replicate substreams produce the block's standard normal draws
+        for zr, (state, inc) in zip(zb, _substream_states(seed, np.arange(r0, r1))):
             bitgen.state = {
                 "bit_generator": "PCG64",
                 "state": {"state": state, "inc": inc},
@@ -163,13 +179,12 @@ def _sample(model, n_replicates, seed):
                 "uinteger": 0,
             }
             gen.standard_normal(out=zr)
-    # phase 2: propagate all replicates through the recursions at once
-    data = np.zeros((m, n + 1, d))
-    for pos, (t, terms) in enumerate(plan):
-        x = z[:, pos, :] @ factors[t].T
-        for gain, src in terms:
-            x = x + data[:, src, :] @ gain.T
-        data[:, t, :] = x
+        # then the block runs through the recursions at once
+        for pos, (t, terms) in enumerate(plan):
+            x = zb[:, pos, :] @ factors[t].T
+            for gain, src in terms:
+                x = x + rows[:, src, :] @ gain.T
+            rows[:, t, :] = x
     data.setflags(write=False)
     return SampleBatch(m, n, d, data, seed)
 

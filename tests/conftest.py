@@ -1,6 +1,7 @@
 """Shared laboratory laws used across the test modules."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` runs ``fn()`` and returns its result with
+    tracemalloc's peak while it ran, in bytes above what was traced as it
+    began."""
+
+    def run(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    return run
 
 
 @pytest.fixture(scope="session")

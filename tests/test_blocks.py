@@ -755,6 +755,21 @@ def test_index_interval_accepts_numpy_integers():
         IndexInterval(np.int64(3), np.int64(3))
 
 
+@pytest.mark.parametrize("block_dim", [2.5, 2.0, "2", np.float64(2)])
+def test_a_block_dim_that_is_not_an_integer_is_rejected(block_dim):
+    """A float or string block dimension is not truncated or parsed to a size."""
+    with pytest.raises(TypeError):
+        BlockMatrix(np.eye(4), block_dim)
+    with pytest.raises(TypeError):
+        SequenceLaw(np.eye(4), block_dim)
+
+
+def test_numpy_integer_block_dims_are_integers():
+    bm = BlockMatrix(np.eye(4), np.int64(2))
+    assert bm.block_dim == 2 and type(bm.block_dim) is int
+    assert SequenceLaw(np.eye(4), np.int32(2)).dim == 2
+
+
 def test_tolerance_must_be_positive():
     with pytest.raises(ValueError):
         Tolerance(zero_tol=0.0)

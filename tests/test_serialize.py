@@ -31,7 +31,7 @@ from cmseq.serialize import (
     save_law,
     save_model,
 )
-from cmseq.serialize import _CSV_BLOCK
+from cmseq.simulate import _BLOCK
 
 LAST = ConditioningSide.LAST
 FIRST = ConditioningSide.FIRST
@@ -221,22 +221,75 @@ def _reference_csv(path, batch):
                 writer.writerow([r, k] + [repr(float(v)) for v in batch.data[r, k]])
 
 
-@pytest.mark.parametrize(
-    "m, n_last, dim",
-    [(0, 2, 1), (1, 0, 1), (_CSV_BLOCK + 2, 2, 1), (7, 3, 3), (_CSV_BLOCK + 1, 1, 3)],
-)
-def test_batch_csv_matches_csv_writer_bytes(tmp_path, m, n_last, dim):
+def _awkward_batch(m, n_last, dim):
+    """Values over 60 decades, led by the floats whose spelling is awkward."""
     data = np.random.default_rng(m + dim).standard_normal((m, n_last + 1, dim))
     data *= 10.0 ** np.random.default_rng(1).integers(-30, 30, size=data.shape)
-    special = [-0.0, 5e-324, 1e-5, 1e16, 1e300, -1e-300, 0.1, 123456789.0]
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-5, 1e16, 1e300, -1e-300,
+               0.1, 123456789.0]
     data.reshape(-1)[: len(special)] = special[: data.size]
-    batch = SampleBatch(m, n_last, dim, data, seed=0)
+    return SampleBatch(m, n_last, dim, data, seed=0)
+
+
+BATCH_SHAPES = [(0, 2, 1), (1, 0, 1), (_BLOCK + 2, 2, 1), (7, 3, 3), (_BLOCK + 1, 1, 3),
+                (3, 0, 2)]
+
+
+@pytest.mark.parametrize("m, n_last, dim", BATCH_SHAPES)
+def test_batch_csv_matches_csv_writer_bytes(tmp_path, m, n_last, dim):
+    batch = _awkward_batch(m, n_last, dim)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     save_batch_csv(got, batch)
     _reference_csv(want, batch)
     assert got.read_bytes() == want.read_bytes()
     if m == 0:
         assert got.read_bytes() == b""
+
+
+def _batch_dict(batch):
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "sample_batch",
+        "M": batch.n_replicates,
+        "N": batch.n_last,
+        "d": batch.dim,
+        "seed": batch.seed,
+        "data": batch.data.tolist(),
+    }
+
+
+@pytest.mark.parametrize("m, n_last, dim", BATCH_SHAPES)
+def test_batch_json_matches_dump_json_bytes(tmp_path, m, n_last, dim):
+    """NaN and the infinities are spelled as json spells them."""
+    batch = _awkward_batch(m, n_last, dim)
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    save_batch_json(got, batch)
+    dump_json(want, _batch_dict(batch))
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_batch_json_writes_an_integer_array_as_integers(tmp_path):
+    batch = SampleBatch(2, 1, 2, np.arange(-3, 5).reshape(2, 2, 2), seed=2**70)
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    save_batch_json(got, batch)
+    dump_json(want, _batch_dict(batch))
+    assert got.read_bytes() == want.read_bytes()
+    assert json.loads(got.read_text())["data"][0][0] == [-3, -2]
+
+
+@pytest.mark.parametrize("save", [save_batch_csv, save_batch_json])
+def test_batch_writer_memory_does_not_grow_with_the_batch(tmp_path, save, traced_peak):
+    """From 4 to 16 blocks of replicates, a writer's peak memory grows by
+    less than a quarter of one block of the batch."""
+    model = build_forward(ar1_law(4), LAST, BC1)
+    path = tmp_path / "batch"
+    save(path, sample_forward(model, 4 * _BLOCK, seed=0))  # warm-up
+    peaks = []
+    for m in (4 * _BLOCK, 16 * _BLOCK):
+        batch = sample_forward(model, m, seed=0)
+        peaks.append(traced_peak(lambda: save(path, batch))[1])
+    block_bytes = batch.data[:_BLOCK].nbytes
+    assert peaks[1] - peaks[0] < block_bytes / 4, (peaks, block_bytes)
 
 
 def test_batch_json_contains_shape_and_seed(tmp_path):

@@ -20,6 +20,7 @@ from cmseq import (
     sample_covariance,
     sample_forward,
 )
+from cmseq import simulate
 from cmseq.blocks import cholesky_spd
 from cmseq.fixtures import ar1_law, identity_law
 from cmseq.simulate import _BLOCK, _substream_seed_words
@@ -195,13 +196,13 @@ def _reference_sample(model, n_replicates, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
 @pytest.mark.parametrize(
     "direction, c, bc",
-    [("forward", LAST, BC1), ("backward", FIRST, BC1), ("backward", FIRST, BC2),
-     ("backward", LAST, BC1)],
+    [("forward", LAST, BC1), ("forward", LAST, BC2), ("forward", FIRST, BC1),
+     ("backward", FIRST, BC1), ("backward", FIRST, BC2), ("backward", LAST, BC1)],
 )
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_sampler_matches_per_replicate_substreams(seed, direction, c, bc, dim):
     law = random_law(LawClass.RECIPROCAL, 3, dim, seed=dim)
-    m = _BLOCK + 3  # crosses a substream-setup block boundary
+    m = _BLOCK + 3  # crosses a block boundary
     if direction == "forward":
         model = build_forward(law, c, bc)
         batch = sample_forward(model, m, seed)
@@ -209,6 +210,37 @@ def test_sampler_matches_per_replicate_substreams(seed, direction, c, bc, dim):
         model = build_backward(law, c, bc)
         batch = sample_backward(model, m, seed)
     assert batch.data.tobytes() == _reference_sample(model, m, seed).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_bits_do_not_depend_on_the_block_size(dim, monkeypatch):
+    """Every block size gives the bits of one block, a lone last row too.
+    Only a batch of one replicate takes numpy's one-row (gemv) path."""
+    model = build_forward(random_law(LawClass.RECIPROCAL, 3, dim, seed=dim), LAST, BC1)
+    whole = sample_forward(model, 12, seed=7).data
+    for block in (3, 4, 5, 11):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        for m in range(2, 13):
+            assert sample_forward(model, m, seed=7).data.tobytes() == whole[:m].tobytes()
+    one = sample_forward(model, 1, seed=7).data
+    assert one.tobytes() == _reference_sample(model, 1, 7).tobytes()
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_sampler_memory_beyond_the_batch_does_not_grow_with_it(direction, traced_peak):
+    """From 4 to 16 blocks of replicates, the peak memory beyond the batch
+    grows by less than a quarter of one block of the batch."""
+    if direction == "forward":
+        model, sample = build_forward(ar1_law(4), LAST, BC1), sample_forward
+    else:
+        model, sample = build_backward(ar1_law(4), FIRST, BC1), sample_backward
+    sample(model, 4 * _BLOCK, seed=0)  # warm-up
+    beyond = []
+    for m in (4 * _BLOCK, 16 * _BLOCK):
+        batch, peak = traced_peak(lambda: sample(model, m, seed=0))
+        beyond.append(peak - batch.data.nbytes)
+    block_bytes = batch.data[:_BLOCK].nbytes
+    assert beyond[1] - beyond[0] < block_bytes / 4, (beyond, block_bytes)
 
 
 @settings(max_examples=60, deadline=None)

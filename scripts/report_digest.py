@@ -22,17 +22,22 @@ covariance feed the third hash.  Each law small enough for the oracle
 Markov and reciprocal sweeps and of the CM sweep on every interval, side
 and ``use_future``.  Every class at N = 4, d in {1, 2, 3}, seed 0 is built
 into each of the six model shapes and sampled with M in {1, 1027} (1027
-crosses the 1024-replicate block of the sampler and the batch writers) and
-two seeds, one of them >= 2**64; the bytes of each batch's data, of its CSV
-file and of its structured JSON file feed the fourth hash.  Two trees that
-print the same digests give the same witnesses, models, verdicts, samples
-and batch files bit for bit.  Run it on both sides of a change that claims
-to keep them, under the same BLAS thread count: the first and third digests
-change with it (for example ``OPENBLAS_NUM_THREADS=1`` against the default).
+crosses the 1024-replicate block of the sampler) and two seeds, one of them
+>= 2**64; the bytes of each batch's data, of its CSV file and of its
+structured JSON file feed the fourth hash.  So do those of one batch large
+enough for worker processes (N = 4, d = 2, M = 8 * 1024 + 1: nine sampler
+blocks, the last of one row), built once with the workers forced on and
+once with them off; the script stops unless both give the same bytes.  Two
+trees that print the same digests give the same witnesses, models,
+verdicts, samples and batch files bit for bit.  Run it on both sides of a
+change that claims to keep them, under the same BLAS thread count: the
+first and third digests change with it (for example
+``OPENBLAS_NUM_THREADS=1`` against the default).
 """
 
 import hashlib
 import tempfile
+from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
 
@@ -56,6 +61,7 @@ from cmseq import (
     random_law,
     sample_backward,
     sample_forward,
+    simulate,
 )
 from cmseq.serialize import save_batch_csv, save_batch_json
 
@@ -69,6 +75,8 @@ BC1, BC2 = BoundaryCondition
 BATCH_N, BATCH_DIMS = 4, (1, 2, 3)
 BATCH_SIZES = (1, 1027)
 BATCH_SEEDS = (7, 2**64 + 5)
+# a batch of 9 sampler blocks, the last of one row, and of 21 writer chunks
+WORKER_BATCH = dict(n_last=4, dim=2, n_replicates=8 * 1024 + 1)
 MODEL_SHAPES = (
     (build_forward, LAST, BC1),
     (build_forward, LAST, BC2),
@@ -135,6 +143,36 @@ def batch_bytes(directory):
                 yield batch.data.tobytes() + csv_path.read_bytes() + json_path.read_bytes()
 
 
+@contextmanager
+def workers(cpus):
+    """Sample and write as on ``cpus`` CPUs, with every loop of two blocks
+    or more split over them (one: the serial path)."""
+    saved = simulate._usable_cpus, simulate._FORK_MIN_BLOCKS
+    simulate._usable_cpus, simulate._FORK_MIN_BLOCKS = (lambda: cpus), 1
+    try:
+        yield
+    finally:
+        simulate._usable_cpus, simulate._FORK_MIN_BLOCKS = saved
+
+
+def worker_batch_bytes(directory):
+    """The data, CSV file and structured JSON file of ``WORKER_BATCH``, one
+    byte string, the same with worker processes as without."""
+    csv_path, json_path = Path(directory, "batch.csv"), Path(directory, "batch.json")
+    law = random_law(LawClass.RECIPROCAL, WORKER_BATCH["n_last"], WORKER_BATCH["dim"], 0)
+    model = build_forward(law, LAST, BC1)
+    blobs = []
+    for cpus in (1, 3):
+        with workers(cpus):
+            batch = sample_forward(model, WORKER_BATCH["n_replicates"], BATCH_SEEDS[0])
+            save_batch_csv(csv_path, batch)
+            save_batch_json(json_path, batch)
+        blobs.append(batch.data.tobytes() + csv_path.read_bytes() + json_path.read_bytes())
+    if blobs[0] != blobs[1]:
+        raise SystemExit("worker processes changed the bytes of a batch or its files")
+    return blobs[0]
+
+
 def main():
     reports, intervals, models = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     count = interval_count = model_count = verdict_count = 0
@@ -164,6 +202,8 @@ def main():
         for blob in batch_bytes(directory):
             batches.update(blob)
             batch_count += 1
+        batches.update(worker_batch_bytes(directory))
+        batch_count += 1
     print(f"{reports.hexdigest()}  {count} reports")
     print(f"{intervals.hexdigest()}  {interval_count} classify_cm_interval witnesses")
     print(f"{models.hexdigest()}  {model_count} models, {verdict_count} oracle verdicts")

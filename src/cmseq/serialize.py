@@ -12,6 +12,9 @@ bad matrices.
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .models import (
     BoundaryCondition,
     ForwardCmcModel,
 )
-from .simulate import _BLOCK, SampleBatch
+from .simulate import SampleBatch, _run_split, _split
 
 __all__ = [
     "SchemaError",
@@ -44,6 +47,9 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
+# values spelled per chunk by the batch writers: a chunk holds about 200
+# bytes of Python strings and lists per value, whatever the batch's shape
+_CHUNK_VALUES = 4096
 
 
 class SchemaError(ValueError):
@@ -247,37 +253,80 @@ def _indented(items, level):
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
 
 
+def _chunk_rows(batch):
+    """Replicates per chunk of a batch writer: about ``_CHUNK_VALUES``
+    values, and at least one replicate."""
+    return max(1, _CHUNK_VALUES // max(1, (batch.n_last + 1) * batch.dim))
+
+
+def _write_chunks(fh, n_chunks, chunk_text):
+    """Write ``chunk_text(c)`` for every chunk ``c`` to ``fh``, in order.
+
+    The chunks are split into contiguous ranges, one per worker process
+    (see :func:`cmseq.simulate._run_split`): this process writes the first
+    range to ``fh`` while each forked child writes its range to its own
+    unnamed temporary file, which is then appended to ``fh`` by a bounded
+    copy.  So each process holds one chunk's text at a time.
+    """
+    ranges = _split(n_chunks)
+    with ExitStack() as stack:
+        temps = [stack.enter_context(tempfile.TemporaryFile("w+", newline=""))
+                 for _ in ranges[1:]]
+
+        def work(i, lo, hi):
+            out = temps[i - 1] if i else fh
+            for c in range(lo, hi):
+                out.write(chunk_text(c))
+            out.flush()  # a child ends without flushing
+
+        fh.flush()  # so no child holds a copy of text not yet written
+        _run_split(ranges, work)
+        for temp in temps:
+            temp.seek(0)
+            shutil.copyfileobj(temp, fh)
+
+
 def save_batch_csv(path, batch: SampleBatch):
     """One row per (replicate, time): replicate, k, x_1..x_d.  No header.
 
     The bytes are those of ``csv.writer`` (excel dialect) fed
     ``[r, k] + [repr(float(v)) for v in x]``: float reprs need no quoting,
-    and rows end in ``\\r\\n``.  Rows are written a block of replicates at a
-    time, and the floats of a block are spelled by one ``repr`` of their
-    list, so the memory beyond the batch is one block's text.
+    and rows end in ``\\r\\n``.  Rows are written a chunk of whole
+    replicates, about ``_CHUNK_VALUES`` values, at a time, and the floats of
+    a chunk are spelled by one ``repr`` of their list, so the memory beyond
+    the batch is one chunk's text per worker process.  A large batch is
+    written by several processes at once (see :func:`_write_chunks`), with
+    the same bytes.
     """
     steps, d = batch.n_last + 1, batch.dim
+    per = _chunk_rows(batch)
+
+    def chunk_text(c):
+        r0 = c * per
+        chunk = np.asarray(batch.data[r0:r0 + per], dtype=float)
+        values = iter(_items(repr(chunk.ravel().tolist())))
+        rows = zip(*[values] * d)  # the d values of each (r, k), in order
+        return "".join([
+            f"{r},{k},{','.join(next(rows))}\r\n"
+            for r in range(r0, r0 + len(chunk))
+            for k in range(steps)
+        ])
+
     with open(path, "w", newline="") as fh:
-        for r0 in range(0, batch.n_replicates, _BLOCK):
-            block = np.asarray(batch.data[r0:r0 + _BLOCK], dtype=float)
-            values = iter(_items(repr(block.ravel().tolist())))
-            rows = zip(*[values] * d)  # the d values of each (r, k), in order
-            fh.write("".join([
-                f"{r},{k},{','.join(next(rows))}\r\n"
-                for r in range(r0, r0 + len(block))
-                for k in range(steps)
-            ]))
+        _write_chunks(fh, -(-batch.n_replicates // per), chunk_text)
 
 
 def save_batch_json(path, batch: SampleBatch):
     """The structured batch file: the bytes of :func:`dump_json` of the dict
     of the batch's shape, seed and ``data.tolist()``.
 
-    ``data`` is written a block of replicates at a time into a template of
-    the indented layout, its values spelled by json's own encoder on the
-    block's flat list (so NaN and infinities read ``NaN`` and ``Infinity``,
-    and an integer array writes integers).  The memory beyond the batch is
-    one block's text.
+    ``data`` is written a chunk of whole replicates, about ``_CHUNK_VALUES``
+    values, at a time into a template of the indented layout, its values
+    spelled by json's own encoder on the chunk's flat list (so NaN and
+    infinities read ``NaN`` and ``Infinity``, and an integer array writes
+    integers).  The memory beyond the batch is one chunk's text per worker
+    process.  A large batch is written by several processes at once (see
+    :func:`_write_chunks`), with the same bytes.
     """
     head, tail = json.dumps(
         {
@@ -294,12 +343,15 @@ def save_batch_json(path, batch: SampleBatch):
     ).split('"data": null')
     # one replicate's (steps, d) list, its values left as %s
     replicate = _indented([_indented(["%s"] * batch.dim, 3)] * (batch.n_last + 1), 2)
-    m = batch.n_replicates
+    m, per = batch.n_replicates, _chunk_rows(batch)
+
+    def chunk_text(c):
+        chunk = batch.data[c * per:(c + 1) * per]
+        values = _items(json.dumps(chunk.ravel().tolist()))
+        text = ",\n    ".join([replicate] * len(chunk)) % tuple(values)
+        return ("\n    " if c == 0 else ",\n    ") + text
+
     with open(path, "w") as fh:
         fh.write(head + '"data": ' + ("[" if m else "[]"))
-        for r0 in range(0, m, _BLOCK):
-            block = batch.data[r0:r0 + _BLOCK]
-            values = _items(json.dumps(block.ravel().tolist()))
-            text = ",\n    ".join([replicate] * len(block)) % tuple(values)
-            fh.write(("\n    " if r0 == 0 else ",\n    ") + text)
+        _write_chunks(fh, -(-m // per), chunk_text)
         fh.write(("\n  ]" if m else "") + tail + "\n")

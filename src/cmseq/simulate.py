@@ -17,9 +17,17 @@ replicates is the batch itself: the memory beyond it is one block's draws,
 substream states and propagation temporaries.  The bits do not depend on
 the block size.  numpy multiplies a one-row block by BLAS's vector routine
 (gemv), whose last bits at d >= 2 can differ from those of the matrix
-routine (gemm) that longer blocks take.  So no block has one row unless the
-batch has one replicate, and that replicate can differ in its last bits
-from replicate 0 of a longer batch.
+routine (gemm) that longer blocks take, so a one-row block runs as two
+rows and keeps the first: a batch of one replicate is row 0 of any longer
+batch.
+
+A large batch is sampled on every usable CPU.  The blocks are split into
+contiguous ranges of whole blocks, one per worker (see ``_workers``): this
+process samples the first range and a forked child each other one, all
+into one shared anonymous memory map that becomes the batch's ``data``.
+Each replicate keeps its own substream, so the bits are those of the
+serial loop, which is the same code run as one range.  The batch writers
+of :mod:`cmseq.serialize` split their chunks over workers the same way.
 
 The substreams are not built one ``SeedSequence``/``PCG64`` pair at a time.
 The spawn key is the last word ``SeedSequence`` mixes into its pool, so the
@@ -32,7 +40,14 @@ those of the per-replicate construction.
 
 from __future__ import annotations
 
+import mmap
 import operator
+import os
+import pickle
+import signal
+import sys
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +74,12 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-# replicates sampled together, and written together by the batch writers of
-# serialize; the memory beyond the batch grows with it, not with the batch
+# replicates sampled together; the memory beyond the batch grows with it,
+# not with the batch
 _BLOCK = 1024
+# blocks (or writer chunks) each worker process must get for a fork to pay:
+# set by measurement, see _workers
+_FORK_MIN_BLOCKS = 8
 
 
 class InsufficientSamplesError(ValueError):
@@ -147,6 +165,130 @@ def _substream_states(seed, r):
         yield state, inc
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(n_blocks):
+    """How many processes share a loop over ``n_blocks`` blocks.
+
+    One per usable CPU, each with at least ``_FORK_MIN_BLOCKS`` blocks, so
+    that a fork's fixed cost (copying the page tables, then the pages either
+    side writes) stays small beside its share of the work.  One, the serial
+    loop, where forking is not safe (see ``_fork_is_safe``).
+    """
+    workers = min(_usable_cpus(), n_blocks // _FORK_MIN_BLOCKS)
+    if workers < 2 or not _fork_is_safe():
+        return 1
+    return workers
+
+
+def _fork_is_safe():
+    """Whether workers may be forked here, and without a warning.
+
+    Only on Linux: elsewhere a forked child may not use system libraries
+    that the parent has used (on macOS CPython's own ``multiprocessing``
+    stopped forking for that reason).  From CPython 3.12 on, ``os.fork``
+    warns that a process with more than one thread may deadlock the child,
+    counting the threads by the 20th field of ``/proc/self/stat``; those
+    versions fork only a process with one thread.
+    """
+    if not sys.platform.startswith("linux"):
+        return False
+    if sys.version_info < (3, 12):
+        return True
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[17]) == 1
+    except (OSError, ValueError, IndexError):
+        return False
+
+
+def _split(n_blocks):
+    """Contiguous ranges ``(lo, hi)`` of whole blocks, one per worker."""
+    w = _workers(n_blocks)
+    return [(n_blocks * i // w, n_blocks * (i + 1) // w) for i in range(w)]
+
+
+def _run_split(ranges, work):
+    """Run ``work(i, lo, hi)`` on every range ``i``, all at once.
+
+    This process runs range 0 and a forked child each other range, so a
+    child's results must go to memory or files shared with this process.
+    Every child is reaped before this returns or raises.  A child that
+    raises sends its exception back through a pipe, and once every child
+    has ended the exception of the first failing range is raised here.  An
+    exception here, such as an interrupt, kills the children first; a
+    signal that kills this process outright ends them within 0.1 s.
+    """
+    pending = {}  # pid -> the child's exception pipe, until the child is reaped
+    parent = os.getpid()
+    try:
+        for i, (lo, hi) in enumerate(ranges[1:], 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the child runs its range and never returns
+                status = 1
+                try:
+                    os.close(r)
+                    _end_with(parent)
+                    work(i, lo, hi)
+                    status = 0
+                except BaseException as exc:
+                    with os.fdopen(w, "wb") as fh:
+                        fh.write(pickle.dumps(exc))
+                finally:
+                    os._exit(status)
+            os.close(w)
+            pending[pid] = os.fdopen(r, "rb")
+        work(0, *ranges[0])
+        failures = []
+        for pid in list(pending):
+            sent = pending[pid].read()  # to the end, which comes when the child ends
+            status = os.waitpid(pid, 0)[1]
+            pending.pop(pid).close()
+            if status:
+                failures.append(_unpickled(sent, status))
+        if failures:
+            raise failures[0]
+    finally:
+        for pid in pending:
+            os.kill(pid, signal.SIGKILL)
+        for pid, pipe in pending.items():
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
+def _end_with(parent):
+    """End this forked worker as soon as ``parent`` has ended, as when a
+    signal killed it before it could kill its workers."""
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.1)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _unpickled(sent, status):
+    """The exception a failed child sent, or one that says how it ended."""
+    try:
+        return pickle.loads(sent)
+    except Exception:  # nothing sent, or an exception that does not unpickle
+        code = os.waitstatus_to_exitcode(status)
+        how = f"signal {-code}" if code < 0 else f"status {code}"
+        return RuntimeError(f"a worker process ended with {how}")
+
+
 def _sample(model, n_replicates, seed):
     n, d = model.n_last, model.dim
     m = operator.index(n_replicates)  # TypeError for a non-integer
@@ -159,32 +301,44 @@ def _sample(model, n_replicates, seed):
         raise ValueError(f"seed must be >= 0, got {seed}")
     plan = model._generation_plan
     factors = model._noise_lower  # one per noise covariance, kept by the model
-    data = np.zeros((m, n + 1, d))
-    z = np.empty((min(m, _BLOCK), len(plan), d))  # one block's draws, reused
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    # a one-row block would take gemv, not gemm (see the module docstring):
-    # a lone last row takes one row from the block before it
-    starts = list(range(0, m, _BLOCK))
-    if m > 1 and m % _BLOCK == 1:
-        starts[-1] -= 1
-    for r0, r1 in zip(starts, starts[1:] + [m]):
-        zb, rows = z[:r1 - r0], data[r0:r1]
-        # per-replicate substreams produce the block's standard normal draws
-        for zr, (state, inc) in zip(zb, _substream_states(seed, np.arange(r0, r1))):
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            gen.standard_normal(out=zr)
-        # then the block runs through the recursions at once
-        for pos, (t, terms) in enumerate(plan):
-            x = zb[:, pos, :] @ factors[t].T
-            for gain, src in terms:
-                x = x + rows[:, src, :] @ gain.T
-            rows[:, t, :] = x
+    starts = range(0, m, _BLOCK)
+    ranges = _split(len(starts))
+    shape = (m, n + 1, d)
+    if len(ranges) == 1:
+        data = np.zeros(shape)
+    else:  # shared with the forked workers
+        size = m * (n + 1) * d * np.dtype(float).itemsize
+        data = np.frombuffer(mmap.mmap(-1, size), dtype=float).reshape(shape)
+
+    def work(_, lo, hi):
+        # a block's draws, reused; a one-row block runs as two rows, since
+        # numpy sends one row to gemv (see the module docstring)
+        z = np.zeros((max(2, min(m, _BLOCK)), len(plan), d))
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        for r0 in starts[lo:hi]:
+            r1 = min(r0 + _BLOCK, m)
+            zb = z[:max(2, r1 - r0)]
+            rows = data[r0:r1] if r1 - r0 > 1 else np.zeros((2, n + 1, d))
+            # per-replicate substreams produce the block's standard normal draws
+            for zr, (state, inc) in zip(zb, _substream_states(seed, np.arange(r0, r1))):
+                bitgen.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                gen.standard_normal(out=zr)
+            # then the block runs through the recursions at once
+            for pos, (t, terms) in enumerate(plan):
+                x = zb[:, pos, :] @ factors[t].T
+                for gain, src in terms:
+                    x = x + rows[:, src, :] @ gain.T
+                rows[:, t, :] = x
+            if r1 - r0 == 1:
+                data[r0] = rows[0]
+
+    _run_split(ranges, work)
     data.setflags(write=False)
     return SampleBatch(m, n, d, data, seed)
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cmseq import Tolerance
+from cmseq import Tolerance, simulate
 from cmseq.fixtures import ar1_law, cml_example_law, cyclic_example_law, identity_law
 
 
@@ -36,6 +36,22 @@ def traced_peak():
             tracemalloc.stop()
 
     return run
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(w)`` runs every sampling and batch-writing loop of two or
+    more blocks on ``w`` processes (its blocks permitting); ``workers(1)``
+    is the serial path.  A test that asks for ``w > 1`` is skipped where
+    the package would not fork (see ``simulate._fork_is_safe``)."""
+
+    def force(w):
+        if w > 1 and not simulate._fork_is_safe():
+            pytest.skip("the package does not fork workers here")
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: w)
+        monkeypatch.setattr(simulate, "_FORK_MIN_BLOCKS", 1)
+
+    return force
 
 
 @pytest.fixture(scope="session")

@@ -10,12 +10,14 @@ import pytest
 from cmseq import (
     BoundaryCondition,
     ConditioningSide,
+    LawClass,
     NotPositiveDefiniteError,
     SampleBatch,
     Tolerance,
     build_backward,
     build_forward,
     full_report,
+    random_law,
     sample_forward,
 )
 from cmseq.fixtures import ar1_law, cyclic_example_law
@@ -277,10 +279,15 @@ def test_batch_json_writes_an_integer_array_as_integers(tmp_path):
     assert json.loads(got.read_text())["data"][0][0] == [-3, -2]
 
 
+@pytest.mark.parametrize("processes", [1, 2])
 @pytest.mark.parametrize("save", [save_batch_csv, save_batch_json])
-def test_batch_writer_memory_does_not_grow_with_the_batch(tmp_path, save, traced_peak):
+def test_batch_writer_memory_does_not_grow_with_the_batch(
+    tmp_path, save, processes, traced_peak, workers
+):
     """From 4 to 16 blocks of replicates, a writer's peak memory grows by
-    less than a quarter of one block of the batch."""
+    less than a quarter of one block of the batch, on one process and in
+    the parent of worker processes."""
+    workers(processes)
     model = build_forward(ar1_law(4), LAST, BC1)
     path = tmp_path / "batch"
     save(path, sample_forward(model, 4 * _BLOCK, seed=0))  # warm-up
@@ -290,6 +297,20 @@ def test_batch_writer_memory_does_not_grow_with_the_batch(tmp_path, save, traced
         peaks.append(traced_peak(lambda: save(path, batch))[1])
     block_bytes = batch.data[:_BLOCK].nbytes
     assert peaks[1] - peaks[0] < block_bytes / 4, (peaks, block_bytes)
+
+
+@pytest.mark.parametrize("save", [save_batch_csv, save_batch_json])
+def test_batch_writer_memory_stays_below_a_wide_batch(tmp_path, save, traced_peak, workers):
+    """At N = 40, d = 4 a replicate has 164 values; a writer's chunk holds
+    a fixed number of values, not of replicates, so the memory it takes
+    stays below that of a batch of two blocks of replicates."""
+    workers(1)
+    model = build_forward(random_law(LawClass.RECIPROCAL, 40, 4, seed=1), LAST, BC1)
+    batch = sample_forward(model, 2 * _BLOCK, seed=0)
+    path = tmp_path / "batch"
+    save(path, batch)  # warm-up
+    peak = traced_peak(lambda: save(path, batch))[1]
+    assert peak < batch.data.nbytes / 2, (peak, batch.data.nbytes)
 
 
 def test_batch_json_contains_shape_and_seed(tmp_path):

@@ -260,23 +260,26 @@ def _chunk_rows(batch):
 
 
 def _write_chunks(fh, n_chunks, chunk_text):
-    """Write ``chunk_text(c)`` for every chunk ``c`` to ``fh``, in order.
+    """Write ``chunk_text(c)`` for every chunk ``c`` to the binary file
+    ``fh``, in order.
 
     The chunks are split into contiguous ranges, one per worker process
     (see :func:`cmseq.simulate._run_split`): this process writes the first
     range to ``fh`` while each forked child writes its range to its own
-    unnamed temporary file, which is then appended to ``fh`` by a bounded
-    copy.  So each process holds one chunk's text at a time.
+    unnamed temporary file, emptied first so that a range can be redone,
+    which is then appended to ``fh`` by a bounded binary copy.  So each
+    process holds one chunk's text at a time.
     """
     ranges = _split(n_chunks)
     with ExitStack() as stack:
-        temps = [stack.enter_context(tempfile.TemporaryFile("w+", newline=""))
-                 for _ in ranges[1:]]
+        temps = [stack.enter_context(tempfile.TemporaryFile()) for _ in ranges[1:]]
 
         def work(i, lo, hi):
             out = temps[i - 1] if i else fh
+            if i:  # a range redone after its child failed starts afresh
+                out.truncate(out.seek(0))
             for c in range(lo, hi):
-                out.write(chunk_text(c))
+                out.write(chunk_text(c).encode())
             out.flush()  # a child ends without flushing
 
         fh.flush()  # so no child holds a copy of text not yet written
@@ -312,7 +315,7 @@ def save_batch_csv(path, batch: SampleBatch):
             for k in range(steps)
         ])
 
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         _write_chunks(fh, -(-batch.n_replicates // per), chunk_text)
 
 
@@ -351,7 +354,7 @@ def save_batch_json(path, batch: SampleBatch):
         text = ",\n    ".join([replicate] * len(chunk)) % tuple(values)
         return ("\n    " if c == 0 else ",\n    ") + text
 
-    with open(path, "w") as fh:
-        fh.write(head + '"data": ' + ("[" if m else "[]"))
+    with open(path, "wb") as fh:
+        fh.write((head + '"data": ' + ("[" if m else "[]")).encode())
         _write_chunks(fh, -(-m // per), chunk_text)
-        fh.write(("\n  ]" if m else "") + tail + "\n")
+        fh.write((("\n  ]" if m else "") + tail + "\n").encode())

@@ -22,7 +22,7 @@ rows and keeps the first: a batch of one replicate is row 0 of any longer
 batch.
 
 A large batch is sampled on every usable CPU.  The blocks are split into
-contiguous ranges of whole blocks, one per worker (see ``_workers``): this
+contiguous ranges of whole blocks, one per worker (see ``_split``): this
 process samples the first range and a forked child each other one, all
 into one shared anonymous memory map that becomes the batch's ``data``.
 Each replicate keeps its own substream, so the bits are those of the
@@ -43,7 +43,6 @@ from __future__ import annotations
 import mmap
 import operator
 import os
-import pickle
 import signal
 import sys
 import threading
@@ -78,7 +77,7 @@ _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 # not with the batch
 _BLOCK = 1024
 # blocks (or writer chunks) each worker process must get for a fork to pay:
-# set by measurement, see _workers
+# set by measurement, see _split
 _FORK_MIN_BLOCKS = 8
 
 
@@ -166,24 +165,8 @@ def _substream_states(seed, r):
 
 
 def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _workers(n_blocks):
-    """How many processes share a loop over ``n_blocks`` blocks.
-
-    One per usable CPU, each with at least ``_FORK_MIN_BLOCKS`` blocks, so
-    that a fork's fixed cost (copying the page tables, then the pages either
-    side writes) stays small beside its share of the work.  One, the serial
-    loop, where forking is not safe (see ``_fork_is_safe``).
-    """
-    workers = min(_usable_cpus(), n_blocks // _FORK_MIN_BLOCKS)
-    if workers < 2 or not _fork_is_safe():
-        return 1
-    return workers
+    """The number of CPUs this process may run on (asked only on Linux)."""
+    return len(os.sched_getaffinity(0))
 
 
 def _fork_is_safe():
@@ -208,8 +191,14 @@ def _fork_is_safe():
 
 
 def _split(n_blocks):
-    """Contiguous ranges ``(lo, hi)`` of whole blocks, one per worker."""
-    w = _workers(n_blocks)
+    """Contiguous ranges ``(lo, hi)`` of whole blocks, one per worker process:
+    one per usable CPU, each with at least ``_FORK_MIN_BLOCKS`` blocks, so
+    that a fork's fixed cost (copying the page tables, then the pages either
+    side writes) stays small beside its share of the work.  One range, the
+    serial loop, where forking is not safe (see ``_fork_is_safe``)."""
+    w = 1
+    if n_blocks >= 2 * _FORK_MIN_BLOCKS and _fork_is_safe():
+        w = min(_usable_cpus(), n_blocks // _FORK_MIN_BLOCKS)
     return [(n_blocks * i // w, n_blocks * (i + 1) // w) for i in range(w)]
 
 
@@ -217,54 +206,42 @@ def _run_split(ranges, work):
     """Run ``work(i, lo, hi)`` on every range ``i``, all at once.
 
     This process runs range 0 and a forked child each other range, so a
-    child's results must go to memory or files shared with this process.
-    Every child is reaped before this returns or raises.  A child that
-    raises sends its exception back through a pipe, and once every child
-    has ended the exception of the first failing range is raised here.  An
+    child's results must go to memory or files shared with this process,
+    and ``work`` must redo a range from its start: a child reports only
+    its exit status, and once every child is reaped this process runs each
+    failed range again, in range order.  So a failure this process meets
+    too is raised as on the serial path (the first failing range's), and
+    one of a child alone, such as a kill by a signal, changes nothing.  An
     exception here, such as an interrupt, kills the children first; a
     signal that kills this process outright ends them within 0.1 s.
     """
-    pending = {}  # pid -> the child's exception pipe, until the child is reaped
+    pending = {}  # pid -> the child's range, until the child is reaped
     parent = os.getpid()
     try:
         for i, (lo, hi) in enumerate(ranges[1:], 1):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(w)
-                raise
+            pid = os.fork()
             if pid == 0:  # the child runs its range and never returns
                 status = 1
                 try:
-                    os.close(r)
                     _end_with(parent)
                     work(i, lo, hi)
                     status = 0
-                except BaseException as exc:
-                    with os.fdopen(w, "wb") as fh:
-                        fh.write(pickle.dumps(exc))
                 finally:
                     os._exit(status)
-            os.close(w)
-            pending[pid] = os.fdopen(r, "rb")
+            pending[pid] = i
         work(0, *ranges[0])
-        failures = []
-        for pid in list(pending):
-            sent = pending[pid].read()  # to the end, which comes when the child ends
-            status = os.waitpid(pid, 0)[1]
-            pending.pop(pid).close()
-            if status:
-                failures.append(_unpickled(sent, status))
-        if failures:
-            raise failures[0]
+        failed = []
+        for pid, i in list(pending.items()):
+            if os.waitpid(pid, 0)[1]:
+                failed.append(i)
+            del pending[pid]
+        for i in failed:
+            work(i, *ranges[i])
     finally:
         for pid in pending:
             os.kill(pid, signal.SIGKILL)
-        for pid, pipe in pending.items():
+        for pid in pending:
             os.waitpid(pid, 0)
-            pipe.close()
 
 
 def _end_with(parent):
@@ -277,16 +254,6 @@ def _end_with(parent):
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
-
-
-def _unpickled(sent, status):
-    """The exception a failed child sent, or one that says how it ended."""
-    try:
-        return pickle.loads(sent)
-    except Exception:  # nothing sent, or an exception that does not unpickle
-        code = os.waitstatus_to_exitcode(status)
-        how = f"signal {-code}" if code < 0 else f"status {code}"
-        return RuntimeError(f"a worker process ended with {how}")
 
 
 def _sample(model, n_replicates, seed):

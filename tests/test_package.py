@@ -127,6 +127,23 @@ def test_only_blocks_factorizes_or_solves():
     assert found == []
 
 
+# a fork outside the one fork layer, and pickle: a worker reports only its
+# exit status, and its failed range is redone by the process that forked it
+FORK = re.compile(r"\bos\.fork\b")
+PICKLE_IMPORT = re.compile(r"^\s*(?:import|from)\b.*\bpickle\b")
+
+
+def test_only_simulate_forks_and_no_module_imports_pickle():
+    src = Path(cmseq.__file__).parent
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if FORK.search(line) and path.name != "simulate.py" or PICKLE_IMPORT.search(line)
+    ]
+    assert found == []
+
+
 FIRST, LAST = ConditioningSide
 BC1 = BoundaryCondition.BC1
 

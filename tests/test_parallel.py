@@ -2,6 +2,7 @@
 and bytes as the serial loop, and no process left behind on failure."""
 
 import errno
+import io
 import os
 import signal
 import subprocess
@@ -74,6 +75,7 @@ def test_worker_files_equal_the_serial_files(tmp_path, save, dim, m, workers):
 
 
 def test_the_first_failing_range_raises_its_own_exception(workers):
+    """Ranges 1 and 2 fail in their workers and again when redone here."""
     workers(3)
 
     def work(i, lo, hi):
@@ -135,91 +137,163 @@ def model_file(tmp_path):
     return str(path)
 
 
-def _in_a_worker(exc, parent):
-    """A function that raises ``exc`` in every process but this one."""
-
-    def check(*args):
-        if os.getpid() != parent:
-            raise exc
-
-    return check
+def _raise(exc):
+    raise exc
 
 
-@pytest.mark.parametrize("fmt", ["csv", "structured"])
-def test_a_worker_that_fails_to_write_fails_simulate(
-    tmp_path, model_file, fmt, monkeypatch, capsys, workers
-):
-    """A worker's error is the command's error: exit 2, no --out file."""
-    workers(2)
-    items = serialize._items
-    full = _in_a_worker(OSError(errno.ENOSPC, "No space left on device"), os.getpid())
-    monkeypatch.setattr(serialize, "_items", lambda text: full() or items(text))
-    out = tmp_path / "batch"
-    argv = ["simulate", model_file, "--samples", str(3 * _BLOCK), "--seed", "1",
-            "--format", fmt, "--out", str(out)]
-    assert main(argv) == 2
-    assert "No space left on device" in capsys.readouterr().err
-    assert not out.exists()
-    assert_no_child_left()
-
-
-def test_a_worker_that_fails_to_sample_fails_simulate(tmp_path, model_file, monkeypatch, workers):
-    workers(2)
-    states = simulate._substream_states
-    fail = _in_a_worker(MemoryError("worker"), os.getpid())
-    monkeypatch.setattr(
-        simulate, "_substream_states", lambda seed, r: fail() or states(seed, r)
-    )
-    out = tmp_path / "batch.csv"
-    with pytest.raises(MemoryError, match="worker"):
-        main(["simulate", model_file, "--samples", str(3 * _BLOCK), "--seed", "1",
-              "--out", str(out)])
-    assert not out.exists()
-    assert_no_child_left()
-
-
-def test_a_worker_killed_by_a_signal_is_reported(workers):
-    workers(2)
-
-    def work(i, lo, hi):
-        if i:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-    with pytest.raises(RuntimeError, match=f"ended with signal {int(signal.SIGKILL)}"):
-        simulate._run_split([(0, 1), (1, 2)], work)
-    assert_no_child_left()
-
-
-def test_a_worker_exception_that_cannot_be_sent_is_reported(workers):
-    workers(2)
-
+def _raise_unpicklable():
     class Local(Exception):  # a local class does not pickle
         pass
 
-    def work(i, lo, hi):
-        if i:
-            raise Local()
+    raise Local()
 
-    with pytest.raises(RuntimeError, match="ended with status 1"):
-        simulate._run_split([(0, 1), (1, 2)], work)
+
+# faults a worker may meet: a full disk, a failed allocation, the OOM
+# killer, an exception that could not be sent anywhere
+FAULTS = {
+    "ENOSPC": lambda: _raise(OSError(errno.ENOSPC, "No space left on device")),
+    "MemoryError": lambda: _raise(MemoryError("worker")),
+    "SIGKILL": lambda: os.kill(os.getpid(), signal.SIGKILL),
+    "unpicklable": _raise_unpicklable,
+}
+# a step of sampling and one of writing, each run for every block or chunk
+STEPS = {"sample": (simulate, "_substream_states"), "write": (serialize, "_items")}
+
+
+def _before(monkeypatch, module, name, check):
+    """Call ``check()`` before every call of ``module.name``."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: check() or original(*args))
+
+
+def _before_chunks(monkeypatch, check):
+    """Call ``check(c, n_chunks)`` before a batch writer spells chunk ``c``."""
+    write_chunks = serialize._write_chunks
+
+    def hooked(fh, n_chunks, chunk_text):
+        def text(c):
+            check(c, n_chunks)
+            return chunk_text(c)
+
+        write_chunks(fh, n_chunks, text)
+
+    monkeypatch.setattr(serialize, "_write_chunks", hooked)
+
+
+def _simulate(model_file, out, fmt="csv"):
+    """``cmseq simulate`` of 3 blocks (3 writer chunks): two ranges of work
+    under ``workers(2)``, the second run by a forked child."""
+    return main(["simulate", model_file, "--samples", str(3 * _BLOCK), "--seed", "1",
+                 "--format", fmt, "--out", str(out)])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "structured"])
+@pytest.mark.parametrize("step", STEPS)
+@pytest.mark.parametrize("fault", FAULTS)
+def test_a_fault_only_in_workers_leaves_the_serial_bytes(
+    tmp_path, model_file, fault, step, fmt, monkeypatch, capfd, workers
+):
+    """A worker that fails or is killed has its range redone by the
+    command's own process: exit 0, nothing printed, the serial bytes."""
+    workers(1)
+    assert _simulate(model_file, tmp_path / "serial", fmt) == 0
+    workers(2)
+    parent, hit = os.getpid(), tmp_path / "hit"
+
+    def check():
+        if os.getpid() != parent:
+            hit.touch()
+            FAULTS[fault]()
+
+    _before(monkeypatch, *STEPS[step], check)
+    assert _simulate(model_file, tmp_path / "forked", fmt) == 0
+    assert hit.exists()
+    assert (tmp_path / "forked").read_bytes() == (tmp_path / "serial").read_bytes()
+    assert capfd.readouterr().err == ""
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("first", [0, 1], ids=["every-range", "after-range-0"])
+@pytest.mark.parametrize("fmt", ["csv", "structured"])
+def test_a_write_fault_this_process_meets_too_fails_simulate(
+    tmp_path, model_file, fmt, first, monkeypatch, capfd, workers
+):
+    """ENOSPC on chunks ``first`` on, in every process: the serial path's
+    error, exit 2, and no --out file; from chunk 1 on it is the redone
+    range that raises it."""
+    workers(2)
+    _before_chunks(monkeypatch, lambda c, n: c >= first and FAULTS["ENOSPC"]())
+    out = tmp_path / "batch"
+    assert _simulate(model_file, out, fmt) == 2
+    assert capfd.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert not out.exists()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["every-range", "after-range-0"])
+def test_a_sampling_fault_this_process_meets_too_propagates(
+    tmp_path, model_file, first, monkeypatch, workers
+):
+    workers(2)
+    states = simulate._substream_states
+
+    def failing(seed, r):
+        if r[0] >= first * _BLOCK:
+            raise MemoryError("sampling")
+        return states(seed, r)
+
+    monkeypatch.setattr(simulate, "_substream_states", failing)
+    out = tmp_path / "batch.csv"
+    with pytest.raises(MemoryError, match="sampling"):
+        _simulate(model_file, out)
+    assert not out.exists()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("save", [save_batch_csv, save_batch_json])
+def test_a_worker_that_dies_mid_range_leaves_the_serial_bytes(tmp_path, save, monkeypatch, workers):
+    """The worker writes chunk 1 of its range 1..3 to its temporary file,
+    then is killed; the redone range replaces that chunk, not follows it."""
+    workers(1)
+    batch = _batch("forward", 1, 3 * _BLOCK)  # 3 chunks of 1,024 replicates
+    save(tmp_path / "serial", batch)
+    # a chunk outgrows a file buffer, so chunk 1 reaches the file before the kill
+    assert (tmp_path / "serial").stat().st_size > 3 * io.DEFAULT_BUFFER_SIZE
+    workers(2)
+    parent = os.getpid()
+
+    def check(c, n_chunks):
+        if c == n_chunks - 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _before_chunks(monkeypatch, check)
+    save(tmp_path / "forked", batch)
+    assert (tmp_path / "forked").read_bytes() == (tmp_path / "serial").read_bytes()
+    assert_no_child_left()
+
+
+def _not_asked():
+    raise AssertionError("asked")
+
+
 def test_small_batches_and_one_cpu_take_the_serial_path(monkeypatch):
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
     k = simulate._FORK_MIN_BLOCKS
-    assert simulate._workers(0) == 1
-    assert simulate._workers(2 * k - 1) == 1
+    # below 2 * k blocks neither the CPUs nor the fork rule is asked
+    monkeypatch.setattr(simulate, "_usable_cpus", _not_asked)
+    monkeypatch.setattr(simulate, "_fork_is_safe", _not_asked)
+    assert simulate._split(0) == [(0, 0)]
+    assert simulate._split(2 * k - 1) == [(0, 2 * k - 1)]
+    monkeypatch.undo()
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
     safe = simulate._fork_is_safe()
-    assert simulate._workers(2 * k) == (2 if safe else 1)
-    assert simulate._workers(100 * k) == (4 if safe else 1)
+    assert len(simulate._split(2 * k)) == (2 if safe else 1)
+    assert len(simulate._split(100 * k)) == (4 if safe else 1)
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
-    assert simulate._workers(100 * k) == 1
-    assert simulate._split(10) == [(0, 10)]
+    assert simulate._split(100 * k) == [(0, 100 * k)]
 
 
-def test_ranges_are_contiguous_whole_blocks(monkeypatch):
-    monkeypatch.setattr(simulate, "_workers", lambda n_blocks: 3)
+def test_ranges_are_contiguous_whole_blocks(workers):
+    workers(3)
     assert simulate._split(7) == [(0, 2), (2, 4), (4, 7)]
 
 
@@ -247,7 +321,8 @@ def test_only_linux_forks(monkeypatch):
     monkeypatch.setattr(sys, "platform", "darwin")
     assert not simulate._fork_is_safe()
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
-    assert simulate._workers(100 * simulate._FORK_MIN_BLOCKS) == 1
+    n = 100 * simulate._FORK_MIN_BLOCKS
+    assert simulate._split(n) == [(0, n)]
 
 
 def test_workers_end_when_their_parent_is_killed(tmp_path, workers):

@@ -185,7 +185,7 @@ def cholesky_spd(m):
     return _cholesky_stack(_square(m)[None])[0]
 
 
-def _cholesky_stack(stack, symmetric=False):
+def _cholesky_stack(stack, symmetric=False, rows=None):
     """:func:`cholesky_spd` of each matrix of a ``(K, n, n)`` stack: every SPD
     factorization of the package runs here.
 
@@ -193,7 +193,8 @@ def _cholesky_stack(stack, symmetric=False):
     marked input) gets one LAPACK call and one pivot compare.  Any other
     stack, or one LAPACK fails, is factorized a matrix at a time, nearly
     symmetric ones symmetrized.  The first failing matrix raises, its error
-    carrying its ``position``.
+    carrying its ``position``; a :class:`NotPositiveDefiniteError` names
+    its column, or that column's entry of ``rows`` (shaped ``(K, n)``).
     """
     stack = np.asarray(stack, dtype=float)
     if symmetric or (np.isfinite(stack).all() and np.array_equal(stack, stack.swapaxes(1, 2))):
@@ -202,14 +203,15 @@ def _cholesky_stack(stack, symmetric=False):
         except np.linalg.LinAlgError:  # some matrix fails: the loop finds which
             pass
         else:
-            _check_pivots(np.diagonal(lower, 0, 1, 2) ** 2, np.diagonal(stack, 0, 1, 2))
+            _check_pivots(np.diagonal(lower, 0, 1, 2) ** 2, np.diagonal(stack, 0, 1, 2), rows)
             return lower
     lowers = []
     for position, m in enumerate(stack):
+        m_rows = None if rows is None else rows[position]
         try:
             a = m if symmetric else symmetrize(m)
-            lowers.append(_factor(a))
-            _check_pivots(np.diag(lowers[-1]) ** 2, np.diag(a))
+            lowers.append(_factor(a, m_rows))
+            _check_pivots(np.diag(lowers[-1]) ** 2, np.diag(a), m_rows)
         except (NotSymmetricError, NotPositiveDefiniteError) as err:
             err.position = position
             raise
@@ -310,12 +312,9 @@ def _condition(cov, triples):
             out.append((positions, block[:, s, b], block[:, a, b]))
             continue
         try:
-            lower = _cholesky_stack(block[:, s, s], cov._symmetric)
+            lower = _cholesky_stack(block[:, s, s], cov._symmetric, rows[:, s])
         except (NotPositiveDefiniteError, NotSymmetricError) as err:
-            i = err.position
-            if isinstance(err, NotPositiveDefiniteError):
-                err = NotPositiveDefiniteError(rows[i, s][err.pivot_index], err.pivot_value)
-            failures.append((positions[i], err))
+            failures.append((positions[err.position], err))
             continue
         solved = _cho_solve(lower, block[:, s, b])
         out.append((positions, solved, block[:, a, b] - block[:, a, s] @ solved))
@@ -368,7 +367,6 @@ class BlockMatrix:
         self._symmetric = symmetric
         self._norms = None
         self._ratios = None
-        self._lower = None
 
     @property
     def data(self):
@@ -405,24 +403,15 @@ class BlockMatrix:
 
     def _ratio_grid(self):
         """Read-only :func:`_ratios` grid of the block norms, computed once
-        per matrix."""
+        per matrix.  An unmarked matrix first passes :func:`symmetrize`, so
+        an asymmetric or non-finite one raises on every call."""
         if self._ratios is None:
+            if not self._symmetric:
+                symmetrize(self._data)
             ratios = _ratios(self.block_norms())
             ratios.setflags(write=False)
             self._ratios = ratios
         return self._ratios
-
-    def _spd_factor(self, keep=True):
-        """Lower factor from :func:`cholesky_spd` of the whole matrix (with no
-        finiteness or symmetry check for a marked one), computed once per
-        matrix unless ``keep`` is false; raises on every call while it
-        fails."""
-        if self._lower is not None:
-            return self._lower
-        lower = _cholesky_stack(self._data[None], self._symmetric)[0]
-        if keep:
-            self._lower = lower
-        return lower
 
     def max_block_norm(self):
         """Largest block Frobenius norm over the whole grid."""
@@ -506,7 +495,7 @@ class SequenceLaw:
 
     def __init__(self, covariance, block_dim=None):
         bm = _block_matrix(covariance, block_dim)
-        self._factor = bm._spd_factor(keep=False)
+        self._factor = _cholesky_stack(bm.data[None], bm._symmetric)[0]
         self._precision = None
         if not bm._symmetric:
             bm = BlockMatrix._wrap_symmetric(_symmetric_part(bm.data), bm.block_dim)
@@ -541,7 +530,8 @@ class SequenceLaw:
     def from_precision(cls, precision, block_dim=None):
         """Build a law from its precision (inverse covariance) matrix."""
         prec = _block_matrix(precision, block_dim)
-        return cls(_inverse_from_factor(prec._spd_factor(keep=False)), prec.block_dim)
+        lower = _cholesky_stack(prec.data[None], prec._symmetric)[0]
+        return cls(_inverse_from_factor(lower), prec.block_dim)
 
     def __repr__(self):
         return f"SequenceLaw(n_last={self.n_last}, dim={self.dim})"
@@ -553,46 +543,42 @@ def _reverse_time(mat, d):
     return mat.reshape(n_blocks, d, n_blocks, d)[::-1, :, ::-1].reshape(mat.shape)
 
 
-def _elimination(a):
-    """``(mats, lowers, rows)``: the ``(2, n, n)`` stacks that the two
-    sweeps of ``a`` eliminate in trailing order, ``[time-reversed a, a]``.
+def _marginal_sweep(a):
+    """Yield, at each elimination step of ``a``, the ``(2, n, n)`` stack of
+    the marginal precisions of its time reversal and of itself; after the
+    last step, check the pivots of every step.
 
     ``a`` (symmetrized unless marked) first gets the :func:`cholesky_spd`
-    check on the whole matrix, once per matrix, and ``lowers`` stacks the
-    factors of both matrices; ``rows[0][i]`` is the row of ``a`` that row
-    ``i`` of its reversal is, so a failing pivot of either sweep names a
-    row of ``a``.  Eliminating times ``0, 1, ...`` of the reversal
-    eliminates times ``N, N-1, ...`` of ``a``.
+    check on the whole matrix.  If ``mat = L L'``, blocks ``k..N`` have the
+    marginal precision ``L[k:, k:] L[k:, k:]'`` (Golub & Van Loan, *Matrix
+    Computations*, 4.2), reached from the step before by a rank-d update
+    with column block ``k-1`` of ``L``: step ``k = 1, ..., N-1`` yields the
+    marginals of times ``[0, N-k]`` of ``a``, reversed, and ``[k, N]``.
+    Each step is one batched update of the stack, and each matrix's update
+    has the bits it has alone.  The pivots of step ``k``, the squared
+    diagonal of ``L`` in rows ``(k-1)d .. kd-1``, must be above ``1e-12``
+    times the largest diagonal entry of block ``k-1`` before the step.  An
+    error names the first failing step of the time reversal's sweep (the
+    leading one), else of ``a``'s, at a row of ``a``, its ``position``
+    counting the reversal's steps and then ``a``'s.
     """
-    lower = a._spd_factor()
+    lower = _cholesky_stack(a.data[None], a._symmetric)[0]
     mat = a.data if a._symmetric else _symmetric_part(a.data)
     d = a.block_dim
     rows = np.arange(mat.shape[0])
     mirror, mirror_rows = _reverse_time(mat, d), rows.reshape(-1, d)[::-1].ravel()
-    return (
-        np.array([mirror, mat]),
-        np.array([_factor(mirror, mirror_rows), lower]),
-        np.array([mirror_rows, rows]),
-    )
-
-
-def _trailing_sweep(mats, lowers, d):
-    """``(marginal precisions of blocks k..N, pivot diagonals)`` for
-    ``k = 1, ..., N-1``, of each matrix of a ``(K, n, n)`` stack at once.
-
-    If ``mat = L L'``, blocks ``k..N`` have the marginal precision
-    ``L[k:, k:] L[k:, k:]'`` (Golub & Van Loan, *Matrix Computations*, 4.2),
-    reached from the step before by a rank-d update with the next column
-    block of ``L``; ``lowers`` stacks the factors of ``mats``.  Each step
-    is one batched update of the whole stack, and each matrix's update has
-    the bits it has alone.  Step ``k`` eliminates block ``k-1``: its
-    pivots, the squared diagonal of ``L`` in rows ``(k-1)d .. kd-1``, get
-    the threshold set by the ``(K, d)`` diagonals it yields, those of the
-    eliminated blocks.  The caller checks them with :func:`_check_pivots`.
-    """
-    work = mats
-    for k in range(1, mats.shape[-1] // d - 1):
-        diag = work.diagonal(0, 1, 2)[:, :d].copy()  # holds no view of a dropped step
+    lowers = np.array([_factor(mirror, mirror_rows), lower])
+    steps = a.n_blocks - 2
+    diags = np.empty((2, steps, d))
+    work = np.array([mirror, mat])
+    for k in range(1, steps + 1):
+        diags[:, k - 1] = work.diagonal(0, 1, 2)[:, :d]
         col = lowers[:, k * d :, (k - 1) * d : k * d]
         work = work[:, d:, d:] - col @ col.swapaxes(1, 2)
-        yield work, diag
+        yield work
+    done = steps * d
+    _check_pivots(
+        (lowers.diagonal(0, 1, 2)[:, :done] ** 2).reshape(2, steps, d),
+        diags,
+        np.array([mirror_rows, rows])[:, :done].reshape(2, steps, d),
+    )

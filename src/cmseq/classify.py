@@ -12,14 +12,14 @@ on the marginal precision of the times inside the interval, a Schur
 complement of the precision.  Every suffix marginal ``[k, N]`` is read off one
 Cholesky factor of the precision, and every prefix marginal ``[0, k]`` off one
 factor of the time-reversed precision: O(N^3 d^3) in all.  ``full_report``
-detects the four whole-law patterns on the precision and runs these
-elimination steps itself, both directions as one stack, reading the
-witnesses of each marginal straight off its step: one batched update, one
+detects the four whole-law patterns on the precision and reads the
+witnesses of each marginal straight off the elimination steps of
+:mod:`~cmseq.blocks`, both directions as one stack: one batched update, one
 norm pass, one ratio grid and one band mask per step for its prefix and
 suffix marginal, with no block matrix, pattern or detection per interval.
 The two sweeps share one SPD check of the precision.  Each marginal is read
-as soon as it is produced and then dropped, and the pivots of both sweeps
-are checked together when they end.  Reciprocity is always computed
+as soon as it is produced and then dropped, and the sweep checks the pivots
+of both directions together when they end.  Reciprocity is always computed
 through two independent routes (cyclic-tridiagonal pattern vs the conjunction
 of CM_L and CM_F) whose agreement is part of the contract.  The two
 interval-composition routes are read, by one rule, from the interval
@@ -245,31 +245,24 @@ def _interval_entries(a, tol):
     order: the prefixes ``[0, 1] .. [0, N-1]``, then the suffixes ``[1, N]
     .. [N-1, N]``, each given the first endpoint and then the last.
 
-    Both directions are eliminated as one stack, ``[time-reversed a, a]``:
-    step ``k`` makes the marginals of ``[0, N-k]`` and ``[k, N]`` together,
-    and they get one norm pass, one ratio grid and one band mask.  Each
-    marginal's two witnesses come from its grid, CM_F's without its first
-    block row and column and CM_L's without its last.  The grid is
-    symmetric, so its first row-major maximum is an upper entry, which
-    dropping a leading or trailing row and column keeps first: each witness
-    is the one :func:`~cmseq.patterns.detect` gives on the marginal
-    itself.  The band reads the same in either time direction, so the
-    reversed marginal's grid is masked first and then flipped back as a
-    view.  All pivots are checked in one call at the end, the leading
-    sweep's first, so the error names the first failing step of the
-    leading sweep, else of the trailing one, its ``position`` counting the
-    leading steps and then the trailing ones.
+    Step ``k`` of :func:`~cmseq.blocks._marginal_sweep` makes the marginals
+    of ``[0, N-k]`` and ``[k, N]`` together, and they get one norm pass,
+    one ratio grid and one band mask.  Each marginal's two witnesses come
+    from its grid, CM_F's without its first block row and column and CM_L's
+    without its last.  The grid is symmetric, so its first row-major
+    maximum is an upper entry, which dropping a leading or trailing row and
+    column keeps first: each witness is the one
+    :func:`~cmseq.patterns.detect` gives on the marginal itself.  The band
+    reads the same in either time direction, so the reversed marginal's
+    grid is masked first and then flipped back as a view.
     """
     d, n_last = a.block_dim, a.n_blocks - 1
     if n_last < 2:
         return ()
     steps = n_last - 1
     band = _support_grid(PatternSpec.tridiagonal(n_last))
-    mats, lowers, rows = blocks._elimination(a)
-    diags = np.empty((2, steps, d))
     entries = [None] * (4 * steps)
-    for k, (kept, diag) in enumerate(blocks._trailing_sweep(mats, lowers, d), 1):
-        diags[:, k - 1] = diag
+    for k, kept in enumerate(blocks._marginal_sweep(a), 1):
         size = n_last + 1 - k
         ratios = blocks._ratios(blocks._block_norms(kept, d))
         np.copyto(ratios, 0.0, where=band[:size, :size])
@@ -278,12 +271,6 @@ def _interval_entries(a, tol):
             IndexInterval(0, n_last - k), ratios[0, ::-1, ::-1], tol
         )
         entries[suffix : suffix + 2] = _side_entries(IndexInterval(k, n_last), ratios[1], tol)
-    done = steps * d
-    blocks._check_pivots(
-        (lowers.diagonal(0, 1, 2)[:, :done] ** 2).reshape(2, steps, d),
-        diags,
-        rows[:, :done].reshape(2, steps, d),
-    )
     return tuple(entries)
 
 

@@ -27,10 +27,10 @@ and :func:`~cmseq.models.random_law` read it too.  At most 1024 grids are
 cached, which bounds their memory; a miss costs microseconds.
 
 ``detect`` rejects an asymmetric or non-finite matrix with
-:class:`~cmseq.blocks.NotSymmetricError`.  It skips that check only on the
-matrices the package builds exactly symmetric, such as a law's covariance
-and precision.  Every matrix built with the public ``BlockMatrix(...)``
-constructor is checked on every call.
+:class:`~cmseq.blocks.NotSymmetricError`.  The check runs once per matrix,
+before its ratio grid is cached, and never on the matrices the package
+builds exactly symmetric, such as a law's covariance and precision.  A
+matrix that fails it caches no grid, so it raises on every call.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blocks import BlockMatrix, Tolerance, _member, symmetrize
+from .blocks import BlockMatrix, Tolerance, _member
 
 __all__ = [
     "PatternKind",
@@ -133,8 +133,6 @@ def detect(m: BlockMatrix, spec: PatternSpec, tol: Tolerance = Tolerance()) -> P
         raise ValueError(
             f"pattern sized for n_last={spec.n_last} but matrix has n_last={n_last}"
         )
-    if not m._symmetric:
-        symmetrize(m.data)  # raises NotSymmetricError on bad input
     return _witness(np.where(_support_grid(spec), 0.0, m._ratio_grid()), tol)
 
 

@@ -209,17 +209,23 @@ def _run_split(ranges, work):
     child's results must go to memory or files shared with this process,
     and ``work`` must redo a range from its start: a child reports only
     its exit status, and once every child is reaped this process runs each
-    failed range again, in range order.  So a failure this process meets
-    too is raised as on the serial path (the first failing range's), and
-    one of a child alone, such as a kill by a signal, changes nothing.  An
+    failed range again, in range order.  A range whose fork fails, as on
+    EAGAIN, counts as failed.  So a failure this process meets too is
+    raised as on the serial path (the first failing range's), and one of a
+    child alone, such as a kill by a signal, changes nothing.  An
     exception here, such as an interrupt, kills the children first; a
     signal that kills this process outright ends them within 0.1 s.
     """
     pending = {}  # pid -> the child's range, until the child is reaped
+    failed = []
     parent = os.getpid()
     try:
         for i, (lo, hi) in enumerate(ranges[1:], 1):
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                failed.append(i)
+                continue
             if pid == 0:  # the child runs its range and never returns
                 status = 1
                 try:
@@ -230,12 +236,11 @@ def _run_split(ranges, work):
                     os._exit(status)
             pending[pid] = i
         work(0, *ranges[0])
-        failed = []
         for pid, i in list(pending.items()):
             if os.waitpid(pid, 0)[1]:
                 failed.append(i)
             del pending[pid]
-        for i in failed:
+        for i in sorted(failed):
             work(i, *ranges[i])
     finally:
         for pid in pending:

@@ -609,10 +609,9 @@ def random_spd_blocks(n_last, d, seed):
 def sweep_marginals(a):
     """``(interval, marginal precision)`` at every step of the stacked
     elimination sweep of ``a``, prefix then suffix, the prefix reversed
-    back to time order; the sweep's pivots are not checked."""
+    back to time order."""
     d, n_last = a.block_dim, a.n_blocks - 1
-    mats, lowers, _ = blocks._elimination(a)
-    for k, (kept, _) in enumerate(blocks._trailing_sweep(mats, lowers, d), 1):
+    for k, kept in enumerate(blocks._marginal_sweep(a), 1):
         yield IndexInterval(0, n_last - k), blocks._reverse_time(kept[0], d)
         yield IndexInterval(k, n_last), kept[1]
 
@@ -709,19 +708,17 @@ def one_matrix_sweep(mat, lower, d):
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_the_stacked_sweep_gives_each_matrix_the_bits_of_its_own_sweep(n_last, d, seed):
-    """Both directions eliminated as one stack: every step's marginal and
-    pivot diagonal, for each matrix, has the bits of that matrix's sweep
-    alone."""
+    """Both directions eliminated as one stack: every step's marginal, for
+    each matrix, has the bits of that matrix's sweep alone."""
     a = random_law(LawClass.GENERIC, n_last, d, seed).precision()
-    mats, lowers, _ = blocks._elimination(a)
-    alone = [list(one_matrix_sweep(m, lower, d)) for m, lower in zip(mats, lowers)]
-    stacked = list(blocks._trailing_sweep(mats, lowers, d))
+    mats = [blocks._reverse_time(a.data, d), a.data]
+    alone = [list(one_matrix_sweep(m, np.linalg.cholesky(m), d)) for m in mats]
+    stacked = list(blocks._marginal_sweep(a))
     assert len(stacked) == n_last - 1
-    for step, (work, diag) in enumerate(stacked):
+    for step, work in enumerate(stacked):
         assert work.shape == (2, (n_last - step) * d, (n_last - step) * d)
         for i in range(2):
             assert work[i].tobytes() == alone[i][step][0].tobytes()
-            assert diag[i].tobytes() == alone[i][step][1].tobytes()
 
 
 def test_sequence_law_caches_read_only_precision():

@@ -121,6 +121,21 @@ def test_interval_report_covers_all_boundary_intervals(ar1_n3):
     assert seen == expected
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_law_of_two_times_is_every_class_and_has_no_interval(d):
+    """At N = 1 every pattern is the whole grid and no interval is
+    boundary-anchored with an interior endpoint: the report lists none,
+    and both composition routes hold."""
+    rng = np.random.default_rng(d)
+    m = rng.standard_normal((2 * d, 2 * d))
+    law = SequenceLaw(m @ m.T + 2 * d * np.eye(2 * d), d)
+    rep = full_report(law)
+    assert rep.interval_cm == ()
+    assert all(w.conforms for w in (rep.markov, rep.reciprocal, rep.cm_l, rep.cm_f))
+    assert rep.consistency
+    assert verify_composition(law)
+
+
 def test_interval_classification_on_tail_law():
     # band + (1, 4): conditionally Markov on [1, 4] from its first time,
     # but not over the whole range
@@ -309,8 +324,7 @@ def test_full_report_checks_no_symmetry_and_takes_one_norm_pass_per_matrix(monke
             return fn(*args)
         return wrapper
 
-    for module in (blocks, patterns):
-        monkeypatch.setattr(module, "symmetrize", counted("symmetrize", module.symmetrize))
+    monkeypatch.setattr(blocks, "symmetrize", counted("symmetrize", blocks.symmetrize))
     monkeypatch.setattr(blocks, "_block_norms", counted("block_norms", blocks._block_norms))
     full_report(law)
     assert calls == {"block_norms": 1 + (n_last - 1)}

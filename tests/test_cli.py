@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file plumbing, exit codes."""
 
+import dataclasses
 import json
 import re
 import shlex
@@ -354,3 +355,31 @@ def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
         argv = shlex.split(line)
         assert argv[0] == "cmseq"
         assert main(argv[1:]) == 0, line
+
+
+def test_exit_code_4_when_verify_routes_disagree(model_file, monkeypatch, capsys):
+    """The parameter route says "not reciprocal" of a reciprocal model."""
+    check = cli.check_reciprocity_forward
+
+    def flipped(model, tol):
+        result = check(model, tol)
+        return type(result)(not result.passed, result.worst_ratio, result.worst_index)
+
+    monkeypatch.setattr(cli, "check_reciprocity_forward", flipped)
+    assert main(["verify", model_file]) == 4
+    captured = capsys.readouterr()
+    assert "reciprocal: parameters=no pattern=yes agree=no" in captured.out
+    assert captured.err == "error: parameter and pattern routes disagree\n"
+
+
+def test_exit_code_4_when_validate_is_outside_its_tolerance(model_file, monkeypatch, capsys):
+    validate = cli.mc_validate
+
+    def failed(*args):
+        return dataclasses.replace(validate(*args), passed=False)
+
+    monkeypatch.setattr(cli, "mc_validate", failed)
+    assert main(["validate", model_file, "--samples", "2000", "--seed", "3", "--tol", "0.5"]) == 4
+    captured = capsys.readouterr()
+    assert "pass" not in captured.out
+    assert captured.err == "error: sample covariance deviates beyond tolerance\n"

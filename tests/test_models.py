@@ -542,9 +542,13 @@ def test_a_round_trip_is_the_same_under_numpy_1_solve(build, c, bc, n, d, tmp_pa
 
 
 def test_model_covariance_keeps_no_factor():
+    """The model's precision is factored for each call and keeps no array
+    but its own data."""
     model = build_forward(random_law(LawClass.GENERIC, 4, 2, seed=3), LAST, BC1)
     first = model_covariance(model).covariance.data
-    assert assemble_precision(model)._lower is None
+    prec = assemble_precision(model)
+    kept = [v for v in vars(prec).values() if isinstance(v, np.ndarray)]
+    assert len(kept) == 1 and kept[0] is prec.data
     assert np.array_equal(model_covariance(model).covariance.data, first)
 
 

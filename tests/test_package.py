@@ -127,6 +127,22 @@ def test_only_blocks_factorizes_or_solves():
     assert found == []
 
 
+# the symmetric mark and the pivot rule, both read in blocks only
+BLOCKS_ONLY = re.compile(r"\._symmetric\b|\b_check_pivots\b")
+
+
+def test_only_blocks_reads_the_symmetric_mark_or_checks_pivots():
+    src = Path(cmseq.__file__).parent
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "blocks.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if BLOCKS_ONLY.search(line)
+    ]
+    assert found == []
+
+
 # a fork outside the one fork layer, and pickle: a worker reports only its
 # exit status, and its failed range is redone by the process that forked it
 FORK = re.compile(r"\bos\.fork\b")

@@ -272,6 +272,34 @@ def test_a_worker_that_dies_mid_range_leaves_the_serial_bytes(tmp_path, save, mo
     assert_no_child_left()
 
 
+def test_a_failed_fork_leaves_the_serial_bytes(tmp_path, monkeypatch, workers):
+    """The second fork of each run fails with EAGAIN: this process runs
+    that range itself after reaping the other worker, and the batch and
+    both batch files keep the serial path's bytes."""
+    workers(1)
+    serial = _batch("forward", 2, 3 * _BLOCK)
+    for save in (save_batch_csv, save_batch_json):
+        save(tmp_path / f"serial-{save.__name__}", serial)
+    workers(3)
+    fork, forks = os.fork, []
+
+    def failing_fork():
+        forks.append(len(forks))
+        if len(forks) % 2 == 0:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    batch = _batch("forward", 2, 3 * _BLOCK)
+    assert batch.data.tobytes() == serial.data.tobytes()
+    for save in (save_batch_csv, save_batch_json):
+        save(tmp_path / save.__name__, batch)
+        want = (tmp_path / f"serial-{save.__name__}").read_bytes()
+        assert (tmp_path / save.__name__).read_bytes() == want
+    assert len(forks) == 6
+    assert_no_child_left()
+
+
 def _not_asked():
     raise AssertionError("asked")
 

@@ -283,9 +283,11 @@ def test_marked_matrices_are_symmetric_and_detect_like_unmarked_copies(law):
 @given(law=law_strategy, nan=st.booleans())
 def test_detect_rejects_asymmetric_or_nan_unmarked_copies(law, nan):
     """The public constructor never marks a matrix, so a copy of a marked
-    matrix with one entry broken is still rejected."""
-    spec = PatternSpec.tridiagonal(law.n_last)
+    matrix with one entry broken is still rejected, by every call, since
+    it caches no ratio grid."""
     data = law.precision().data.copy()
     data[0, -1] = np.nan if nan else data[0, -1] + 1e-6 * np.abs(data).max()
-    with pytest.raises(NotSymmetricError):
-        detect(BlockMatrix(data, law.dim), spec)
+    m = BlockMatrix(data, law.dim)
+    for kind in PatternKind:
+        with pytest.raises(NotSymmetricError):
+            detect(m, PatternSpec(kind, law.n_last))

@@ -96,6 +96,9 @@ def test_serialized_floats_survive_exactly(tmp_path):
         (lambda o: o.update(N=True), "N"),
         (lambda o: o.update(N="3"), "N"),
         (lambda o: o.update(covariance=[[1.0]]), "covariance"),
+        (lambda o: o.update(schema_version=1), "schema_version: expected str, got int"),
+        (lambda o: o.update(N=0), "N: need N >= 1"),
+        (lambda o: o.update(covariance=[["x"] * 3] * 3), "covariance: not a numeric array"),
     ],
 )
 def test_law_schema_errors_name_the_field(tmp_path, mutate, field):
@@ -105,6 +108,13 @@ def test_law_schema_errors_name_the_field(tmp_path, mutate, field):
     mutate(obj)
     dump_json(path, obj)
     with pytest.raises(SchemaError, match=field):
+        load_law(path)
+
+
+def test_a_top_level_array_is_a_schema_error(tmp_path):
+    path = tmp_path / "law.json"
+    dump_json(path, [])
+    with pytest.raises(SchemaError, match="file: top level must be an object"):
         load_law(path)
 
 
@@ -157,10 +167,11 @@ def test_model_schema_rejects_wrong_gain_keys(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("key", ["01", " 1", "+1", "1 ", "1_0", "-0"])
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "1 ", "1_0", "-0", "x"])
 def test_model_schema_rejects_a_time_key_that_is_not_canonical(tmp_path, key):
     """Only the decimal form ``str(k)`` names time ``k``: another spelling
-    would load as the same time, the later of the two winning silently."""
+    would load as the same time, the later of the two winning silently,
+    and a key that is no integer names no time."""
     path = tmp_path / "model.json"
     save_model(path, build_forward(ar1_law(2), LAST, BC1))
     obj = json.loads(path.read_text())
@@ -168,6 +179,30 @@ def test_model_schema_rejects_a_time_key_that_is_not_canonical(tmp_path, key):
     dump_json(path, obj)
     with pytest.raises(SchemaError, match=re.escape(f"g_trans: key {key!r}")):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("g_trans", [], "g_trans: expected dict, got list"),
+        ("c", "middle", "c: expected 'first' or 'last', got 'middle'"),
+        ("bc", "bc3", "bc: expected 'bc1' or 'bc2', got 'bc3'"),
+    ],
+)
+def test_model_schema_errors_name_the_field(tmp_path, field, value, message):
+    path = tmp_path / "model.json"
+    save_model(path, build_forward(ar1_law(2), LAST, BC1))
+    obj = json.loads(path.read_text())
+    obj[field] = value
+    dump_json(path, obj)
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        load_model(path)
+
+
+def test_save_model_rejects_what_is_not_a_model(tmp_path):
+    with pytest.raises(TypeError, match="expected a forward or backward model"):
+        save_model(tmp_path / "model.json", ar1_law(2))
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_classification_report_dict_structure():

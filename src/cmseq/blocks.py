@@ -8,8 +8,9 @@ so the primitives here are deliberately small: a read-only block view, one
 pivot-reporting Cholesky routine over a stack of matrices (a single matrix
 is a stack of one), an SPD inverse, one Gaussian-conditioning routine, and
 the elimination steps that give the boundary-anchored marginal precisions,
-all on numpy alone.  A failing stack raises for its first failing matrix,
-and the error carries that matrix's ``position`` in the stack.  The
+all on numpy alone.  Every pivot passes one rule: above ``1e-12`` times
+its own diagonal entry.  A failing stack raises for its first failing
+matrix, and the error carries that matrix's ``position`` in the stack.  The
 conditioning routine computes ``C_ss^-1 C_sb`` and ``C_ab - C_as C_ss^-1
 C_sb`` for stacks of time triples ``(a, b, s)``: the models' regressions
 and the oracle's partial covariances are both read off it.  A
@@ -176,11 +177,13 @@ def cholesky_spd(m):
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     Unlike ``np.linalg.cholesky`` this reports *where* the factorization
-    failed: the first pivot, in column order, that is not above
-    ``1e-12 * max(diag)`` (a NaN pivot included) raises
+    failed: the first pivot, in column order, that is not above ``1e-12``
+    times its own diagonal entry ``m[j, j]`` (a NaN pivot included) raises
     :class:`NotPositiveDefiniteError` carrying the pivot index.  numpy
     accepts any positive pivot, so the threshold is checked on the factor's
-    diagonal afterwards.
+    diagonal afterwards.  So for a diagonal ``D`` of powers of two,
+    ``D m D`` raises exactly where ``m`` does, and otherwise has the factor
+    ``D L`` bit for bit.
     """
     return _cholesky_stack(_square(m)[None])[0]
 
@@ -220,10 +223,11 @@ def _cholesky_stack(stack, symmetric=False, rows=None):
 
 def _check_pivots(pivots, diag, rows=None):
     """Raise for the first pivot of one matrix, or of a stack of them (one
-    per row of the last axis, in row-major order), not above
-    ``1e-12 * max(diag)`` of its matrix, naming its column, or its entry of
-    ``rows`` (shaped as ``pivots``), and its matrix's position."""
-    passed = pivots > _PIVOT_RTOL * diag.max(axis=-1, initial=0.0, keepdims=True)
+    per row of the last axis, in row-major order), not above ``1e-12``
+    times its matrix's diagonal entry in its row (``diag``, shaped as
+    ``pivots``), naming its column, or its entry of ``rows`` (shaped as
+    ``pivots``), and its matrix's position: the package's one pivot rule."""
+    passed = pivots > _PIVOT_RTOL * diag
     if passed.all():
         return
     first = np.flatnonzero(~passed)[0]
@@ -250,7 +254,7 @@ def _factor(a, rows=None):
         except np.linalg.LinAlgError:
             hi = mid
     lower = np.linalg.cholesky(a[:lo, :lo])
-    _check_pivots(np.diag(lower) ** 2, np.diag(a), rows)
+    _check_pivots(np.diag(lower) ** 2, np.diag(a)[:lo], rows)
     row = np.linalg.solve(lower, a[:lo, lo])
     raise NotPositiveDefiniteError(lo if rows is None else rows[lo], a[lo, lo] - row @ row)
 
@@ -545,40 +549,26 @@ def _reverse_time(mat, d):
 
 def _marginal_sweep(a):
     """Yield, at each elimination step of ``a``, the ``(2, n, n)`` stack of
-    the marginal precisions of its time reversal and of itself; after the
-    last step, check the pivots of every step.
+    the marginal precisions of its time reversal and of itself.
 
-    ``a`` (symmetrized unless marked) first gets the :func:`cholesky_spd`
-    check on the whole matrix.  If ``mat = L L'``, blocks ``k..N`` have the
-    marginal precision ``L[k:, k:] L[k:, k:]'`` (Golub & Van Loan, *Matrix
-    Computations*, 4.2), reached from the step before by a rank-d update
-    with column block ``k-1`` of ``L``: step ``k = 1, ..., N-1`` yields the
-    marginals of times ``[0, N-k]`` of ``a``, reversed, and ``[k, N]``.
-    Each step is one batched update of the stack, and each matrix's update
-    has the bits it has alone.  The pivots of step ``k``, the squared
-    diagonal of ``L`` in rows ``(k-1)d .. kd-1``, must be above ``1e-12``
-    times the largest diagonal entry of block ``k-1`` before the step.  An
-    error names the first failing step of the time reversal's sweep (the
-    leading one), else of ``a``'s, at a row of ``a``, its ``position``
-    counting the reversal's steps and then ``a``'s.
+    ``a`` (symmetrized unless marked, so that an asymmetric or non-finite
+    one raises :class:`NotSymmetricError`) and its time reversal are
+    factorized as one :func:`_cholesky_stack` stack, which checks every
+    pivot of both: an error names a row of ``a``, and its ``position`` is 0
+    for the reversal and 1 for ``a``.  If ``mat = L L'``, blocks ``k..N``
+    have the marginal precision ``L[k:, k:] L[k:, k:]'`` (Golub & Van Loan,
+    *Matrix Computations*, 4.2), reached from the step before by a rank-d
+    update with column block ``k-1`` of ``L``: step ``k = 1, ..., N-1``
+    yields the marginals of times ``[0, N-k]`` of ``a``, reversed, and
+    ``[k, N]``.  Each step is one batched update of the stack, and each
+    matrix's update has the bits it has alone.
     """
-    lower = _cholesky_stack(a.data[None], a._symmetric)[0]
-    mat = a.data if a._symmetric else _symmetric_part(a.data)
     d = a.block_dim
-    rows = np.arange(mat.shape[0])
-    mirror, mirror_rows = _reverse_time(mat, d), rows.reshape(-1, d)[::-1].ravel()
-    lowers = np.array([_factor(mirror, mirror_rows), lower])
-    steps = a.n_blocks - 2
-    diags = np.empty((2, steps, d))
-    work = np.array([mirror, mat])
-    for k in range(1, steps + 1):
-        diags[:, k - 1] = work.diagonal(0, 1, 2)[:, :d]
+    mat = a.data if a._symmetric else symmetrize(a.data)
+    rows = np.arange(mat.shape[0]).reshape(-1, d)
+    work = np.array([_reverse_time(mat, d), mat])
+    lowers = _cholesky_stack(work, True, np.array([rows[::-1].ravel(), rows.ravel()]))
+    for k in range(1, a.n_blocks - 1):
         col = lowers[:, k * d :, (k - 1) * d : k * d]
         work = work[:, d:, d:] - col @ col.swapaxes(1, 2)
         yield work
-    done = steps * d
-    _check_pivots(
-        (lowers.diagonal(0, 1, 2)[:, :done] ** 2).reshape(2, steps, d),
-        diags,
-        np.array([mirror_rows, rows])[:, :done].reshape(2, steps, d),
-    )

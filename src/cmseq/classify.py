@@ -17,9 +17,10 @@ witnesses of each marginal straight off the elimination steps of
 :mod:`~cmseq.blocks`, both directions as one stack: one batched update, one
 norm pass, one ratio grid and one band mask per step for its prefix and
 suffix marginal, with no block matrix, pattern or detection per interval.
-The two sweeps share one SPD check of the precision.  Each marginal is read
-as soon as it is produced and then dropped, and the sweep checks the pivots
-of both directions together when they end.  Reciprocity is always computed
+The precision and its time reversal are factorized, and every pivot of
+both checked, as one stack before the first step, so the sweep accepts a
+law exactly when it accepts the law's time reversal.  Each marginal is read
+as soon as it is produced and then dropped.  Reciprocity is always computed
 through two independent routes (cyclic-tridiagonal pattern vs the conjunction
 of CM_L and CM_F) whose agreement is part of the contract.  The two
 interval-composition routes are read, by one rule, from the interval
@@ -76,6 +77,9 @@ class IntervalClassEntry:
     interval: IndexInterval
     side: ConditioningSide
     witness: PatternWitness
+
+    def __post_init__(self):
+        _member(self.side, ConditioningSide)
 
 
 @dataclass(frozen=True)

@@ -61,13 +61,12 @@ def schur_complement(a: BlockMatrix, split: int, keep: str) -> BlockMatrix:
 
 def unblocked_first_failing_pivot(m):
     """Index of the first pivot of an unblocked, scalar, left-looking
-    Cholesky of ``m`` that is not above ``1e-12 * max(diag)``, or None."""
+    Cholesky of ``m`` that is not above ``1e-12 * m[j][j]``, or None."""
     n = len(m)
-    threshold = 1e-12 * max(max(m[i][i] for i in range(n)), 0.0)
     lower = [[0.0] * n for _ in range(n)]
     for j in range(n):
         pivot = m[j][j] - sum(lower[j][k] ** 2 for k in range(j))
-        if not pivot > threshold:
+        if not pivot > 1e-12 * m[j][j]:
             return j
         lower[j][j] = pivot**0.5
         for i in range(j + 1, n):
@@ -116,7 +115,7 @@ def test_cholesky_reports_failing_pivot_index():
 
 def test_cholesky_rejects_pivot_below_relative_threshold():
     """LAPACK factorizes this matrix (its second pivot is 1e-14 > 0), but the
-    pivot is below 1e-12 * max(diag) and must be reported."""
+    pivot is below 1e-12 times its own diagonal entry and must be reported."""
     tiny = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
     np.linalg.cholesky(tiny)  # accepted by LAPACK
     with pytest.raises(NotPositiveDefiniteError) as exc:
@@ -145,7 +144,53 @@ def test_cholesky_reports_first_failing_pivot_of_indefinite_input(pivots, seed):
     with pytest.raises(NotPositiveDefiniteError) as exc:
         cholesky_spd(m)
     assert exc.value.pivot_index == expected
-    assert exc.value.pivot_value <= 1e-12 * np.max(np.diag(m))
+    assert exc.value.pivot_value <= 1e-12 * m[expected, expected]
+
+
+def nearly_singular(n, seed, collinear):
+    """``b b'`` for a standard normal ``n x n`` matrix ``b`` whose row p is
+    row q plus ``10**collinear`` times itself, for two random rows: at the
+    later of the two, the pivot is about ``10**(2 * collinear)`` of its own
+    diagonal entry."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, n))
+    p, q = rng.choice(n, 2, replace=False)
+    b[p] = b[q] + 10.0**collinear * b[p]
+    m = b @ b.T
+    return (m + m.T) / 2.0
+
+
+def factor_or_failing_index(m):
+    try:
+        return cholesky_spd(m)
+    except NotPositiveDefiniteError as err:
+        return err.pivot_index
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    collinear=st.floats(min_value=-9.0, max_value=-4.0),
+    exponents=st.lists(st.integers(min_value=-30, max_value=30), min_size=8, max_size=8),
+)
+def test_a_power_of_two_rescaling_changes_no_verdict_and_no_bit_of_the_factor(
+    n, seed, collinear, exponents
+):
+    """For a diagonal ``D`` of powers of two, ``D m D`` raises exactly where
+    ``m`` does, at the same pivot, and otherwise has the factor ``D L`` bit
+    for bit: each pivot is judged against its own diagonal entry, which ``D``
+    scales exactly as it scales the pivot.  ``m`` is nearly singular, so its
+    pivots fall on both sides of the threshold."""
+    m = nearly_singular(n, seed, collinear)
+    scale = np.ldexp(1.0, exponents[:n])
+    want = factor_or_failing_index(m)
+    got = factor_or_failing_index(scale[:, None] * m * scale)
+    if isinstance(want, int):
+        assert got == want
+    else:
+        assert not isinstance(got, int)
+        assert got.tobytes() == (scale[:, None] * want).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -252,7 +297,7 @@ def random_spd_stack(k, n, seed):
 
 
 def check_threshold(pivots, diag):
-    passed = pivots > 1e-12 * max(float(np.max(diag)), 0.0)
+    passed = pivots > 1e-12 * diag
     if not passed.all():
         small = np.flatnonzero(~passed)[0]
         raise NotPositiveDefiniteError(small, pivots[small])
@@ -261,7 +306,7 @@ def check_threshold(pivots, diag):
 def reference_cholesky(m):
     """The per-matrix reference, one matrix alone: symmetrize, LAPACK, where
     LAPACK fails a bisection over leading blocks for the failing pivot, and
-    the ``1e-12 * max(diag)`` threshold on the factor's pivots."""
+    the threshold of ``1e-12`` times each pivot's own diagonal entry."""
     a = symmetrize(m)
     try:
         lower = np.linalg.cholesky(a)
@@ -275,7 +320,7 @@ def reference_cholesky(m):
             except np.linalg.LinAlgError:
                 hi = mid
         lower = np.linalg.cholesky(a[:lo, :lo])
-        check_threshold(np.diag(lower) ** 2, np.diag(a))
+        check_threshold(np.diag(lower) ** 2, np.diag(a)[:lo])
         row = np.linalg.solve(lower, a[:lo, lo])
         raise NotPositiveDefiniteError(lo, a[lo, lo] - row @ row) from None
     check_threshold(np.diag(lower) ** 2, np.diag(a))
@@ -351,9 +396,14 @@ def failing_stack(k, n, seed, where, kind, later):
         stack[j, p, p] = -1.0  # leading pivots pass, pivot p fails
     elif kind == "nan":
         stack[j, p, p] = np.nan
-    elif kind == "tiny":  # LAPACK accepts pivot p, the threshold does not
-        stack[j, p, :] = stack[j, :, p] = 0.0
-        stack[j, p, p] = 1e-14 * stack[j].diagonal().max()
+    elif kind == "tiny":
+        # x_p becomes x_q + 2e-7 x_p, q = p - 1 (mod n): at the later of
+        # the two, LAPACK accepts a pivot of 5e-15 to 3e-13 of its diagonal
+        # entry, and the threshold does not
+        mix = np.eye(n)
+        mix[p, (p - 1) % n], mix[p, p] = 1.0, 2e-7
+        m = mix @ stack[j] @ mix.T
+        stack[j] = (m + m.T) / 2.0
     else:
         stack[j, 0, n - 1] += 1.0
     if later == "indefinite" and j + 1 < k:
@@ -647,25 +697,24 @@ def test_marginal_sweep_matches_schur_complement(n_last, d, seed):
     ]
 
 
-def test_marginal_sweep_keeps_whole_matrix_spd_check():
-    # every pivot the sweeps factorize passes its own threshold, but the whole
-    # matrix has a pivot below 1e-12 * max(diag), as schur_complement reports
+def test_a_pivot_above_its_own_diagonals_threshold_passes_every_route():
+    """The last pivot is 1e-7 of its own diagonal entry, though 1e-13 of the
+    largest one: the whole-matrix check, the sweep of both time directions
+    and the reference Schur complements all accept the matrix."""
     r = np.sqrt(1.0 - 1e-7)
     a = BlockMatrix([[1e6, 0.0, 0.0], [0.0, 1.0, r], [0.0, r, 1.0]], 1)
-    with pytest.raises(NotPositiveDefiniteError) as exc:
-        classify._interval_entries(a, Tolerance())
-    assert exc.value.pivot_index == 2
+    assert cholesky_spd(a.data)[2, 2] ** 2 == pytest.approx(1e-7, rel=1e-6)
+    assert len(classify._interval_entries(a, Tolerance())) == 4
     for keep in (LEADING, TRAILING):
-        with pytest.raises(NotPositiveDefiniteError):
-            schur_complement(a, 1, keep)
+        schur_complement(a, 1, keep)
 
 
 def test_leading_sweep_checks_each_pivot_against_its_own_diagonal():
     """The whole matrix passes its check in time order (its smallest pivot is
-    1e-10 of the diagonal), but given x_3 the two components of x_2 are
-    nearly collinear: a pivot of 1e-14 against a diagonal of 1.  The error
-    names the leading sweep's second step, position 1 of the stack's steps;
-    the trailing sweep never conditions x_2 on x_3."""
+    1e-10 of its diagonal entry), but given x_3 the two components of x_2
+    are nearly collinear: a pivot of 1e-14 against a diagonal of 1.  The
+    error names the time reversal, position 0 of the sweep's stack; the
+    trailing sweep never conditions x_2 on x_3."""
     eps, delta = 1e-5, 1e-2
     rows = np.eye(8)
     rows[5] = rows[4] + eps * (rows[6] + delta * rows[5])
@@ -675,7 +724,7 @@ def test_leading_sweep_checks_each_pivot_against_its_own_diagonal():
         classify._interval_entries(a, Tolerance())
     assert exc.value.pivot_index == 5  # the row of a: time 2, component 1
     assert 0 < exc.value.pivot_value < 1e-12
-    assert exc.value.position == 1
+    assert exc.value.position == 0
 
 
 def test_leading_sweep_names_a_row_of_a_where_lapack_fails_the_reversed_matrix():
@@ -689,16 +738,16 @@ def test_leading_sweep_names_a_row_of_a_where_lapack_fails_the_reversed_matrix()
     with pytest.raises(NotPositiveDefiniteError) as exc:
         classify._interval_entries(a, Tolerance())
     assert exc.value.pivot_index == 5
+    assert exc.value.position == 0
 
 
 def one_matrix_sweep(mat, lower, d):
     """The reference elimination steps of one matrix, with 2-D products."""
     work = mat
     for k in range(1, mat.shape[0] // d - 1):
-        diag = work.diagonal()[:d].copy()
         col = lower[k * d :, (k - 1) * d : k * d]
         work = work[d:, d:] - col @ col.T
-        yield work, diag
+        yield work
 
 
 @settings(max_examples=60, deadline=None)
@@ -718,7 +767,7 @@ def test_the_stacked_sweep_gives_each_matrix_the_bits_of_its_own_sweep(n_last, d
     for step, work in enumerate(stacked):
         assert work.shape == (2, (n_last - step) * d, (n_last - step) * d)
         for i in range(2):
-            assert work[i].tobytes() == alone[i][step][0].tobytes()
+            assert work[i].tobytes() == alone[i][step].tobytes()
 
 
 def test_sequence_law_caches_read_only_precision():

@@ -15,6 +15,7 @@ from cmseq import (
     IntervalClassEntry,
     LawClass,
     NotPositiveDefiniteError,
+    NotSymmetricError,
     PatternSpec,
     SequenceLaw,
     Tolerance,
@@ -34,7 +35,7 @@ from cmseq import (
 )
 from cmseq import blocks, classify, patterns
 from cmseq.fixtures import ar1_law, identity_law
-from test_blocks import one_matrix_sweep
+from test_blocks import nearly_singular, one_matrix_sweep
 
 FIRST = ConditioningSide.FIRST
 LAST = ConditioningSide.LAST
@@ -338,7 +339,7 @@ def reference_marginals(a):
     mat = symmetrize(a.data)
     mirror = blocks._reverse_time(mat, d)
     sweeps = [one_matrix_sweep(m, np.linalg.cholesky(m), d) for m in (mirror, mat)]
-    for k, ((prefix, _), (suffix, _)) in enumerate(zip(*sweeps), 1):
+    for k, (prefix, suffix) in enumerate(zip(*sweeps), 1):
         yield IndexInterval(0, n_last - k), BlockMatrix(blocks._reverse_time(prefix, d), d)
         yield IndexInterval(k, n_last), BlockMatrix(suffix, d)
 
@@ -432,28 +433,33 @@ def outcome(run):
         (collinear_given_x3(1e-2, x1_scale=1e-3), ("9.992e-15", 5, "0x1.6800000000001p-47")),
         # LAPACK fails the time-reversed matrix
         (collinear_given_x3(1e-6), ("0.000e+00", 5, "0x0.0p+0")),
-        (
-            BlockMatrix([[1e6, 0, 0], [0, 1, np.sqrt(1 - 1e-7)], [0, np.sqrt(1 - 1e-7), 1]], 1),
-            ("1.000e-07", 2, "0x1.ad7f29a800000p-24"),
-        ),
+        # a pivot of 1e-13 of the largest diagonal entry, 1e-7 of its own
+        (BlockMatrix([[1e6, 0, 0], [0, 1, np.sqrt(1 - 1e-7)], [0, np.sqrt(1 - 1e-7), 1]], 1), None),
     ],
     ids=["step-pivot", "step-pivot-small-x1", "mirror-lapack", "whole-matrix"],
 )
-def test_the_witness_sweep_raises_its_pinned_error(a, want):
-    """The witness sweep runs both directions as one stack and checks all
-    their pivots once, after its last step, the leading sweep's first: the
-    error, its message, row and pivot bits are pinned."""
+def test_the_witness_sweep_has_its_pinned_outcome(a, want):
+    """The witness sweep factorizes both directions as one stack and checks
+    every pivot of both against its own diagonal entry before its first
+    step, the time reversal's first: the error, its message, row and pivot
+    bits are pinned, or the matrix passes and gets its four entries."""
+    got = outcome(lambda: classify._interval_entries(a, Tolerance()))
+    if want is None:
+        assert [(e.interval, e.side) for e in got] == [
+            (IndexInterval(0, 1), FIRST), (IndexInterval(0, 1), LAST),
+            (IndexInterval(1, 2), FIRST), (IndexInterval(1, 2), LAST),
+        ]
+        return
     pivot, index, bits = want
     message = f"matrix is not positive definite: pivot {pivot} at index {index}"
-    got = outcome(lambda: classify._interval_entries(a, Tolerance()))
     assert got == (NotPositiveDefiniteError, message, index, bits)
 
 
 def test_full_report_detects_four_patterns_and_wraps_no_marginal(monkeypatch):
     """Only the four whole-law patterns go through detect; the marginals are
     read off the steps with no block matrix and no time-reversed copy, and
-    the pivots of both sweeps are checked in one call (plus the precision's
-    own check)."""
+    both directions are factorized, and their pivots checked, in one
+    call."""
     law = random_law(LawClass.CM_F_ONLY, 12, 2, 0)
     law.precision()
     calls = Counter()
@@ -471,9 +477,53 @@ def test_full_report_detects_four_patterns_and_wraps_no_marginal(monkeypatch):
         (classify, "detect"),
         (patterns, "detect"),
         (blocks, "_reverse_time"),
+        (blocks, "_cholesky_stack"),
         (blocks, "_check_pivots"),
         (BlockMatrix, "_adopt"),  # every BlockMatrix, wrapped or constructed
     ]:
         counted(owner, name)
     full_report(law)
-    assert calls == {"detect": 4, "_reverse_time": 1, "_check_pivots": 2}
+    assert calls == {"detect": 4, "_reverse_time": 1, "_cholesky_stack": 1, "_check_pivots": 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_last=st.integers(min_value=2, max_value=5),
+    d=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    collinear=st.floats(min_value=-8.0, max_value=-4.0),
+)
+def test_the_witness_sweep_raises_exactly_when_it_raises_on_the_time_reversal(
+    n_last, d, seed, collinear
+):
+    """SPD acceptance does not depend on the direction of time: the sweep
+    checks every pivot of a precision and of its time reversal, each against
+    its own diagonal entry, so reversing time changes no verdict."""
+    m = nearly_singular((n_last + 1) * d, seed, collinear)
+    raised = [
+        isinstance(outcome(lambda: classify._interval_entries(BlockMatrix(x, d), Tolerance())), tuple)
+        for x in (m, blocks._reverse_time(m, d))
+    ]
+    assert raised[0] == raised[1]
+
+
+@pytest.mark.parametrize("bad", ["asymmetric", "nan"])
+def test_the_witness_sweep_rejects_an_unmarked_matrix_that_is_not_symmetric(bad):
+    """An unmarked matrix passes the symmetry check before the sweep: its
+    symmetric part is not silently taken, and a NaN is not reported as a
+    failing pivot."""
+    m = random_law(LawClass.GENERIC, 4, 2, 0).precision().data.copy()
+    if bad == "asymmetric":
+        m[0, 5] += 0.1
+    else:
+        m[3, 3] = np.nan
+    with pytest.raises(NotSymmetricError):
+        classify._interval_entries(BlockMatrix(m, 2), Tolerance())
+
+
+@pytest.mark.parametrize("side", ["first", "LAST", None, 0])
+def test_an_interval_entry_takes_only_a_conditioning_side(side):
+    witness = full_report(ar1_law(3)).interval_cm[0].witness
+    with pytest.raises(TypeError):
+        IntervalClassEntry(IndexInterval(0, 2), side, witness)
+    assert IntervalClassEntry(IndexInterval(0, 2), FIRST, witness).side is FIRST

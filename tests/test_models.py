@@ -638,19 +638,25 @@ def test_a_build_conditions_every_step_in_one_call(build, c, bc, monkeypatch):
 
 
 def test_a_failing_pivot_of_a_build_names_the_laws_own_row():
-    """x_0 = 1e-2 z_0 and x_1 = z_0 + 1e-5 z_1 pass the law's own SPD check,
-    x_0 coming first, but x_0 given x_1 has variance 1e-14: the regression
-    of x_2 on (x_1, x_0) fails at the second pivot of its block, the row of
-    x_0 in the law.  The same holds for x_2 = z_0 + 1e-5 z_2 read by the
-    backward c=FIRST regression of x_1 on (x_2, x_0)."""
-    mixing = np.array([[1e-2, 0, 0, 0], [1, 1e-5, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
-    with pytest.raises(NotPositiveDefiniteError, match="pivot 1.000e-14 at index 0"):
-        build_forward(SequenceLaw(mixing @ mixing.T, 1), FIRST)
-    mixing = np.array([[1e-2, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1e-5, 0], [0, 0, 1, 1]])
-    law = SequenceLaw(mixing @ mixing.T, 1)
+    """x_0 = (z_0, z_0 + 1e-3 z_2 + 1e-7 z_1) and x_1 = (z_2, z_3) pass the
+    law's own SPD check in time order (relative pivots 1e-6 and 1e-8), but
+    x_0's second component given x_1 and x_0's first has variance 1e-14 of
+    its own: the regression of x_2 on (x_1, x_0) fails at the last pivot of
+    its block, the row of x_0's second component in the law.  The same holds
+    with x_2 = (z_4, z_5) in place of x_1, read by the backward c=FIRST
+    regression of x_1 on (x_2, x_0)."""
+
+    def law(other):
+        mixing = np.eye(8)
+        mixing[1] = 0.0
+        mixing[1, 0], mixing[1, other], mixing[1, 1] = 1.0, 1e-3, 1e-7
+        return SequenceLaw(mixing @ mixing.T, 2)
+
+    with pytest.raises(NotPositiveDefiniteError, match="pivot 9.992e-15 at index 1$"):
+        build_forward(law(2), FIRST)
     for bc in (BC1, BC2):
-        with pytest.raises(NotPositiveDefiniteError, match="pivot 1.000e-14 at index 0"):
-            build_backward(law, FIRST, bc)
+        with pytest.raises(NotPositiveDefiniteError, match="pivot 9.992e-15 at index 1$"):
+            build_backward(law(4), FIRST, bc)
 
 
 # --- random law generator ---------------------------------------------------

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Print one sha256 over every field of ``full_report`` on a fixed corpus,
 one over every ``classify_cm_interval`` witness of its smaller laws, one
-over its models and oracle verdicts, and one over sample batches and their
-files.
+over its models and oracle verdicts, one over sample batches and their
+files, and one over the whole-law classifiers' witnesses.
 
 Run from the repository root:
 
@@ -27,9 +27,12 @@ crosses the 1024-replicate block of the sampler) and two seeds, one of them
 structured JSON file feed the fourth hash.  So do those of one batch large
 enough for worker processes (N = 4, d = 2, M = 8 * 1024 + 1: nine sampler
 blocks, the last of one row), built once with the workers forced on and
-once with them off; the script stops unless both give the same bytes.  Two
-trees that print the same digests give the same witnesses, models,
-verdicts, samples and batch files bit for bit.  Run it on both sides of a
+once with them off; the script stops unless both give the same bytes.
+For each law of the corpus, ``classify_cmc`` given the first and then the
+last endpoint, ``classify_markov`` and ``classify_reciprocal`` feed their
+witness's ``repr`` and ``worst_ratio.hex()`` to the fifth hash.  Two trees
+that print the same digests give the same witnesses, models, verdicts,
+samples and batch files bit for bit.  Run it on both sides of a
 change that claims to keep them, under the same BLAS thread count: the
 first and third digests change with it (for example
 ``OPENBLAS_NUM_THREADS=1`` against the default).
@@ -53,6 +56,9 @@ from cmseq import (
     check_markov_forward,
     check_reciprocity_forward,
     classify_cm_interval,
+    classify_cmc,
+    classify_markov,
+    classify_reciprocal,
     full_report,
     model_covariance,
     oracle_cm_interval,
@@ -115,6 +121,14 @@ def model_bytes(model):
     return b"".join(parts)
 
 
+def classifier_witnesses(law):
+    """The witnesses of ``classify_cmc`` given each endpoint, of
+    ``classify_markov`` and of ``classify_reciprocal``."""
+    yield from (classify_cmc(law, side) for side in ConditioningSide)
+    yield classify_markov(law)
+    yield classify_reciprocal(law)
+
+
 def oracle_verdicts(law):
     """The Markov and reciprocal verdicts, then the CM verdict of every
     interval, side and ``use_future``."""
@@ -175,7 +189,8 @@ def worker_batch_bytes(directory):
 
 def main():
     reports, intervals, models = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    count = interval_count = model_count = verdict_count = 0
+    classifiers = hashlib.sha256()
+    count = interval_count = model_count = verdict_count = classifier_count = 0
     for law_class, n, d, seed in product(LawClass, NS, DIMS, SEEDS):
         law = random_law(law_class, n, d, seed)
         report = full_report(law)
@@ -183,6 +198,10 @@ def main():
         for witness in witnesses(report):
             reports.update(witness.worst_ratio.hex().encode())
         count += 1
+        for witness in classifier_witnesses(law):
+            classifiers.update(repr(witness).encode())
+            classifiers.update(witness.worst_ratio.hex().encode())
+            classifier_count += 1
         if n <= INTERVAL_N_MAX:
             for interval, side in boundary_intervals(n):
                 witness = classify_cm_interval(law, interval, side)
@@ -208,6 +227,7 @@ def main():
     print(f"{intervals.hexdigest()}  {interval_count} classify_cm_interval witnesses")
     print(f"{models.hexdigest()}  {model_count} models, {verdict_count} oracle verdicts")
     print(f"{batches.hexdigest()}  {batch_count} sample batches with their CSV and JSON files")
+    print(f"{classifiers.hexdigest()}  {classifier_count} whole-law classifier witnesses")
 
 
 if __name__ == "__main__":

@@ -370,7 +370,6 @@ class BlockMatrix:
         self._d = block_dim
         self._symmetric = symmetric
         self._norms = None
-        self._ratios = None
 
     @property
     def data(self):
@@ -404,18 +403,6 @@ class BlockMatrix:
         if self._norms is None:
             self._norms = _block_norms(self._data, self._d)
         return self._norms
-
-    def _ratio_grid(self):
-        """Read-only :func:`_ratios` grid of the block norms, computed once
-        per matrix.  An unmarked matrix first passes :func:`symmetrize`, so
-        an asymmetric or non-finite one raises on every call."""
-        if self._ratios is None:
-            if not self._symmetric:
-                symmetrize(self._data)
-            ratios = _ratios(self.block_norms())
-            ratios.setflags(write=False)
-            self._ratios = ratios
-        return self._ratios
 
     def max_block_norm(self):
         """Largest block Frobenius norm over the whole grid."""
@@ -469,6 +456,18 @@ def _ratios(norms):
         norms /= scale
         return norms
     return np.divide(norms, scale, out=np.zeros_like(norms), where=scale > 0)
+
+
+def _ratio_grid(m, block_dim=None):
+    """A fresh :func:`_ratios` grid, the one every pattern witness is read
+    off: of a :class:`BlockMatrix` from its cached block norms (an unmarked
+    one first passes :func:`symmetrize`), or of each matrix of a stack with
+    blocks of size ``block_dim``."""
+    if not isinstance(m, BlockMatrix):
+        return _ratios(_block_norms(m, block_dim))
+    if not m._symmetric:
+        symmetrize(m.data)
+    return _ratios(m.block_norms())
 
 
 def _block_matrix(m, block_dim):

@@ -4,23 +4,25 @@ The class lattice for zero-mean nonsingular Gaussian sequences is
 
     Markov  =>  reciprocal  =>  (CM_L and CM_F),
 
-with reciprocity *equivalent* to the conjunction of the two conditional-Markov
-properties.  Each class is decided by pattern detection on the precision,
-which a law derives once from its Cholesky factor and caches.
-Interval-restricted conditional-Markov properties reduce to pattern detection
-on the marginal precision of the times inside the interval, a Schur
-complement of the precision.  Every suffix marginal ``[k, N]`` is read off one
-Cholesky factor of the precision, and every prefix marginal ``[0, k]`` off one
-factor of the time-reversed precision: O(N^3 d^3) in all.  ``full_report``
-detects the four whole-law patterns on the precision and reads the
-witnesses of each marginal straight off the elimination steps of
+with reciprocity *equivalent* to the conjunction of the two
+conditional-Markov properties.  Each class is a zero-block pattern of the
+precision, which a law derives once from its Cholesky factor and caches; CM
+on an interval is the same pattern on the interval's marginal precision, a
+Schur complement.  Each matrix gets one ratio grid
+(:func:`~cmseq.blocks._ratio_grid`) with the tridiagonal band masked out, and
+every witness is read off it by one rule: CM_F without its first block row
+and column, CM_L without its last, Markov on the whole grid, and the cyclic
+pattern with its corners zeroed.  Every suffix marginal ``[k, N]`` is read
+off one Cholesky factor of the precision, and every prefix marginal
+``[0, k]`` off one factor of the time-reversed precision: O(N^3 d^3) in all.
+``full_report`` reads the marginals straight off the elimination steps of
 :mod:`~cmseq.blocks`, both directions as one stack: one batched update, one
 norm pass, one ratio grid and one band mask per step for its prefix and
 suffix marginal, with no block matrix, pattern or detection per interval.
-The precision and its time reversal are factorized, and every pivot of
-both checked, as one stack before the first step, so the sweep accepts a
-law exactly when it accepts the law's time reversal.  Each marginal is read
-as soon as it is produced and then dropped.  Reciprocity is always computed
+The precision and its time reversal are factorized, and every pivot of both
+checked, as one stack before the first step, so the sweep accepts a law
+exactly when it accepts the law's time reversal.  Each marginal is read as
+soon as it is produced and then dropped.  Reciprocity is always computed
 through two independent routes (cyclic-tridiagonal pattern vs the conjunction
 of CM_L and CM_F) whose agreement is part of the contract.  The two
 interval-composition routes are read, by one rule, from the interval
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import blocks
 from .blocks import ConditioningSide, IndexInterval, SequenceLaw, Tolerance, _member
-from .patterns import PatternSpec, PatternWitness, _support_grid, _witness, detect
+from .patterns import PatternSpec, PatternWitness, _support_grid, _witness
 
 __all__ = [
     "UnsupportedIntervalError",
@@ -99,12 +101,6 @@ class ClassificationReport:
     consistency: bool
 
 
-def _cm_pattern(side: ConditioningSide, n_last: int) -> PatternSpec:
-    if _member(side, ConditioningSide) is ConditioningSide.LAST:
-        return PatternSpec.cm_l(n_last)
-    return PatternSpec.cm_f(n_last)
-
-
 def classify_cmc(law: SequenceLaw, c: ConditioningSide, tol: Tolerance = Tolerance()) -> PatternWitness:
     """Is the law conditionally Markov over all of [0, N] given endpoint ``c``?
 
@@ -112,7 +108,9 @@ def classify_cmc(law: SequenceLaw, c: ConditioningSide, tol: Tolerance = Toleran
     (full last block column for ``c=LAST``, full first block row for
     ``c=FIRST``, on top of the tridiagonal band).
     """
-    return detect(law.precision(), _cm_pattern(c, law.n_last), tol)
+    side = _member(c, ConditioningSide)
+    cm_l, cm_f = _law_witnesses(law.precision(), tol)[2:]
+    return cm_l if side is ConditioningSide.LAST else cm_f
 
 
 def classify_cm_interval(
@@ -150,7 +148,7 @@ def classify_cm_interval(
 
 def classify_markov(law: SequenceLaw, tol: Tolerance = Tolerance()) -> PatternWitness:
     """Is the law Markov?  Holds iff the precision is block tridiagonal."""
-    return detect(law.precision(), PatternSpec.tridiagonal(law.n_last), tol)
+    return _law_witnesses(law.precision(), tol)[0]
 
 
 def classify_reciprocal(law: SequenceLaw, tol: Tolerance = Tolerance()) -> ReciprocalWitness:
@@ -159,22 +157,7 @@ def classify_reciprocal(law: SequenceLaw, tol: Tolerance = Tolerance()) -> Recip
     The independent conjunction route (CM_L and CM_F) is always evaluated as
     well; ``routes_agree`` reports the comparison.
     """
-    a = law.precision()
-    n_last = law.n_last
-    return _reciprocal_witness(
-        detect(a, PatternSpec.cyclic_tridiagonal(n_last), tol),
-        detect(a, PatternSpec.cm_l(n_last), tol),
-        detect(a, PatternSpec.cm_f(n_last), tol),
-    )
-
-
-def _reciprocal_witness(
-    cyc: PatternWitness, cm_l: PatternWitness, cm_f: PatternWitness
-) -> ReciprocalWitness:
-    via_cm = cm_l.conforms and cm_f.conforms
-    return ReciprocalWitness(
-        cyc.conforms, cyc.worst_block, cyc.worst_ratio, cyc.conforms == via_cm
-    )
+    return _law_witnesses(law.precision(), tol)[1]
 
 
 def _composition_agrees(
@@ -224,14 +207,8 @@ def full_report(law: SequenceLaw, tol: Tolerance = Tolerance()) -> Classificatio
     suffixes ``[1, N] .. [N-1, N]``, each given the first endpoint and then
     the last.  Both interval-composition routes are read from them.
     """
-    n_last = law.n_last
     a = law.precision()
-    markov = detect(a, PatternSpec.tridiagonal(n_last), tol)
-    cm_l = detect(a, PatternSpec.cm_l(n_last), tol)
-    cm_f = detect(a, PatternSpec.cm_f(n_last), tol)
-    reciprocal = _reciprocal_witness(
-        detect(a, PatternSpec.cyclic_tridiagonal(n_last), tol), cm_l, cm_f
-    )
+    markov, reciprocal, cm_l, cm_f = _law_witnesses(a, tol)
     entries = _interval_entries(a, tol)
     return ClassificationReport(
         markov=markov,
@@ -244,6 +221,30 @@ def full_report(law: SequenceLaw, tol: Tolerance = Tolerance()) -> Classificatio
     )
 
 
+def _law_witnesses(a, tol):
+    """The Markov, reciprocal, CM_L and CM_F witnesses of the precision
+    ``a``, off one band-masked ratio grid, the cyclic one with the grid's
+    corners zeroed (in place: neither CM slice holds a corner).  The grid
+    is symmetric, so its first row-major maximum is an upper entry, which
+    dropping a leading or trailing row and column, or zeroing the corners,
+    keeps first: each is the witness :func:`~cmseq.patterns.detect` gives."""
+    ratios = blocks._ratio_grid(a)
+    np.copyto(ratios, 0.0, where=_support_grid(PatternSpec.tridiagonal(a.n_blocks - 1)))
+    markov = _witness(ratios, tol)
+    cm_f, cm_l = _cm_witnesses(ratios, tol)
+    ratios[0, -1] = ratios[-1, 0] = 0.0
+    cyc = _witness(ratios, tol)
+    routes_agree = cyc.conforms == (cm_l.conforms and cm_f.conforms)
+    reciprocal = ReciprocalWitness(cyc.conforms, cyc.worst_block, cyc.worst_ratio, routes_agree)
+    return markov, reciprocal, cm_l, cm_f
+
+
+def _cm_witnesses(ratios, tol):
+    """The CM_F and CM_L witnesses of a band-masked ratio grid: off the grid
+    without its first block row and column, and without its last."""
+    return _witness(ratios[1:, 1:], tol, 1), _witness(ratios[:-1, :-1], tol)
+
+
 def _interval_entries(a, tol):
     """The entries of every boundary-anchored interval of ``a``, in report
     order: the prefixes ``[0, 1] .. [0, N-1]``, then the suffixes ``[1, N]
@@ -251,37 +252,33 @@ def _interval_entries(a, tol):
 
     Step ``k`` of :func:`~cmseq.blocks._marginal_sweep` makes the marginals
     of ``[0, N-k]`` and ``[k, N]`` together, and they get one norm pass,
-    one ratio grid and one band mask.  Each marginal's two witnesses come
-    from its grid, CM_F's without its first block row and column and CM_L's
-    without its last.  The grid is symmetric, so its first row-major
-    maximum is an upper entry, which dropping a leading or trailing row and
-    column keeps first: each witness is the one
-    :func:`~cmseq.patterns.detect` gives on the marginal itself.  The band
-    reads the same in either time direction, so the reversed marginal's
-    grid is masked first and then flipped back as a view.
+    one ratio grid and one band mask.  Each marginal's two witnesses are
+    read off its grid by :func:`_cm_witnesses`, the rule of the whole law,
+    so each is the one :func:`~cmseq.patterns.detect` gives on the marginal
+    itself.  The band reads the same in either time direction, so the
+    reversed marginal's grid is masked first and then flipped back as a
+    view.  The sweep makes the prefixes longest first, so each step's pair
+    goes in front.
     """
-    d, n_last = a.block_dim, a.n_blocks - 1
+    n_last = a.n_blocks - 1
     if n_last < 2:
         return ()
-    steps = n_last - 1
     band = _support_grid(PatternSpec.tridiagonal(n_last))
-    entries = [None] * (4 * steps)
+    prefixes, suffixes = [], []
     for k, kept in enumerate(blocks._marginal_sweep(a), 1):
         size = n_last + 1 - k
-        ratios = blocks._ratios(blocks._block_norms(kept, d))
+        ratios = blocks._ratio_grid(kept, a.block_dim)
         np.copyto(ratios, 0.0, where=band[:size, :size])
-        prefix, suffix = 2 * (steps - k), 2 * (steps + k - 1)
-        entries[prefix : prefix + 2] = _side_entries(
-            IndexInterval(0, n_last - k), ratios[0, ::-1, ::-1], tol
-        )
-        entries[suffix : suffix + 2] = _side_entries(IndexInterval(k, n_last), ratios[1], tol)
-    return tuple(entries)
+        prefixes[:0] = _side_entries(IndexInterval(0, n_last - k), ratios[0, ::-1, ::-1], tol)
+        suffixes += _side_entries(IndexInterval(k, n_last), ratios[1], tol)
+    return tuple(prefixes + suffixes)
 
 
 def _side_entries(interval, ratios, tol):
     """The entries of ``interval`` given its first endpoint and then its
     last, from its band-masked ratio grid."""
+    cm_f, cm_l = _cm_witnesses(ratios, tol)
     return (
-        IntervalClassEntry(interval, ConditioningSide.FIRST, _witness(ratios[1:, 1:], tol, 1)),
-        IntervalClassEntry(interval, ConditioningSide.LAST, _witness(ratios[:-1, :-1], tol)),
+        IntervalClassEntry(interval, ConditioningSide.FIRST, cm_f),
+        IntervalClassEntry(interval, ConditioningSide.LAST, cm_l),
     )

@@ -66,7 +66,6 @@ from .blocks import (
     _inverse_from_factor,
     _member,
     _symmetric_part,
-    invert_spd,
 )
 from .patterns import PatternSpec, _support_grid
 
@@ -579,4 +578,4 @@ def random_law(law_class: LawClass, n_last: int, dim: int, seed: int) -> Sequenc
     diag = np.arange(n + 1)
     grid[diag, diag] = (1.0 + row_abs)[:, None, None] * np.eye(d)
     a = grid.transpose(0, 2, 1, 3).reshape((n + 1) * d, (n + 1) * d)
-    return SequenceLaw(invert_spd(a), d)
+    return SequenceLaw.from_precision(a, d)

@@ -172,11 +172,14 @@ def oracle_cm_interval(
         ``residual_tol`` bounds the largest normalized partial covariance.
     use_future : bool
         Sweep direction; both directions characterize the same property.
+        Anything but a bool (numpy bools count) raises TypeError.
 
     Returns
     -------
     OracleVerdict
     """
+    if not isinstance(use_future, (bool, np.bool_)):
+        raise TypeError(f"expected a bool for use_future, got {use_future!r}")
     _check_size(law)
     if interval.hi > law.n_last:
         raise IndexError(f"interval {interval} exceeds n_last={law.n_last}")

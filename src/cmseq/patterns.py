@@ -16,21 +16,22 @@ block-sparsity pattern:
 outside the allowed support must be zero up to ``zero_tol`` relative to the
 largest block norm of the matrix itself.  That normalization makes the
 verdict invariant to a common rescaling of the matrix (not to a per-time
-change of coordinates).  All block norms are computed in one vectorized
-pass, once per matrix: every detection on the same matrix reads the same
-cached ratio grid.  The worst off-support block is found with ``argmax``
-over the ratios outside the pattern's support grid; ties go to the first
-block in row-major order, and a block ties with its transpose.  That
-read-only boolean grid is the one place each pattern is written:
-``_support_grid`` builds it by index arithmetic, and :func:`allowed_support`
-and :func:`~cmseq.models.random_law` read it too.  At most 1024 grids are
-cached, which bounds their memory; a miss costs microseconds.
+change of coordinates).  A matrix's block norms are one cached vectorized
+pass, and each detection makes its ratio grid from them with
+:func:`~cmseq.blocks._ratio_grid`, as the classifiers do.  The worst
+off-support block is found with ``argmax`` over the ratios outside the
+pattern's support grid; ties go to the first block in row-major order, and
+a block ties with its transpose.  That read-only boolean grid is the one
+place each pattern is written: ``_support_grid`` builds it by index
+arithmetic, and :func:`allowed_support` and :func:`~cmseq.models.random_law`
+read it too.  At most 1024 grids are cached, which bounds their memory; a
+miss costs microseconds.  ``detect`` is the definition-level reference:
+:mod:`~cmseq.classify` reads all four patterns off one grid and gives its
+witnesses field for field.
 
 ``detect`` rejects an asymmetric or non-finite matrix with
-:class:`~cmseq.blocks.NotSymmetricError`.  The check runs once per matrix,
-before its ratio grid is cached, and never on the matrices the package
-builds exactly symmetric, such as a law's covariance and precision.  A
-matrix that fails it caches no grid, so it raises on every call.
+:class:`~cmseq.blocks.NotSymmetricError`, on every call, but checks no
+matrix the package builds exactly symmetric, such as a law's precision.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blocks import BlockMatrix, Tolerance, _member
+from .blocks import BlockMatrix, Tolerance, _member, _ratio_grid
 
 __all__ = [
     "PatternKind",
@@ -133,7 +134,7 @@ def detect(m: BlockMatrix, spec: PatternSpec, tol: Tolerance = Tolerance()) -> P
         raise ValueError(
             f"pattern sized for n_last={spec.n_last} but matrix has n_last={n_last}"
         )
-    return _witness(np.where(_support_grid(spec), 0.0, m._ratio_grid()), tol)
+    return _witness(np.where(_support_grid(spec), 0.0, _ratio_grid(m)), tol)
 
 
 def _witness(ratios, tol, offset=0):

@@ -455,11 +455,11 @@ def test_the_witness_sweep_has_its_pinned_outcome(a, want):
     assert got == (NotPositiveDefiniteError, message, index, bits)
 
 
-def test_full_report_detects_four_patterns_and_wraps_no_marginal(monkeypatch):
-    """Only the four whole-law patterns go through detect; the marginals are
-    read off the steps with no block matrix and no time-reversed copy, and
-    both directions are factorized, and their pivots checked, in one
-    call."""
+def test_full_report_calls_no_detect_and_wraps_no_marginal(monkeypatch):
+    """No pattern goes through detect: the four whole-law patterns are read
+    off one ratio grid of the precision, and the marginals off one grid per
+    step with no block matrix and no time-reversed copy; both directions
+    are factorized, and their pivots checked, in one call."""
     law = random_law(LawClass.CM_F_ONLY, 12, 2, 0)
     law.precision()
     calls = Counter()
@@ -474,8 +474,8 @@ def test_full_report_detects_four_patterns_and_wraps_no_marginal(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in [
-        (classify, "detect"),
         (patterns, "detect"),
+        (blocks, "_ratio_grid"),
         (blocks, "_reverse_time"),
         (blocks, "_cholesky_stack"),
         (blocks, "_check_pivots"),
@@ -483,7 +483,61 @@ def test_full_report_detects_four_patterns_and_wraps_no_marginal(monkeypatch):
     ]:
         counted(owner, name)
     full_report(law)
-    assert calls == {"detect": 4, "_reverse_time": 1, "_cholesky_stack": 1, "_check_pivots": 1}
+    assert calls == {"_ratio_grid": 12, "_reverse_time": 1, "_cholesky_stack": 1, "_check_pivots": 1}
+
+
+def assert_same_witness(got, want):
+    assert got.conforms == want.conforms
+    assert got.worst_block == want.worst_block
+    assert got.worst_ratio.hex() == want.worst_ratio.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    law_class=st.sampled_from(list(LawClass)),
+    n_last=st.integers(min_value=2, max_value=6),
+    d=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    scale=st.sampled_from([1.0, 1e165, 1e-155]),
+    zero_tol=st.sampled_from([1e-14, 1e-9, 0.2]),
+)
+def test_the_whole_law_witnesses_are_those_of_detect(law_class, n_last, d, seed, scale, zero_tol):
+    """Every whole-law witness of the classifiers and of full_report, read
+    off one band-masked grid, is the one detect gives on the precision with
+    the matching pattern: same verdict, block and ratio bits.  Also where
+    the block norms leave float range (covariance times 1e165: every norm
+    underflows to 0; times 1e-155: every norm overflows, and every ratio is
+    NaN, which numpy warns of)."""
+    assume(n_last >= 3 or law_class not in (LawClass.CM_L_ONLY, LawClass.CM_F_ONLY))
+    law = random_law(law_class, n_last, d, seed)
+    if scale != 1.0:
+        law = SequenceLaw(law.covariance.data * scale, d)
+    a, tol = law.precision(), Tolerance(zero_tol=zero_tol)
+    with np.errstate(invalid="ignore"):
+        markov, cyclic, cm_l, cm_f = (
+            detect(a, spec(n_last), tol)
+            for spec in (
+                PatternSpec.tridiagonal,
+                PatternSpec.cyclic_tridiagonal,
+                PatternSpec.cm_l,
+                PatternSpec.cm_f,
+            )
+        )
+        report = full_report(law, tol)
+        for got, want in [
+            (classify_cmc(law, LAST, tol), cm_l),
+            (classify_cmc(law, FIRST, tol), cm_f),
+            (classify_markov(law, tol), markov),
+            (classify_reciprocal(law, tol), cyclic),
+            (report.markov, markov),
+            (report.reciprocal, cyclic),
+            (report.cm_l, cm_l),
+            (report.cm_f, cm_f),
+        ]:
+            assert_same_witness(got, want)
+        routes_agree = cyclic.conforms == (cm_l.conforms and cm_f.conforms)
+        assert classify_reciprocal(law, tol).routes_agree == routes_agree
+        assert report.reciprocal.routes_agree == routes_agree
 
 
 @settings(max_examples=100, deadline=None)

@@ -777,8 +777,10 @@ def test_random_law_diagonal_is_one_plus_the_absolute_row_sum(law_class, monkeyp
     """Bit for bit: each diagonal block is (1 + the sum, block by block in
     column order, of the absolute off-diagonal entries of its row) * I."""
     built = []
-    invert = models.invert_spd
-    monkeypatch.setattr(models, "invert_spd", lambda a: built.append(a) or invert(a))
+    build = models.SequenceLaw.from_precision
+    monkeypatch.setattr(
+        models.SequenceLaw, "from_precision", staticmethod(lambda a, d: built.append(a) or build(a, d))
+    )
     for n, d, seed in product((3, 5, 10, 20), (1, 2, 4), range(3)):
         random_law(law_class, n, d, seed)
         a = built.pop()

@@ -386,6 +386,18 @@ def test_queries_and_indices_are_validated():
     assert pc.tobytes() == partial_covariance(cov, [0], [2], [1]).tobytes()
 
 
+@pytest.mark.parametrize("wrong", ["False", "no", 0, None])
+def test_use_future_must_be_a_bool(wrong):
+    """A truthy string once ran the future sweep, and 0 or None the past one."""
+    law = random_law(LawClass.CM_L_ONLY, 4, 1, 0)
+    interval = IndexInterval(0, 3)
+    with pytest.raises(TypeError, match=f"expected a bool for use_future, got {wrong!r}"):
+        oracle_cm_interval(law, interval, LAST, use_future=wrong)
+    for flag in (False, True):
+        want = oracle_cm_interval(law, interval, LAST, use_future=flag)
+        assert oracle_cm_interval(law, interval, LAST, use_future=np.bool_(flag)) == want
+
+
 def test_sweeps_and_partial_covariance_are_the_same_under_numpy_1_solve(request):
     laws = [random_law(c, 3, 2, seed=5) for c in LawClass] + [random_law(LawClass.GENERIC, 3, 4, 2)]
     want = [every_sweep(law) for law in laws]

@@ -1,5 +1,6 @@
 """The package namespace and the demo scripts."""
 
+import ast
 import importlib
 import os
 import re
@@ -141,6 +142,47 @@ def test_only_blocks_reads_the_symmetric_mark_or_checks_pivots():
         if BLOCKS_ONLY.search(line)
     ]
     assert found == []
+
+
+def code_names(source):
+    """Every name the code of a module uses, binds, defines or imports, its
+    attribute names included; its docstrings and comments are not code."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield node.name
+            yield node.asname or node.name
+
+
+def test_only_blocks_names_the_norm_pass_or_ratio_rule_and_classify_calls_no_detect():
+    """The norm pass and the ratio rule are named in blocks only, so a
+    change to how the ratios are normalized is an edit of one blocks
+    routine; and classify reads every pattern off its own ratio grid."""
+    src = Path(cmseq.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        names = set(code_names(path.read_text()))
+        if path.name != "blocks.py":
+            found += [f"{path.name}: {n}" for n in sorted(names & {"_block_norms", "_ratios"})]
+        if path.name == "classify.py" and "detect" in names:
+            found.append("classify.py: detect")
+    assert found == []
+
+
+def test_code_names_finds_imports_and_attributes_but_not_docstrings():
+    source = (
+        "from .patterns import (\n    PatternSpec,\n    detect,\n)\n"
+        "ratios = blocks._ratios(blocks._block_norms(kept, d))  # _witness\n"
+        "def f():\n    \"\"\"detect, _ratio_grid\"\"\"\n"
+    )
+    names = set(code_names(source))
+    assert {"detect", "_ratios", "_block_norms", "blocks", "f"} <= names
+    assert "_witness" not in names and "_ratio_grid" not in names
 
 
 # a fork outside the one fork layer, and pickle: a worker reports only its

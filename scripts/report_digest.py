@@ -30,11 +30,15 @@ blocks, the last of one row), built once with the workers forced on and
 once with them off; the script stops unless both give the same bytes.
 For each law of the corpus, ``classify_cmc`` given the first and then the
 last endpoint, ``classify_markov`` and ``classify_reciprocal`` feed their
-witness's ``repr`` and ``worst_ratio.hex()`` to the fifth hash.  Two trees
+witness's ``repr`` and ``worst_ratio.hex()`` to the fifth hash.  Each
+corpus law keeps the precision it was built from; the sixth, seventh and
+eighth hashes read, as the first, second and fifth do, the same law
+rebuilt from its covariance, ``SequenceLaw(law.covariance)``, which is
+classified on the precision derived from that covariance.  Two trees
 that print the same digests give the same witnesses, models, verdicts,
 samples and batch files bit for bit.  Run it on both sides of a
 change that claims to keep them, under the same BLAS thread count: the
-first and third digests change with it (for example
+first, third and sixth digests change with it (for example
 ``OPENBLAS_NUM_THREADS=1`` against the default).
 """
 
@@ -51,6 +55,7 @@ from cmseq import (
     ConditioningSide,
     IndexInterval,
     LawClass,
+    SequenceLaw,
     build_backward,
     build_forward,
     check_markov_forward,
@@ -187,27 +192,41 @@ def worker_batch_bytes(directory):
     return blobs[0]
 
 
+def witness_bytes(witness):
+    return [repr(witness).encode(), witness.worst_ratio.hex().encode()]
+
+
+def law_readings(law):
+    """What the first, second and fifth hashes read of a law, as three
+    lists of byte strings: its report and its witnesses' ``worst_ratio``,
+    every ``classify_cm_interval`` witness (N <= 10) and every whole-law
+    classifier witness; then the number of reports and witnesses in each."""
+    report = full_report(law)
+    intervals = boundary_intervals(law.n_last) if law.n_last <= INTERVAL_N_MAX else ()
+    interval_witnesses = [classify_cm_interval(law, *each) for each in intervals]
+    classifiers = list(classifier_witnesses(law))
+    parts = (
+        [repr(report).encode()] + [w.worst_ratio.hex().encode() for w in witnesses(report)],
+        [part for w in interval_witnesses for part in witness_bytes(w)],
+        [part for w in classifiers for part in witness_bytes(w)],
+    )
+    return parts, (1, len(interval_witnesses), len(classifiers))
+
+
 def main():
-    reports, intervals, models = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    classifiers = hashlib.sha256()
-    count = interval_count = model_count = verdict_count = classifier_count = 0
+    readings = [hashlib.sha256() for _ in range(3)]  # reports, intervals, classifiers
+    rebuilt = [hashlib.sha256() for _ in range(3)]  # the same, of SequenceLaw(law.covariance)
+    counts = [0, 0, 0]
+    models = hashlib.sha256()
+    model_count = verdict_count = 0
     for law_class, n, d, seed in product(LawClass, NS, DIMS, SEEDS):
         law = random_law(law_class, n, d, seed)
-        report = full_report(law)
-        reports.update(repr(report).encode())
-        for witness in witnesses(report):
-            reports.update(witness.worst_ratio.hex().encode())
-        count += 1
-        for witness in classifier_witnesses(law):
-            classifiers.update(repr(witness).encode())
-            classifiers.update(witness.worst_ratio.hex().encode())
-            classifier_count += 1
-        if n <= INTERVAL_N_MAX:
-            for interval, side in boundary_intervals(n):
-                witness = classify_cm_interval(law, interval, side)
-                intervals.update(repr(witness).encode())
-                intervals.update(witness.worst_ratio.hex().encode())
-                interval_count += 1
+        for digests, each in ((readings, law), (rebuilt, SequenceLaw(law.covariance))):
+            parts, found = law_readings(each)
+            for digest, group in zip(digests, parts):
+                for part in group:
+                    digest.update(part)
+        counts = [total + more for total, more in zip(counts, found)]
         for build, c, bc in MODEL_SHAPES:
             models.update(model_bytes(build(law, c, bc)))
             model_count += 1
@@ -223,11 +242,16 @@ def main():
             batch_count += 1
         batches.update(worker_batch_bytes(directory))
         batch_count += 1
-    print(f"{reports.hexdigest()}  {count} reports")
-    print(f"{intervals.hexdigest()}  {interval_count} classify_cm_interval witnesses")
+    count, interval_count, classifier_count = counts
+    print(f"{readings[0].hexdigest()}  {count} reports")
+    print(f"{readings[1].hexdigest()}  {interval_count} classify_cm_interval witnesses")
     print(f"{models.hexdigest()}  {model_count} models, {verdict_count} oracle verdicts")
     print(f"{batches.hexdigest()}  {batch_count} sample batches with their CSV and JSON files")
-    print(f"{classifiers.hexdigest()}  {classifier_count} whole-law classifier witnesses")
+    print(f"{readings[2].hexdigest()}  {classifier_count} whole-law classifier witnesses")
+    rebuilt_from = "of the laws rebuilt from their covariances"
+    print(f"{rebuilt[0].hexdigest()}  {count} reports {rebuilt_from}")
+    print(f"{rebuilt[1].hexdigest()}  {interval_count} classify_cm_interval witnesses {rebuilt_from}")
+    print(f"{rebuilt[2].hexdigest()}  {classifier_count} whole-law classifier witnesses {rebuilt_from}")
 
 
 if __name__ == "__main__":

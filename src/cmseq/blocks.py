@@ -14,8 +14,8 @@ matrix, and the error carries that matrix's ``position`` in the stack.  The
 conditioning routine computes ``C_ss^-1 C_sb`` and ``C_ab - C_as C_ss^-1
 C_sb`` for stacks of time triples ``(a, b, s)``: the models' regressions
 and the oracle's partial covariances are both read off it.  A
-:class:`SequenceLaw` factorizes its covariance once, at construction, and
-derives its precision from that factor on first use.
+:class:`SequenceLaw` keeps the covariance or precision it was given and
+derives the other from its one factorization on first use.
 """
 
 from __future__ import annotations
@@ -470,23 +470,15 @@ def _ratio_grid(m, block_dim=None):
     return _ratios(m.block_norms())
 
 
-def _block_matrix(m, block_dim):
-    """``m`` itself if a :class:`BlockMatrix`, else ``BlockMatrix(m, block_dim)``."""
-    if isinstance(m, BlockMatrix):
-        return m
-    if block_dim is None:
-        raise ValueError("block_dim is required for ndarray input")
-    return BlockMatrix(m, block_dim)
-
-
 class SequenceLaw:
     """Zero-mean nonsingular Gaussian sequence law on times ``0..N``.
 
-    Wraps the covariance matrix as a :class:`BlockMatrix` and checks symmetry
-    and positive definiteness on construction.  The Cholesky factor from that
-    check is kept until :meth:`SequenceLaw.precision` first needs it; the
-    precision is then cached and the factor dropped, so a law holds one of
-    the two.
+    A law keeps the matrix it was given, its covariance or (from
+    :meth:`SequenceLaw.from_precision`) its precision: a marked
+    :class:`BlockMatrix` itself, any other as its symmetric part.  One
+    Cholesky factorization checks either kind; its factor is kept until the
+    other matrix is first asked for, which is then derived from it and
+    cached, and the factor dropped.
 
     Parameters
     ----------
@@ -497,44 +489,52 @@ class SequenceLaw:
     """
 
     def __init__(self, covariance, block_dim=None):
-        bm = _block_matrix(covariance, block_dim)
-        self._factor = _cholesky_stack(bm.data[None], bm._symmetric)[0]
-        self._precision = None
-        if not bm._symmetric:
-            bm = BlockMatrix._wrap_symmetric(_symmetric_part(bm.data), bm.block_dim)
-        self._cov = bm
-        if self._cov.n_blocks < 2:
+        self._keep(covariance, block_dim, 0)
+
+    @classmethod
+    def from_precision(cls, precision, block_dim=None):
+        """Build a law from its precision (inverse covariance) matrix, which it keeps."""
+        law = cls.__new__(cls)
+        law._keep(precision, block_dim, 1)
+        return law
+
+    def _keep(self, m, block_dim, kind):
+        """Keep ``m`` as the covariance (``kind`` 0) or the precision (1),
+        checked by one :func:`_cholesky_stack` call, and keep its factor."""
+        if not isinstance(m, BlockMatrix):
+            if block_dim is None:
+                raise ValueError("block_dim is required for ndarray input")
+            m = BlockMatrix(m, block_dim)
+        if m.n_blocks < 2:
             raise ValueError("a sequence law needs at least two times (N >= 1)")
+        self._factor = _cholesky_stack(m.data[None], m._symmetric)[0]
+        if not m._symmetric:
+            m = BlockMatrix._wrap_symmetric(_symmetric_part(m.data), m.block_dim)
+        self._given, self._matrices = m, [None, m] if kind else [m, None]
+
+    def _matrix(self, kind):
+        if self._matrices[kind] is None:
+            inverse = _inverse_from_factor(self._factor)
+            self._matrices[kind], self._factor = BlockMatrix._wrap_symmetric(inverse, self.dim), None
+        return self._matrices[kind]
 
     @property
     def covariance(self) -> BlockMatrix:
-        return self._cov
+        return self._matrix(0)
 
     @property
     def n_last(self):
         """Final time index N (times run 0..N)."""
-        return self._cov.n_blocks - 1
+        return self._given.n_blocks - 1
 
     @property
     def dim(self):
         """Component dimension d."""
-        return self._cov.block_dim
+        return self._given.block_dim
 
     def precision(self) -> BlockMatrix:
-        """Inverse covariance as a read-only BlockMatrix, computed once."""
-        if self._precision is None:
-            self._precision = BlockMatrix._wrap_symmetric(
-                _inverse_from_factor(self._factor), self._cov.block_dim
-            )
-            self._factor = None
-        return self._precision
-
-    @classmethod
-    def from_precision(cls, precision, block_dim=None):
-        """Build a law from its precision (inverse covariance) matrix."""
-        prec = _block_matrix(precision, block_dim)
-        lower = _cholesky_stack(prec.data[None], prec._symmetric)[0]
-        return cls(_inverse_from_factor(lower), prec.block_dim)
+        """Inverse covariance as a read-only BlockMatrix, computed at most once."""
+        return self._matrix(1)
 
     def __repr__(self):
         return f"SequenceLaw(n_last={self.n_last}, dim={self.dim})"

@@ -6,7 +6,7 @@ The class lattice for zero-mean nonsingular Gaussian sequences is
 
 with reciprocity *equivalent* to the conjunction of the two
 conditional-Markov properties.  Each class is a zero-block pattern of the
-precision, which a law derives once from its Cholesky factor and caches; CM
+precision, which a law keeps if given it and else derives once and caches; CM
 on an interval is the same pattern on the interval's marginal precision, a
 Schur complement.  Each matrix gets one ratio grid
 (:func:`~cmseq.blocks._ratio_grid`) with the tridiagonal band masked out, and

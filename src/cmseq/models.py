@@ -419,11 +419,9 @@ assemble_precision_backward = assemble_precision
 
 
 def model_covariance(model) -> SequenceLaw:
-    """The law realized by a model: inverse of its assembled precision.
-
-    The precision the model keeps is factored for each call, and the factor
-    is not kept: a model holds one dense matrix, not two.
-    """
+    """The law realized by a model, which keeps the model's own assembled
+    precision, checked by one factorization per call; its covariance is
+    derived only when asked for."""
     if not isinstance(model, _CmcModel):
         raise TypeError(f"expected a forward or backward model, got {type(model)!r}")
     return SequenceLaw.from_precision(assemble_precision(model))

@@ -95,8 +95,9 @@ def _read_header(obj):
         raise SchemaError(f"schema_version: unsupported value {version!r}")
     n = _require(obj, "N", int)
     d = _require(obj, "d", int)
-    if n < 1 or d < 1:
-        raise SchemaError("N: need N >= 1 and d >= 1")
+    for fld, value in (("N", n), ("d", d)):
+        if value < 1:
+            raise SchemaError(f"{fld}: need {fld} >= 1")
     return n, d
 
 

@@ -609,6 +609,50 @@ def test_sequence_law_precision_round_trip():
     np.testing.assert_allclose(again.covariance.data, law.covariance.data, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_last=st.integers(1, 8),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    given_as=st.sampled_from(["ndarray", "unmarked", "marked"]),
+)
+def test_a_law_keeps_the_matrix_it_was_given(n_last, d, seed, given_as):
+    """A law made from a precision holds that precision's bits, the very
+    object if it is a marked BlockMatrix, and derives the covariance that
+    invert_spd gives; a law made from a covariance derives the precision
+    that invert_spd gives."""
+    b = np.random.default_rng(seed).standard_normal(((n_last + 1) * d,) * 2)
+    m = b @ b.T + np.eye(len(b))
+    m = (m + m.T) / 2.0  # exactly symmetric
+    arg = {
+        "ndarray": m,
+        "unmarked": BlockMatrix(m, d),
+        "marked": BlockMatrix._wrap_symmetric(m.copy(), d),
+    }[given_as]
+    law = SequenceLaw.from_precision(arg, d)
+    assert law.precision().data.tobytes() == m.tobytes()
+    assert (law.precision() is arg) == (given_as == "marked")
+    assert law.covariance.data.tobytes() == invert_spd(m).tobytes()
+    assert law.covariance is law.covariance and law._factor is None
+    assert (law.n_last, law.dim) == (n_last, d)
+    law = SequenceLaw(arg, d)
+    assert law.precision().data.tobytes() == invert_spd(m).tobytes()
+    assert law.precision() is law.precision() and law._factor is None
+    assert law.covariance.data.tobytes() == m.tobytes()
+    assert (law.covariance is arg) == (given_as == "marked")
+
+
+def test_a_single_time_is_refused_before_any_factorization(monkeypatch):
+    calls = []
+    monkeypatch.setattr(blocks, "_cholesky_stack", lambda *args: calls.append(args))
+    for make in (SequenceLaw, SequenceLaw.from_precision):
+        with pytest.raises(ValueError, match="at least two times"):
+            make(np.eye(2), 2)
+        with pytest.raises(ValueError, match="at least two times"):
+            make(np.diag([1.0, -2.0]), 2)
+    assert calls == []
+
+
 def test_schur_complement_hand_example():
     a = BlockMatrix(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]), 1)
     lead = schur_complement(a, 1, LEADING)

@@ -98,6 +98,8 @@ def test_serialized_floats_survive_exactly(tmp_path):
         (lambda o: o.update(covariance=[[1.0]]), "covariance"),
         (lambda o: o.update(schema_version=1), "schema_version: expected str, got int"),
         (lambda o: o.update(N=0), "N: need N >= 1"),
+        (lambda o: o.update(d=0), "d: need d >= 1"),
+        (lambda o: o.update(d=-1), "d: need d >= 1"),
         (lambda o: o.update(covariance=[["x"] * 3] * 3), "covariance: not a numeric array"),
     ],
 )
@@ -187,6 +189,8 @@ def test_model_schema_rejects_a_time_key_that_is_not_canonical(tmp_path, key):
         ("g_trans", [], "g_trans: expected dict, got list"),
         ("c", "middle", "c: expected 'first' or 'last', got 'middle'"),
         ("bc", "bc3", "bc: expected 'bc1' or 'bc2', got 'bc3'"),
+        ("d", 0, "d: need d >= 1"),
+        ("N", 0, "N: need N >= 1"),
     ],
 )
 def test_model_schema_errors_name_the_field(tmp_path, field, value, message):

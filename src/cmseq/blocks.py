@@ -127,14 +127,14 @@ def _square(m):
 
 
 def _symmetric_part(m):
-    """``(m + m') / 2`` of a finite ``m``, or of each matrix of a stack;
+    """``(m + m') / 2`` of ``m``, or of each matrix of a stack;
     ``m/2 + m'/2`` where the sum overflows."""
     mt = m.swapaxes(-1, -2)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite m is its caller's to refuse
         part = (m + mt) / 2.0
-    over = np.isinf(part)
-    if over.any():
-        part[over] = (m / 2.0 + mt / 2.0)[over]
+        over = np.isinf(part)
+        if over.any():
+            part[over] = (m / 2.0 + mt / 2.0)[over]
     return part
 
 
@@ -338,10 +338,11 @@ class BlockMatrix:
     block_dim : int
         Component dimension ``d``.
 
-    Matrices that the package builds exactly symmetric (a law's covariance
-    and precision) are wrapped without a copy and carry a private mark, so
-    that no symmetry or finiteness check runs on them again.  A matrix from
-    this constructor never carries it.
+    Matrices the package forms (a law's covariance and precision, a model's
+    precision, a sample covariance) are wrapped by
+    :meth:`BlockMatrix._formed`, and a finite one carries a private mark, so
+    that no symmetry or finiteness check runs on it again.  A matrix from
+    this constructor never does.
     """
 
     def __init__(self, data, block_dim):
@@ -356,12 +357,13 @@ class BlockMatrix:
         self._adopt(data, block_dim, symmetric=False)
 
     @classmethod
-    def _wrap_symmetric(cls, data, block_dim):
-        """Mark and wrap, without a copy, a fresh float ndarray that is exactly
-        symmetric by construction and whose size is a multiple of
-        ``block_dim``; the array is frozen."""
+    def _formed(cls, data, block_dim):
+        """The one maker of marked matrices: the symmetric part of ``data``
+        (its size a multiple of ``block_dim``), wrapped and frozen, marked
+        only if it is finite, so that unmarked its first check raises."""
+        part = _symmetric_part(data)
         bm = cls.__new__(cls)
-        bm._adopt(data, block_dim, symmetric=True)
+        bm._adopt(part, block_dim, symmetric=bool(np.isfinite(part).all()))
         return bm
 
     def _adopt(self, data, block_dim, symmetric):
@@ -475,10 +477,10 @@ class SequenceLaw:
 
     A law keeps the matrix it was given, its covariance or (from
     :meth:`SequenceLaw.from_precision`) its precision: a marked
-    :class:`BlockMatrix` itself, any other as its symmetric part.  One
-    Cholesky factorization checks either kind; its factor is kept until the
-    other matrix is first asked for, which is then derived from it and
-    cached, and the factor dropped.
+    :class:`BlockMatrix` itself, any other as its :func:`symmetrize` part.
+    One Cholesky factorization checks either kind; its factor is kept until
+    the other matrix is first asked for, which is then derived from it and
+    cached (unmarked if it is not finite), and the factor dropped.
 
     Parameters
     ----------
@@ -500,22 +502,22 @@ class SequenceLaw:
 
     def _keep(self, m, block_dim, kind):
         """Keep ``m`` as the covariance (``kind`` 0) or the precision (1),
-        checked by one :func:`_cholesky_stack` call, and keep its factor."""
+        marked, and the factor of the :func:`_cholesky_stack` call checking it."""
         if not isinstance(m, BlockMatrix):
             if block_dim is None:
                 raise ValueError("block_dim is required for ndarray input")
             m = BlockMatrix(m, block_dim)
         if m.n_blocks < 2:
             raise ValueError("a sequence law needs at least two times (N >= 1)")
-        self._factor = _cholesky_stack(m.data[None], m._symmetric)[0]
         if not m._symmetric:
-            m = BlockMatrix._wrap_symmetric(_symmetric_part(m.data), m.block_dim)
+            m = BlockMatrix._formed(symmetrize(m.data), m.block_dim)
+        self._factor = _cholesky_stack(m.data[None], True)[0]
         self._given, self._matrices = m, [None, m] if kind else [m, None]
 
     def _matrix(self, kind):
         if self._matrices[kind] is None:
             inverse = _inverse_from_factor(self._factor)
-            self._matrices[kind], self._factor = BlockMatrix._wrap_symmetric(inverse, self.dim), None
+            self._matrices[kind], self._factor = BlockMatrix._formed(inverse, self.dim), None
         return self._matrices[kind]
 
     @property

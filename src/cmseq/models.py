@@ -23,10 +23,11 @@ results are mapped back to its own times.  SG assembly and sampling
 
 A model owns read-only float copies of its gains and noises, in read-only
 mappings, and what it derives from them it computes once.  Construction
-checks every noise covariance in one stacked Cholesky factorization and
-keeps each factor and inverse; the parameter checks, the assembled
-precision and the sampler read those.  The plan and the assembled
-precision are built on first use and kept, and a backward model's mirror
+refuses a non-finite entry, checks every noise covariance in one stacked
+Cholesky factorization and keeps each factor and inverse; the parameter
+checks, the assembled precision and the sampler read those.  The plan and
+the precision, marked by :meth:`~cmseq.blocks.BlockMatrix._formed` if
+finite, are built on first use and kept, and a backward model's mirror
 shares its arrays.  Since nothing can change a model, nothing kept goes
 stale, and a round trip (build, checks, precision, model covariance,
 sampling) takes the same number of factorizations for every N.  Building
@@ -48,6 +49,7 @@ identity ("add-on") for Markovness, checked here with scale-free residuals.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -121,6 +123,9 @@ def _check_gain_grid(name, grid, expected_keys, d):
     for k, g in grid.items():
         if np.shape(g) != (d, d):
             raise ValueError(f"{name}[{k}] has shape {np.shape(g)}, expected {(d, d)}")
+    if not np.isfinite(np.array([*grid.values()], dtype=float)).all():  # one test for the grid
+        k = min(k for k, g in grid.items() if not np.isfinite(g).all())
+        raise ValueError(f"{name}[{k}] has non-finite entries")
 
 
 def _frozen(g):
@@ -197,12 +202,7 @@ class _CmcModel:
         noise_inv = np.zeros_like(sg)
         for k, inv in enumerate(self._noise_inv):
             noise_inv[k * d : (k + 1) * d, k * d : (k + 1) * d] = inv
-        a = sg.T @ noise_inv @ sg
-        twice = a + a.T
-        if np.isfinite(twice).all():
-            # exactly symmetric, and symmetrize would return it unchanged
-            return BlockMatrix._wrap_symmetric(twice / 2.0, d)
-        return BlockMatrix(twice / 2.0, d)
+        return BlockMatrix._formed(sg.T @ noise_inv @ sg, d)
 
     def __reduce__(self):
         # a mapping proxy does not pickle: rebuild from plain dicts instead
@@ -239,6 +239,8 @@ class _CmcModel:
             if self.boundary_gain is None or np.shape(self.boundary_gain) != (d, d):
                 raise ValueError(f"c={c.name} requires a d x d boundary_gain")
             object.__setattr__(self, "boundary_gain", _frozen(self.boundary_gain))
+            if not np.isfinite(self.boundary_gain).all():
+                raise ValueError("boundary_gain has non-finite entries")
         else:
             if self.boundary_gain is not None:
                 raise ValueError(f"boundary_gain is only meaningful for c={_OTHER_SIDE[c].name}")
@@ -427,24 +429,33 @@ def model_covariance(model) -> SequenceLaw:
     return SequenceLaw.from_precision(assemble_precision(model))
 
 
-def _identity_residuals(pairs, floor=0.0):
+def _identity_residuals(pairs, floors=()):
     """Max relative gap over (lhs, rhs) identity pairs, scale-free.
 
-    The scale is the largest norm among all sides, floored at ``floor``.
-    Each residual ``lhs - rhs`` is an off-pattern block of the assembled
-    precision, so callers pass the precision magnitude ``max ||G_noise^-1||``
-    as the floor: identities whose sides all vanish (e.g. every conditioning
-    gain is zero) then pass instead of dividing rounding noise by itself.
-    Among equal residuals the smallest index is reported.
+    The scale is the largest norm among all sides and the matrices
+    ``floors``.  Each residual ``lhs - rhs`` is an off-pattern block of the
+    assembled precision, so callers floor the scale with the noise inverses,
+    the precision's magnitude: identities whose sides all vanish (e.g. every
+    conditioning gain is zero) then pass instead of dividing rounding noise
+    by itself.  Among equal residuals the smallest index is reported.  A
+    norm that is not finite (norms square, so past about 1.3e154) fails the
+    check with a NaN ratio, at the first pair whose sides or residual have one.
     """
-    scale = float(floor)
-    for lhs, rhs in pairs.values():
-        scale = max(scale, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = [float(np.linalg.norm(m)) for m in floors]
+        norms = {
+            k: [float(np.linalg.norm(m)) for m in (lhs, rhs, lhs - rhs)]
+            for k, (lhs, rhs) in sorted(pairs.items())
+        }
+    unbounded = [k for k, ns in norms.items() if not all(map(math.isfinite, ns))]
+    if unbounded or not all(map(math.isfinite, floor)):
+        return float("nan"), unbounded[0] if unbounded else None
+    scale = max([*floor, *(side for ns in norms.values() for side in ns[:2])], default=0.0)
     worst_ratio, worst_index = 0.0, None
     if scale == 0.0:
         return worst_ratio, worst_index
-    for k, (lhs, rhs) in sorted(pairs.items()):
-        ratio = float(np.linalg.norm(lhs - rhs)) / scale
+    for k, (_, _, resid) in norms.items():
+        ratio = resid / scale
         if ratio > worst_ratio:
             worst_ratio, worst_index = ratio, k
     return worst_ratio, worst_index
@@ -463,14 +474,12 @@ def check_reciprocity_forward(model, tol: Tolerance = Tolerance()) -> CheckResul
     n = fwd.n_last
     ks = range(1, n - 1) if fwd.c is ConditioningSide.LAST else range(2, n)
     pairs = {}
-    floor = 0.0
     for k in ks:
-        inv_k, inv_next = fwd._noise_inv[k], fwd._noise_inv[k + 1]
-        floor = max(floor, float(np.linalg.norm(inv_k)), float(np.linalg.norm(inv_next)))
-        lhs = inv_k @ fwd.g_cond[k]
-        rhs = fwd.g_trans[k + 1].T @ inv_next @ fwd.g_cond[k + 1]
+        lhs = fwd._noise_inv[k] @ fwd.g_cond[k]
+        rhs = fwd.g_trans[k + 1].T @ fwd._noise_inv[k + 1] @ fwd.g_cond[k + 1]
         pairs[min(t(k), t(k + 1))] = (lhs, rhs)
-    worst_ratio, worst_index = _identity_residuals(pairs, floor)
+    floors = [fwd._noise_inv[j] for k in ks for j in (k, k + 1)]
+    worst_ratio, worst_index = _identity_residuals(pairs, floors)
     return CheckResult(bool(worst_ratio <= tol.residual_tol), worst_ratio, worst_index)
 
 
@@ -480,9 +489,10 @@ def check_markov_forward(model, tol: Tolerance = Tolerance()) -> CheckResult:
     Meaningful on top of a passing :func:`check_reciprocity_forward`.  For
     c=LAST the identity ties the boundary gain to the first interior step
     (one form per bc, reported at index 0); for c=FIRST it requires the
-    final conditioning gain to vanish (reported at that gain's time).
-    Degenerate N=1 models (no interior step) pass trivially.  A backward
-    model is checked through its mirror, with the time on its own axis.
+    final conditioning gain to vanish, against the largest gain (reported
+    at that gain's time).  Degenerate N=1 models (no interior step) pass
+    trivially.  A backward model is checked through its mirror, with the
+    time on its own axis.
     """
     fwd = model._forward
     n = fwd.n_last
@@ -496,16 +506,13 @@ def check_markov_forward(model, tol: Tolerance = Tolerance()) -> CheckResult:
         else:
             inv_b = fwd._noise_inv[0]
             rhs = fwd.g_trans[1].T @ inv_1 @ fwd.g_cond[1]
-        lhs = inv_b @ fwd.boundary_gain
-        floor = max(float(np.linalg.norm(inv_b)), float(np.linalg.norm(inv_1)))
-        worst_ratio, _ = _identity_residuals({0: (lhs, rhs)}, floor)
-        return CheckResult(bool(worst_ratio <= tol.residual_tol), worst_ratio, 0)
-    # c = FIRST: the last step must not look back at x_0 at all
-    gains = [*fwd.g_trans.values(), *fwd.g_cond.values()]
-    scale = float(max((np.linalg.norm(g) for g in gains), default=0.0))
-    resid = float(np.linalg.norm(fwd.g_cond[n]))
-    ratio = resid / scale if scale > 0 else 0.0
-    return CheckResult(bool(ratio <= tol.residual_tol), ratio, model._time(n))
+        pair, floors, index = (inv_b @ fwd.boundary_gain, rhs), (inv_b, inv_1), 0
+    else:
+        # c = FIRST: the last step must not look back at x_0 at all
+        pair, floors = (fwd.g_cond[n], 0.0), [*fwd.g_trans.values(), *fwd.g_cond.values()]
+        index = model._time(n)
+    worst_ratio, _ = _identity_residuals({index: pair}, floors)
+    return CheckResult(bool(worst_ratio <= tol.residual_tol), worst_ratio, index)
 
 
 # one definition for both directions; the backward names stay public

@@ -351,7 +351,8 @@ def sample_backward(model: BackwardCmcModel, n_replicates: int, seed: int) -> Sa
 
 
 def sample_covariance(batch: SampleBatch) -> BlockMatrix:
-    """Zero-mean sample covariance (1/M) sum x x' of a batch.
+    """Zero-mean sample covariance (1/M) sum x x' of a batch, as its
+    symmetric part, marked as the package's own matrices are when finite.
 
     No mean subtraction: the laws here are zero-mean by construction.
     """
@@ -360,8 +361,7 @@ def sample_covariance(batch: SampleBatch) -> BlockMatrix:
             f"need at least 2 replicates, got {batch.n_replicates}"
         )
     flat = batch.data.reshape(batch.n_replicates, -1)
-    cov = flat.T @ flat / batch.n_replicates
-    return BlockMatrix((cov + cov.T) / 2.0, batch.dim)
+    return BlockMatrix._formed(flat.T @ flat / batch.n_replicates, batch.dim)
 
 
 def mc_validate(

@@ -627,7 +627,7 @@ def test_a_law_keeps_the_matrix_it_was_given(n_last, d, seed, given_as):
     arg = {
         "ndarray": m,
         "unmarked": BlockMatrix(m, d),
-        "marked": BlockMatrix._wrap_symmetric(m.copy(), d),
+        "marked": BlockMatrix._formed(m, d),
     }[given_as]
     law = SequenceLaw.from_precision(arg, d)
     assert law.precision().data.tobytes() == m.tobytes()

@@ -575,6 +575,18 @@ def test_the_witness_sweep_rejects_an_unmarked_matrix_that_is_not_symmetric(bad)
         classify._interval_entries(BlockMatrix(m, 2), Tolerance())
 
 
+@pytest.mark.parametrize("classifier", [full_report, classify_markov, classify_reciprocal])
+def test_a_law_whose_derived_precision_overflows_is_refused_by_every_classifier(classifier):
+    """LAPACK factors this covariance, but its precision overflows to inf
+    and NaN.  The derived precision was once marked trusted: the whole-law
+    classifiers called it Markov and reciprocal off it, while the sweep of
+    full_report failed a pivot of inf.  It is now left unmarked, and every
+    classifier refuses it at its first check."""
+    law = SequenceLaw(np.diag([1e-309] * 3), 1)
+    with pytest.raises(NotSymmetricError, match="^matrix has non-finite entries$"):
+        classifier(law)
+
+
 @pytest.mark.parametrize("side", ["first", "LAST", None, 0])
 def test_an_interval_entry_takes_only_a_conditioning_side(side):
     witness = full_report(ar1_law(3)).interval_cm[0].witness

@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmseq import BoundaryCondition, ConditioningSide, ForwardCmcModel, build_forward, cli
+from cmseq import (
+    BoundaryCondition,
+    ConditioningSide,
+    ForwardCmcModel,
+    assemble_precision,
+    build_forward,
+    cli,
+)
 from cmseq.cli import main
 from cmseq.fixtures import ar1_law, cyclic_example_law, identity_law
 from cmseq.serialize import dump_json, load_law, load_model, save_law, save_model
@@ -230,6 +237,24 @@ def test_overflowing_model_prints_only_its_error(tmp_path, capsys, extra):
         assert main([extra[0], str(model_path), *extra[1:]]) == 3
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == "error: matrix has non-finite entries\n"
+
+
+def test_a_model_whose_precision_sum_overflows_verifies(tmp_path, capsys):
+    """A noise of 1/1.5e308 gives an assembled precision entry of about
+    -1e308, finite, whose doubled sum overflows: verify once refused the
+    model as non-finite for that sum alone."""
+    model = ForwardCmcModel(
+        1, 1, ConditioningSide.LAST, BoundaryCondition.BC1,
+        {}, {}, {0: [[1.0]], 1: [[1 / 1.5e308]]}, [[0.67]],
+    )
+    precision = assemble_precision(model)
+    assert np.isfinite(precision.data).all() and precision._symmetric
+    model_path = tmp_path / "model.json"
+    save_model(model_path, model)
+    assert main(["verify", str(model_path)]) == 0
+    out = capsys.readouterr().out
+    assert "reciprocal: parameters=yes pattern=yes agree=yes" in out
+    assert "markov: parameters=yes pattern=yes agree=yes" in out
 
 
 def _ar1_model_with(tmp_path, grid, value):

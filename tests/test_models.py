@@ -1,6 +1,7 @@
 """White-noise-driven dynamic models: extraction, assembly, parameter checks."""
 
 import pickle
+import re
 import warnings
 from collections import Counter
 from itertools import product
@@ -235,6 +236,62 @@ def test_identity_residual_ties_go_to_the_smallest_index():
     # a backward model's pairs arrive in descending order of its own times
     lhs, rhs = np.eye(2), np.zeros((2, 2))
     assert _identity_residuals({3: (lhs, rhs), 1: (lhs, rhs), 2: (lhs, rhs)}) == (1.0, 1)
+
+
+def with_entry(model, name, key, value):
+    """``model``'s constructor called with its own fields, entry ``key`` of
+    grid ``name`` (or, for a ``None`` key, the field itself) replaced."""
+    fields = {n: getattr(model, n) for n in ("g_trans", "g_cond", "g_noise", "boundary_gain")}
+    fields = {n: dict(f) if n != "boundary_gain" else f for n, f in fields.items()}
+    if key is None:
+        fields[name] = value
+    else:
+        fields[name][key] = value
+    return type(model)(model.n_last, model.dim, model.c, model.bc, **fields)
+
+
+@pytest.mark.parametrize(
+    "name,key,value",
+    [("g_cond", 2, np.nan), ("g_trans", 1, np.inf), ("g_trans", 3, -np.inf),
+     ("boundary_gain", None, np.nan), ("g_noise", 3, np.nan)],
+)
+def test_a_non_finite_field_is_refused_by_name_and_time(name, key, value):
+    """A NaN or infinite gain once passed both parameter checks (g_cond[2]
+    = NaN: reciprocity passed at 0.0) and was sampled into NaN draws.  A
+    noise is refused by the same check, before the Cholesky gate."""
+    model = build_forward(random_law(LawClass.RECIPROCAL, 4, 1, 0), LAST, BC1)
+    label = name if key is None else f"{name}[{key}]"
+    with pytest.raises(ValueError, match=rf"^{re.escape(label)} has non-finite entries$"):
+        with_entry(model, name, key, [[value]])
+
+
+@pytest.mark.parametrize(
+    "law_class,c,check,honest,index",
+    [
+        (LawClass.CM_L_ONLY, LAST, check_reciprocity_forward, (False, 0.219, 3), 2),
+        (LawClass.CM_F_ONLY, FIRST, check_markov_forward, (False, 0.536, 5), 5),
+    ],
+)
+def test_an_identity_whose_norms_overflow_fails(law_class, c, check, honest, index):
+    """A gain of 1e155 has no finite norm (norms square): its identity once
+    read inf/inf as NaN and skipped it, or divided by an infinite scale,
+    and passed at 0.0.  It now fails with a NaN ratio at the first pair
+    whose sides or residual have no finite norm."""
+    model = build_forward(random_law(law_class, 5, 1, 0), c, BC1)
+    result = check(model)
+    assert (result.passed, round(result.worst_ratio, 3), result.worst_index) == honest
+    result = check(with_entry(model, "g_trans", 3, [[1e155]]))
+    assert result.passed is False and np.isnan(result.worst_ratio)
+    assert result.worst_index == index
+
+
+def test_identity_residuals_fail_on_an_overflowing_floor_or_residual():
+    big = np.array([[1e154]])
+    # each side's norm is finite, but the residual's square overflows
+    ratio, index = _identity_residuals({1: (np.eye(1), np.eye(1)), 2: (big, -big)})
+    assert np.isnan(ratio) and index == 2
+    ratio, index = _identity_residuals({1: (np.eye(1), np.eye(1))}, [10 * big])
+    assert np.isnan(ratio) and index is None
 
 
 # --- round trips ------------------------------------------------------------

@@ -9,7 +9,10 @@ import sys
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cmseq
 from cmseq import (
@@ -19,17 +22,24 @@ from cmseq import (
     LawClass,
     PatternKind,
     PatternSpec,
+    SequenceLaw,
+    assemble_precision,
     build_backward,
     build_forward,
     classify_cm_interval,
     classify_cmc,
     oracle_cm_interval,
     random_law,
+    sample_backward,
+    sample_covariance,
+    sample_forward,
 )
 from cmseq import blocks, classify, models, oracle, patterns, simulate
 
 MODULES = (blocks, patterns, classify, oracle, models, simulate)
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+FIRST, LAST = ConditioningSide
+BC1, BC2 = BoundaryCondition
 
 
 def test_package_names_are_the_modules_public_names():
@@ -185,6 +195,100 @@ def test_code_names_finds_imports_and_attributes_but_not_docstrings():
     assert "_witness" not in names and "_ratio_grid" not in names
 
 
+def trust_breaches(source):
+    """``(line, code)`` of each place a module's code marks a matrix as
+    trusted, which only blocks may do: it names ``_adopt`` or calls
+    ``BlockMatrix.__new__``; or writes a symmetric part ``x + x.T`` itself,
+    where blocks forms it once and marks it only if it is finite."""
+    for node in ast.walk(ast.parse(source)):
+        if "_adopt" in {getattr(node, a, None) for a in ("id", "attr", "name")}:
+            yield node.lineno, "_adopt"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__"
+            and "BlockMatrix" in map(ast.unparse, [node.func.value, *node.args])
+        ):
+            yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            for x, xt in ((node.left, node.right), (node.right, node.left)):
+                transposed = isinstance(xt, ast.Attribute) and xt.attr == "T"
+                if transposed and ast.dump(xt.value) == ast.dump(x):
+                    yield node.lineno, ast.unparse(node)
+
+
+def test_only_blocks_marks_a_matrix_or_writes_a_symmetric_part():
+    src = Path(cmseq.__file__).parent
+    found = [
+        f"{path.name}:{line}: {code}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "blocks.py"
+        for line, code in trust_breaches(path.read_text())
+    ]
+    assert found == []
+
+
+def test_trust_breaches_finds_marks_and_symmetric_parts_but_not_the_constructor():
+    source = (
+        "twice = a + a.T\n"
+        "cov = BlockMatrix((cov + cov.T) / 2.0, d)\n"
+        "bm = BlockMatrix.__new__(BlockMatrix)\n"
+        "object.__new__(BlockMatrix)._adopt(data, d, symmetric=True)\n"
+        "x = x + rows[:, src, :] @ gain.T\n"
+        "mirror = object.__new__(ForwardCmcModel)\n"
+        "return BlockMatrix._formed(flat.T @ flat / m, d)  # a + a.T\n"
+    )
+    assert sorted(line for line, _ in trust_breaches(source)) == [1, 2, 3, 4, 4]
+
+
+SHAPES = [
+    (build_forward, LAST, BC1), (build_forward, LAST, BC2), (build_forward, FIRST, BC1),
+    (build_backward, FIRST, BC1), (build_backward, FIRST, BC2), (build_backward, LAST, BC1),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    law_class=st.sampled_from(list(LawClass)),
+    n_last=st.integers(3, 5),
+    d=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["covariance", "precision"]),
+    s=st.integers(-310, 300),
+    shape=st.sampled_from(SHAPES),
+)
+@example(LawClass.MARKOV, 3, 1, 0, "covariance", -309, SHAPES[0])
+@example(LawClass.GENERIC, 4, 2, 0, "precision", -309, SHAPES[3])
+@example(LawClass.GENERIC, 5, 1, 12842, "covariance", -309, SHAPES[0])  # inf + -inf
+def test_every_marked_matrix_the_package_hands_out_is_finite_and_symmetric(
+    law_class, n_last, d, seed, kind, s, shape
+):
+    """A law's given and derived matrix, with its matrix scaled by 10**s,
+    the assembled precision of a model built from it and the sample
+    covariance of that model's draws: a marked one skips every symmetry
+    and finiteness check, so it must be finite and exactly symmetric.  A
+    derived precision that overflowed was once marked."""
+    source = random_law(law_class, n_last, d, seed)
+    m = (source.covariance if kind == "covariance" else source.precision()).data * 10.0**s
+    handed_out = []
+    try:
+        law = (SequenceLaw if kind == "covariance" else SequenceLaw.from_precision)(m, d)
+        handed_out += [law.covariance, law.precision()]
+        build, c, bc = shape
+        # numpy warns of the overflows this property is about
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = build(law, c, bc)
+            handed_out.append(assemble_precision(model))
+            sample = sample_forward if build is build_forward else sample_backward
+            handed_out.append(sample_covariance(sample(model, 4, seed)))
+    except ValueError:
+        pass  # a refused law or model hands nothing more out
+    for matrix in handed_out:
+        if matrix._symmetric:
+            assert np.isfinite(matrix.data).all()
+            assert np.array_equal(matrix.data, matrix.data.T)
+
+
 # a fork outside the one fork layer, and pickle: a worker reports only its
 # exit status, and its failed range is redone by the process that forked it
 FORK = re.compile(r"\bos\.fork\b")
@@ -200,10 +304,6 @@ def test_only_simulate_forks_and_no_module_imports_pickle():
         if FORK.search(line) and path.name != "simulate.py" or PICKLE_IMPORT.search(line)
     ]
     assert found == []
-
-
-FIRST, LAST = ConditioningSide
-BC1 = BoundaryCondition.BC1
 
 
 def with_field(model, name, value):

@@ -24,8 +24,9 @@ results are mapped back to its own times.  SG assembly and sampling
 A model owns read-only float copies of its gains and noises, in read-only
 mappings, and what it derives from them it computes once.  Construction
 refuses a non-finite entry, checks every noise covariance in one stacked
-Cholesky factorization and keeps each factor and inverse; the parameter
-checks, the assembled precision and the sampler read those.  The plan and
+Cholesky factorization, refuses a noise whose inverse is not finite and
+keeps each factor and inverse; the parameter checks, the assembled
+precision and the sampler read those.  The plan and
 the precision, marked by :meth:`~cmseq.blocks.BlockMatrix._formed` if
 finite, are built on first use and kept, and a backward model's mirror
 shares its arrays.  Since nothing can change a model, nothing kept goes
@@ -144,8 +145,8 @@ class _CmcModel:
     own time axis, so its messages name the caller's times and sides.
 
     ``_noise_lower`` and ``_noise_inv`` stack, in time order, the lower
-    Cholesky factor and the inverse of every noise covariance, from the one
-    stacked factorization that validates them.
+    Cholesky factor and the finite inverse of every noise covariance, from
+    the one stacked factorization that validates them.
     """
 
     n_last: int
@@ -231,6 +232,9 @@ class _CmcModel:
         # noise covariances must be SPD; the factors that show it are kept
         lower = _cholesky_stack([self.g_noise[t] for t in range(n + 1)])
         inv = _inverse_from_factor(lower)
+        if not np.isfinite(inv).all():  # one test for the stack
+            t = min(t for t in range(n + 1) if not np.isfinite(inv[t]).all())
+            raise ValueError(f"g_noise[{t}] has no finite inverse")
         lower.setflags(write=False)
         inv.setflags(write=False)
         object.__setattr__(self, "_noise_lower", lower)

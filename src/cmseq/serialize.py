@@ -296,25 +296,27 @@ def save_batch_csv(path, batch: SampleBatch):
     The bytes are those of ``csv.writer`` (excel dialect) fed
     ``[r, k] + [repr(float(v)) for v in x]``: float reprs need no quoting,
     and rows end in ``\\r\\n``.  Rows are written a chunk of whole
-    replicates, about ``_CHUNK_VALUES`` values, at a time, and the floats of
-    a chunk are spelled by one ``repr`` of their list, so the memory beyond
-    the batch is one chunk's text per worker process.  A large batch is
-    written by several processes at once (see :func:`_write_chunks`), with
-    the same bytes.
+    replicates, about ``_CHUNK_VALUES`` values, at a time, so the memory
+    beyond the batch is one chunk's text per worker process.  The floats of
+    a chunk are spelled by one ``repr`` of their list, and the chunk's text is
+    one ``%`` format of a replicate's row template (``"%d,k,%s\\r\\n"`` for
+    each k, with k written in) repeated for each of its replicates.  A large
+    batch is written by several processes at once (see
+    :func:`_write_chunks`), with the same bytes.
     """
     steps, d = batch.n_last + 1, batch.dim
     per = _chunk_rows(batch)
+    template = "".join(f"%d,{k}" + ",%s" * d + "\r\n" for k in range(steps))
 
     def chunk_text(c):
         r0 = c * per
         chunk = np.asarray(batch.data[r0:r0 + per], dtype=float)
-        values = iter(_items(repr(chunk.ravel().tolist())))
-        rows = zip(*[values] * d)  # the d values of each (r, k), in order
-        return "".join([
-            f"{r},{k},{','.join(next(rows))}\r\n"
-            for r in range(r0, r0 + len(chunk))
-            for k in range(steps)
-        ])
+        args = [None] * (len(chunk) * steps * (d + 1))  # each row's r, then its d values
+        args[::d + 1] = np.repeat(np.arange(r0, r0 + len(chunk)), steps).tolist()
+        values = _items(repr(chunk.ravel().tolist()))
+        for j in range(d):
+            args[j + 1::d + 1] = values[j::d]
+        return template * len(chunk) % tuple(args)
 
     with open(path, "wb") as fh:
         _write_chunks(fh, -(-batch.n_replicates // per), chunk_text)

@@ -29,17 +29,17 @@ Each replicate keeps its own substream, so the bits are those of the
 serial loop, which is the same code run as one range.  The batch writers
 of :mod:`cmseq.serialize` split their chunks over workers the same way.
 
-The substreams are not built one ``SeedSequence``/``PCG64`` pair at a time.
-The spawn key is the last word ``SeedSequence`` mixes into its pool, so the
-pool of ``SeedSequence(seed)`` is mixed with every replicate index of a
-block at once in ``uint32`` arithmetic, and numpy's ``generate_state`` and
-PCG64 seeding are replayed on the result.  Each replicate's PCG64 state is
-then loaded into one reused generator.  The draws are the same bits as
-those of the per-replicate construction.
+No replicate builds its own ``SeedSequence``.  The spawn key is the last
+word ``SeedSequence`` mixes into its pool, so the pool of
+``SeedSequence(seed)`` is mixed with every replicate index of a block at
+once in ``uint32`` arithmetic, replaying numpy's ``generate_state``, and
+numpy seeds each replicate's ``PCG64`` from its four words.  The draws are
+the bits of the per-replicate construction.
 """
 
 from __future__ import annotations
 
+import functools
 import mmap
 import operator
 import os
@@ -65,14 +65,11 @@ __all__ = [
 ]
 
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier,
-# both part of numpy's documented, stable seeding
+# numpy's SeedSequence hash constants, part of its documented, stable seeding
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_XSHIFT, _MASK32 = 16, (1 << 32) - 1
 # replicates sampled together; the memory beyond the batch grows with it,
 # not with the batch
 _BLOCK = 1024
@@ -151,17 +148,26 @@ def _substream_seed_words(seed, r):
         word *= np.uint32(hash_const)
         word ^= word >> _XSHIFT
         out[:, i] = word
-    return out.view("<u8")
+    return out.view("<u8").astype(np.uint64)  # native, as PCG64 reads it
 
 
-def _substream_states(seed, r):
-    """The PCG64 ``(state, inc)`` of each replicate's substream in ``r``, in turn."""
-    for s_hi, s_lo, i_hi, i_lo in _substream_seed_words(seed, r).tolist():
-        # PCG64 seeding: state = 0, inc = 2*initseq + 1, step,
-        # state += initstate, step; every step is state*MULT + inc
-        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        yield state, inc
+@functools.cache
+def _seed_words_type():
+    """``PCG64``'s seed sequence of one replicate's 4 seed words, a native
+    contiguous ``uint64`` array that ``PCG64`` reads from memory.  Made on
+    first sampling, as importing ``numpy.random`` costs about 10 ms."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"need 4 uint64 words, not {n_words} {np.dtype(dtype)}")
+            return self.words
+
+    return SeedWords
 
 
 def _usable_cpus():
@@ -271,6 +277,7 @@ def _sample(model, n_replicates, seed):
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    seed_words = _seed_words_type()
     plan = model._generation_plan
     factors = model._noise_lower  # one per noise covariance, kept by the model
     starts = range(0, m, _BLOCK)
@@ -286,21 +293,13 @@ def _sample(model, n_replicates, seed):
         # a block's draws, reused; a one-row block runs as two rows, since
         # numpy sends one row to gemv (see the module docstring)
         z = np.zeros((max(2, min(m, _BLOCK)), len(plan), d))
-        bitgen = np.random.PCG64(0)
-        gen = np.random.Generator(bitgen)
         for r0 in starts[lo:hi]:
             r1 = min(r0 + _BLOCK, m)
             zb = z[:max(2, r1 - r0)]
             rows = data[r0:r1] if r1 - r0 > 1 else np.zeros((2, n + 1, d))
             # per-replicate substreams produce the block's standard normal draws
-            for zr, (state, inc) in zip(zb, _substream_states(seed, np.arange(r0, r1))):
-                bitgen.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                gen.standard_normal(out=zr)
+            for zr, words in zip(zb, _substream_seed_words(seed, np.arange(r0, r1))):
+                np.random.Generator(np.random.PCG64(seed_words(words))).standard_normal(out=zr)
             # then the block runs through the recursions at once
             for pos, (t, terms) in enumerate(plan):
                 x = zb[:, pos, :] @ factors[t].T

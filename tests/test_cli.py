@@ -257,6 +257,19 @@ def test_a_model_whose_precision_sum_overflows_verifies(tmp_path, capsys):
     assert "markov: parameters=yes pattern=yes agree=yes" in out
 
 
+def test_verify_refuses_a_noise_without_a_finite_inverse(tmp_path, capsys):
+    """A noise of 1e-310 has an inf inverse: ``verify`` once read a NaN
+    Markov ratio and a non-finite precision off it."""
+    model_path = tmp_path / "model.json"
+    dump_json(model_path, {
+        "schema_version": "1", "kind": "forward", "N": 2, "d": 1, "c": "last", "bc": "bc1",
+        "g_trans": {"1": [[0.1]]}, "g_cond": {"1": [[0.1]]},
+        "g_noise": {"0": [[1.0]], "1": [[1e-310]], "2": [[1.0]]}, "boundary_gain": [[0.2]],
+    })
+    assert main(["verify", str(model_path)]) == 2
+    assert capsys.readouterr().err == "error: model: g_noise[1] has no finite inverse\n"
+
+
 def _ar1_model_with(tmp_path, grid, value):
     """An AR(1) model file whose ``grid["1"]`` is replaced by ``value``."""
     model_path = tmp_path / "model.json"

@@ -265,6 +265,19 @@ def test_a_non_finite_field_is_refused_by_name_and_time(name, key, value):
         with_entry(model, name, key, [[value]])
 
 
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_a_noise_without_a_finite_inverse_is_refused_by_name_and_time(direction):
+    """A noise of 1e-310 passes the Cholesky gate (its pivot is above
+    1e-12 of its own diagonal) but its kept inverse is inf: the model once
+    read ``worst_ratio=nan`` from the Markov check and assembled an inf/NaN
+    precision with a warning."""
+    cls, c = (ForwardCmcModel, LAST) if direction == "forward" else (BackwardCmcModel, FIRST)
+    gains = {1: [[0.1]]}
+    noise = {0: [[1.0]], 1: [[1e-310]], 2: [[1.0]]}
+    with pytest.raises(ValueError, match=r"^g_noise\[1\] has no finite inverse$"):
+        cls(2, 1, c, BC1, gains, gains, noise, [[0.2]])
+
+
 @pytest.mark.parametrize(
     "law_class,c,check,honest,index",
     [

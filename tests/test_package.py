@@ -306,6 +306,27 @@ def test_only_simulate_forks_and_no_module_imports_pickle():
     assert found == []
 
 
+def _env():
+    """The environment of a subprocess that imports the cmseq these tests import."""
+    path = [str(Path(cmseq.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def test_importing_the_cli_leaves_numpy_random_unimported():
+    """Importing ``numpy.random`` costs about 10 ms, paid by every cold
+    command that samples nothing (``classify``, ``gen``, ``convert``,
+    ``verify``); only what ``import numpy`` itself loads may be loaded."""
+    code = (
+        "import sys, numpy; before = 'numpy.random' in sys.modules; import cmseq.cli; "
+        "print(before, 'numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=60
+    )
+    before, after = proc.stdout.split()
+    assert after == before, proc.stderr
+
+
 def with_field(model, name, value):
     """``model``'s constructor called with its own fields, one replaced."""
     fields = dict(vars(model), **{name: value})
@@ -350,10 +371,8 @@ def test_the_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_zero(demo, tmp_path):
-    # run in an empty directory, importing the cmseq these tests import
-    path = [str(Path(cmseq.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    # run in an empty directory
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, str(demo)], cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr

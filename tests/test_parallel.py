@@ -157,7 +157,7 @@ FAULTS = {
     "unpicklable": _raise_unpicklable,
 }
 # a step of sampling and one of writing, each run for every block or chunk
-STEPS = {"sample": (simulate, "_substream_states"), "write": (serialize, "_items")}
+STEPS = {"sample": (simulate, "_substream_seed_words"), "write": (serialize, "_items")}
 
 
 def _before(monkeypatch, module, name, check):
@@ -235,14 +235,14 @@ def test_a_sampling_fault_this_process_meets_too_propagates(
     tmp_path, model_file, first, monkeypatch, workers
 ):
     workers(2)
-    states = simulate._substream_states
+    words = simulate._substream_seed_words
 
     def failing(seed, r):
         if r[0] >= first * _BLOCK:
             raise MemoryError("sampling")
-        return states(seed, r)
+        return words(seed, r)
 
-    monkeypatch.setattr(simulate, "_substream_states", failing)
+    monkeypatch.setattr(simulate, "_substream_seed_words", failing)
     out = tmp_path / "batch.csv"
     with pytest.raises(MemoryError, match="sampling"):
         _simulate(model_file, out)

@@ -23,7 +23,7 @@ from cmseq import (
 from cmseq import simulate
 from cmseq.blocks import cholesky_spd
 from cmseq.fixtures import ar1_law, identity_law
-from cmseq.simulate import _BLOCK, _substream_seed_words
+from cmseq.simulate import _BLOCK, _seed_words_type, _substream_seed_words
 
 FIRST = ConditioningSide.FIRST
 LAST = ConditioningSide.LAST
@@ -262,6 +262,24 @@ def test_substream_seed_words_match_seed_sequence(seed, keys):
         for r in keys
     ]
     np.testing.assert_array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 + 1, 2**128 + 5])
+def test_a_pcg64_seeded_from_the_words_is_the_replicates_substream(seed):
+    keys = [0, 1023, 1024, 2**32 - 1]
+    for r, words in zip(keys, _substream_seed_words(seed, np.array(keys))):
+        got = np.random.PCG64(_seed_words_type()(words))
+        want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(r,)))
+        assert got.state == want.state
+        normals = [np.random.Generator(g).standard_normal(8) for g in (got, want)]
+        assert normals[0].tobytes() == normals[1].tobytes()
+
+
+@pytest.mark.parametrize("n_words, dtype", [(2, np.uint64), (4, np.uint32)])
+def test_the_seed_words_refuse_any_other_request(n_words, dtype):
+    words = _seed_words_type()(_substream_seed_words(0, np.array([0]))[0])
+    with pytest.raises(ValueError, match="need 4 uint64 words"):
+        words.generate_state(n_words, dtype)
 
 
 @pytest.mark.parametrize("m, seed", [(3, -1), (0, -1), (-1, 0), (2**32 + 1, 0)])

@@ -42,6 +42,10 @@ __all__ = [
 
 _SYM_RTOL = 1e-12
 _PIVOT_RTOL = 1e-12
+# the bytes a chunk of elimination steps may take: of 32, 64, 96 and 128 KB,
+# only 64 KB read faster than one step at a time at every size the
+# benchmark classifies
+_CHUNK_BYTES = 1 << 16
 
 
 class NotSymmetricError(ValueError):
@@ -159,6 +163,12 @@ def symmetrize(m):
         overflows, of ``m`` divided by its largest absolute entry.
     """
     m = _square(m)
+    _check_symmetric(m)
+    return _symmetric_part(m)
+
+
+def _check_symmetric(m):
+    """Raise as :func:`symmetrize` does for the square ``m``."""
     if not np.isfinite(m).all():
         raise NotSymmetricError("matrix has non-finite entries")
     with np.errstate(over="ignore"):
@@ -170,7 +180,6 @@ def symmetrize(m):
         raise NotSymmetricError(
             f"matrix is not symmetric: ||m - m'|| = {gap:.3e} vs ||m|| = {scale:.3e}"
         )
-    return _symmetric_part(m)
 
 
 def cholesky_spd(m):
@@ -510,13 +519,15 @@ class SequenceLaw:
         if m.n_blocks < 2:
             raise ValueError("a sequence law needs at least two times (N >= 1)")
         if not m._symmetric:
-            m = BlockMatrix._formed(symmetrize(m.data), m.block_dim)
+            _check_symmetric(m.data)
+            m = BlockMatrix._formed(m.data, m.block_dim)
         self._factor = _cholesky_stack(m.data[None], True)[0]
         self._given, self._matrices = m, [None, m] if kind else [m, None]
 
     def _matrix(self, kind):
         if self._matrices[kind] is None:
-            inverse = _inverse_from_factor(self._factor)
+            # _formed takes the symmetric part, the one this inverse gets
+            inverse = _cho_solve(self._factor, np.eye(len(self._factor)))
             self._matrices[kind], self._factor = BlockMatrix._formed(inverse, self.dim), None
         return self._matrices[kind]
 
@@ -549,8 +560,8 @@ def _reverse_time(mat, d):
 
 
 def _marginal_sweep(a):
-    """Yield, at each elimination step of ``a``, the ``(2, n, n)`` stack of
-    the marginal precisions of its time reversal and of itself.
+    """Yield the marginal precisions of ``a`` and of its time reversal,
+    elimination step by step, in chunks of consecutive steps.
 
     ``a`` (symmetrized unless marked, so that an asymmetric or non-finite
     one raises :class:`NotSymmetricError`) and its time reversal are
@@ -560,16 +571,30 @@ def _marginal_sweep(a):
     have the marginal precision ``L[k:, k:] L[k:, k:]'`` (Golub & Van Loan,
     *Matrix Computations*, 4.2), reached from the step before by a rank-d
     update with column block ``k-1`` of ``L``: step ``k = 1, ..., N-1``
-    yields the marginals of times ``[0, N-k]`` of ``a``, reversed, and
-    ``[k, N]``.  Each step is one batched update of the stack, and each
+    makes the marginals of times ``[0, N-k]`` of ``a``, reversed, and
+    ``[k, N]``.  Each step is one batched update of the pair, and each
     matrix's update has the bits it has alone.
+
+    A chunk is a ``(2, nb, n, n)`` stack, ``n`` the size of its first
+    step's marginals: slot ``b`` holds step ``k+b``'s reversed and forward
+    marginal, top left, zeros after them.  A chunk holds as many steps as
+    fit ``_CHUNK_BYTES``, and at least one, each update written straight
+    into its slot.
     """
     d = a.block_dim
     mat = a.data if a._symmetric else symmetrize(a.data)
     rows = np.arange(mat.shape[0]).reshape(-1, d)
     work = np.array([_reverse_time(mat, d), mat])
     lowers = _cholesky_stack(work, True, np.array([rows[::-1].ravel(), rows.ravel()]))
-    for k in range(1, a.n_blocks - 1):
-        col = lowers[:, k * d :, (k - 1) * d : k * d]
-        work = work[:, d:, d:] - col @ col.swapaxes(1, 2)
-        yield work
+    k, n_last = 1, a.n_blocks - 1
+    while k < n_last:
+        n = work.shape[-1] - d
+        slots = min(_CHUNK_BYTES // (16 * n * n), n_last - k)
+        # only a chunk of two or more steps has padding to zero
+        chunk = np.zeros((2, slots, n, n)) if slots > 1 else np.empty((2, 1, n, n))
+        for b in range(chunk.shape[1]):
+            col = lowers[:, k * d :, (k - 1) * d : k * d]
+            live = chunk[:, b, : n - b * d, : n - b * d]
+            work = np.subtract(work[:, d:, d:], col @ col.swapaxes(1, 2), out=live)
+            k += 1
+        yield chunk

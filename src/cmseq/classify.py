@@ -16,13 +16,14 @@ pattern with its corners zeroed.  Every suffix marginal ``[k, N]`` is read
 off one Cholesky factor of the precision, and every prefix marginal
 ``[0, k]`` off one factor of the time-reversed precision: O(N^3 d^3) in all.
 ``full_report`` reads the marginals straight off the elimination steps of
-:mod:`~cmseq.blocks`, both directions as one stack: one batched update, one
-norm pass, one ratio grid and one band mask per step for its prefix and
-suffix marginal, with no block matrix, pattern or detection per interval.
+:mod:`~cmseq.blocks`, both directions as one stack: one batched update per
+step for its prefix and suffix marginal, and one norm pass, one ratio grid
+and one band mask per chunk of consecutive steps, with no block matrix,
+pattern or detection per interval.
 The precision and its time reversal are factorized, and every pivot of both
 checked, as one stack before the first step, so the sweep accepts a law
-exactly when it accepts the law's time reversal.  Each marginal is read as
-soon as it is produced and then dropped.  Reciprocity is always computed
+exactly when it accepts the law's time reversal.  Each chunk is read as soon
+as it is produced and then dropped.  Reciprocity is always computed
 through two independent routes (cyclic-tridiagonal pattern vs the conjunction
 of CM_L and CM_F) whose agreement is part of the contract.  The two
 interval-composition routes are read, by one rule, from the interval
@@ -251,26 +252,31 @@ def _interval_entries(a, tol):
     .. [N-1, N]``, each given the first endpoint and then the last.
 
     Step ``k`` of :func:`~cmseq.blocks._marginal_sweep` makes the marginals
-    of ``[0, N-k]`` and ``[k, N]`` together, and they get one norm pass,
-    one ratio grid and one band mask.  Each marginal's two witnesses are
-    read off its grid by :func:`_cm_witnesses`, the rule of the whole law,
-    so each is the one :func:`~cmseq.patterns.detect` gives on the marginal
-    itself.  The band reads the same in either time direction, so the
-    reversed marginal's grid is masked first and then flipped back as a
-    view.  The sweep makes the prefixes longest first, so each step's pair
-    goes in front.
+    of ``[0, N-k]``, time-reversed, and ``[k, N]``, and each chunk of steps
+    gets one norm pass, one ratio grid and one band mask: the band reads
+    the same in either time direction.  Slot ``b`` of a chunk holds its
+    step's pair top left, so each marginal's grid is the slot's live
+    region, a view, and a prefix's is flipped back to time order.  Its two
+    witnesses are read off that view by :func:`_cm_witnesses`, the rule of
+    the whole law, so each is the one :func:`~cmseq.patterns.detect` gives
+    on the marginal itself.  The sweep makes the prefixes longest first, so
+    each step's pair goes in front.
     """
     n_last = a.n_blocks - 1
     if n_last < 2:
         return ()
+    d = a.block_dim
     band = _support_grid(PatternSpec.tridiagonal(n_last))
     prefixes, suffixes = [], []
-    for k, kept in enumerate(blocks._marginal_sweep(a), 1):
-        size = n_last + 1 - k
-        ratios = blocks._ratio_grid(kept, a.block_dim)
+    for chunk in blocks._marginal_sweep(a):
+        size = chunk.shape[-1] // d
+        ratios = blocks._ratio_grid(chunk, d)
         np.copyto(ratios, 0.0, where=band[:size, :size])
-        prefixes[:0] = _side_entries(IndexInterval(0, n_last - k), ratios[0, ::-1, ::-1], tol)
-        suffixes += _side_entries(IndexInterval(k, n_last), ratios[1], tol)
+        for b in range(chunk.shape[1]):
+            live = size - b  # the blocks of slot b's two marginals
+            prefix, suffix = ratios[:, b, :live, :live]
+            prefixes[:0] = _side_entries(IndexInterval(0, live - 1), prefix[::-1, ::-1], tol)
+            suffixes += _side_entries(IndexInterval(n_last + 1 - live, n_last), suffix, tol)
     return tuple(prefixes + suffixes)
 
 

@@ -642,6 +642,25 @@ def test_a_law_keeps_the_matrix_it_was_given(n_last, d, seed, given_as):
     assert (law.covariance is arg) == (given_as == "marked")
 
 
+@pytest.mark.parametrize("given_as", ["ndarray", "unmarked", "marked"])
+@pytest.mark.parametrize("make", [SequenceLaw, SequenceLaw.from_precision], ids=["covariance", "precision"])
+def test_a_law_forms_each_symmetric_part_once(monkeypatch, make, given_as):
+    """A law takes the symmetric part of an unmarked given matrix once, at
+    construction, and of its derived matrix once, when first asked for: a
+    marked matrix is already its own part, and so is each part formed."""
+    m = random_law(LawClass.GENERIC, 5, 2, 0).covariance.data
+    arg = {"ndarray": m, "unmarked": BlockMatrix(m, 2), "marked": BlockMatrix._formed(m, 2)}[given_as]
+    calls = []
+    part = blocks._symmetric_part
+    monkeypatch.setattr(blocks, "_symmetric_part", lambda x: calls.append(x.shape) or part(x))
+    law = make(arg, 2)
+    formed = [] if given_as == "marked" else [m.shape]
+    assert calls == formed
+    for _ in range(2):
+        law.covariance, law.precision()
+        assert calls == formed + [m.shape]
+
+
 def test_a_single_time_is_refused_before_any_factorization(monkeypatch):
     calls = []
     monkeypatch.setattr(blocks, "_cholesky_stack", lambda *args: calls.append(args))
@@ -700,12 +719,25 @@ def random_spd_blocks(n_last, d, seed):
     return BlockMatrix(m @ m.T + size * np.eye(size), d)
 
 
+def sweep_steps(a):
+    """The ``(2, n, n)`` pair of each elimination step of ``a``, read off
+    the chunks of the stacked sweep: each slot's pair, top left, with
+    nothing but zeros after it."""
+    d = a.block_dim
+    for chunk in blocks._marginal_sweep(a):
+        for b in range(chunk.shape[1]):
+            live = chunk.shape[-1] - b * d
+            pair = chunk[:, b]
+            assert not pair[:, live:].any() and not pair[:, :, live:].any()
+            yield pair[:, :live, :live]
+
+
 def sweep_marginals(a):
     """``(interval, marginal precision)`` at every step of the stacked
     elimination sweep of ``a``, prefix then suffix, the prefix reversed
     back to time order."""
     d, n_last = a.block_dim, a.n_blocks - 1
-    for k, kept in enumerate(blocks._marginal_sweep(a), 1):
+    for k, kept in enumerate(sweep_steps(a), 1):
         yield IndexInterval(0, n_last - k), blocks._reverse_time(kept[0], d)
         yield IndexInterval(k, n_last), kept[1]
 
@@ -806,12 +838,41 @@ def test_the_stacked_sweep_gives_each_matrix_the_bits_of_its_own_sweep(n_last, d
     a = random_law(LawClass.GENERIC, n_last, d, seed).precision()
     mats = [blocks._reverse_time(a.data, d), a.data]
     alone = [list(one_matrix_sweep(m, np.linalg.cholesky(m), d)) for m in mats]
-    stacked = list(blocks._marginal_sweep(a))
-    assert len(stacked) == n_last - 1
-    for step, work in enumerate(stacked):
-        assert work.shape == (2, (n_last - step) * d, (n_last - step) * d)
-        for i in range(2):
-            assert work[i].tobytes() == alone[i][step].tobytes()
+    for budget in (blocks._CHUNK_BYTES, 0, 1 << 62):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(blocks, "_CHUNK_BYTES", budget)
+            stacked = list(sweep_steps(a))
+        assert len(stacked) == n_last - 1
+        for step, work in enumerate(stacked):
+            assert work.shape == (2, (n_last - step) * d, (n_last - step) * d)
+            for i in range(2):
+                assert work[i].tobytes() == alone[i][step].tobytes()
+
+
+@pytest.mark.parametrize("budget", [None, 0, 1 << 62], ids=["shipped", "one-step", "one-chunk"])
+@pytest.mark.parametrize("n_last, d", [(2, 1), (6, 2), (20, 2), (40, 2), (20, 4), (12, 8)])
+def test_the_sweep_fills_each_chunk_with_the_steps_its_byte_budget_holds(n_last, d, budget):
+    """A chunk of ``nb`` steps whose first marginals are ``n x n`` takes
+    ``16 nb n^2`` bytes.  The sweep fills each chunk with as many steps as
+    ``_CHUNK_BYTES`` holds, or what is left, and at least one.  So no
+    budget, one step a chunk; an unbounded one, every step in one chunk."""
+    a = random_law(LawClass.GENERIC, n_last, d, 0).precision()
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(blocks, "_CHUNK_BYTES", budget)
+        budget = blocks._CHUNK_BYTES
+        chunks = list(blocks._marginal_sweep(a))
+    left, size = n_last - 1, n_last * d
+    for chunk in chunks:
+        slots = chunk.shape[1]
+        assert chunk.shape == (2, slots, size, size)
+        assert slots == max(1, min(budget // (16 * size * size), left))
+        left, size = left - slots, size - slots * d
+    assert left == 0
+    if budget == 0:
+        assert len(chunks) == n_last - 1
+    if budget == 1 << 62:
+        assert len(chunks) == 1
 
 
 def test_sequence_law_caches_read_only_precision():

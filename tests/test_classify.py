@@ -313,10 +313,13 @@ def test_full_report_checks_no_symmetry_and_takes_one_norm_pass_per_matrix(monke
     """A cost regression shows without timing: on the precision and its
     2(N-1) marginals, which are all built exactly symmetric, full_report
     runs no symmetry check and computes each matrix's block norms once: one
-    pass for the precision, then one stacked pass per elimination step for
-    the step's two marginals."""
+    pass for the precision, then one stacked pass per chunk of elimination
+    steps for the chunk's marginals.  At N = 20, d = 2 the 19 steps make 5
+    chunks: 2, 3, 4, 8 and 2 steps."""
     n_last = 20
     law = random_law(LawClass.RECIPROCAL, n_last, 2, 0)
+    chunks = [chunk.shape[1] for chunk in blocks._marginal_sweep(law.precision())]
+    assert chunks == [2, 3, 4, 8, 2]
     calls = Counter()
 
     def counted(name, fn):
@@ -328,7 +331,7 @@ def test_full_report_checks_no_symmetry_and_takes_one_norm_pass_per_matrix(monke
     monkeypatch.setattr(blocks, "symmetrize", counted("symmetrize", blocks.symmetrize))
     monkeypatch.setattr(blocks, "_block_norms", counted("block_norms", blocks._block_norms))
     full_report(law)
-    assert calls == {"block_norms": 1 + (n_last - 1)}
+    assert calls == {"block_norms": 1 + len(chunks)}
 
 
 def reference_marginals(a):
@@ -406,6 +409,39 @@ def test_interval_witnesses_are_those_of_the_per_marginal_detection(
     assert_same_entries(full_report(law, tol).interval_cm, reference_interval_cm(law, tol))
 
 
+# the sweep's chunk budget: as shipped, one step a chunk, every step in one chunk
+BUDGETS = {"shipped": None, "one-step": 0, "one-chunk": 1 << 62}
+
+
+@pytest.mark.parametrize("budget", BUDGETS.values(), ids=BUDGETS)
+@settings(max_examples=60, deadline=None)
+@given(
+    law_class=st.sampled_from(list(LawClass)),
+    n_last=st.integers(min_value=2, max_value=12),
+    d=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    scale=st.sampled_from([1.0, 1e165, 1e-155]),
+)
+def test_the_chunked_sweep_gives_the_witnesses_of_the_per_step_sweep(
+    budget, law_class, n_last, d, seed, scale
+):
+    """However the steps are chunked, every interval entry is the one
+    detect gives on that marginal of the per-step reference sweep: same
+    verdict, block and ratio bits.  Also where the block norms leave float
+    range (covariance times 1e165 or 1e-155, see
+    test_the_whole_law_witnesses_are_those_of_detect)."""
+    assume(n_last >= 3 or law_class not in (LawClass.CM_L_ONLY, LawClass.CM_F_ONLY))
+    law = random_law(law_class, n_last, d, seed)
+    if scale != 1.0:
+        law = SequenceLaw(law.covariance.data * scale, d)
+    with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
+        if budget is not None:
+            patch.setattr(blocks, "_CHUNK_BYTES", budget)
+        got = full_report(law).interval_cm
+        want = reference_interval_cm(law)
+    assert_same_entries(got, want)
+
+
 def collinear_given_x3(delta, x1_scale=1.0):
     """The pivot-failure matrices of the leading-sweep tests in
     ``tests/test_blocks.py``: given x_3, x_2's components are collinear to
@@ -458,10 +494,12 @@ def test_the_witness_sweep_has_its_pinned_outcome(a, want):
 def test_full_report_calls_no_detect_and_wraps_no_marginal(monkeypatch):
     """No pattern goes through detect: the four whole-law patterns are read
     off one ratio grid of the precision, and the marginals off one grid per
-    step with no block matrix and no time-reversed copy; both directions
-    are factorized, and their pivots checked, in one call."""
+    chunk of steps (at N = 12, d = 2: 7 and 4 steps) with no block
+    matrix and no time-reversed copy; both directions are factorized, and
+    their pivots checked, in one call."""
     law = random_law(LawClass.CM_F_ONLY, 12, 2, 0)
-    law.precision()
+    chunks = [chunk.shape[1] for chunk in blocks._marginal_sweep(law.precision())]
+    assert chunks == [7, 4]
     calls = Counter()
 
     def counted(owner, name):
@@ -483,7 +521,9 @@ def test_full_report_calls_no_detect_and_wraps_no_marginal(monkeypatch):
     ]:
         counted(owner, name)
     full_report(law)
-    assert calls == {"_ratio_grid": 12, "_reverse_time": 1, "_cholesky_stack": 1, "_check_pivots": 1}
+    assert calls == {
+        "_ratio_grid": 1 + len(chunks), "_reverse_time": 1, "_cholesky_stack": 1, "_check_pivots": 1
+    }
 
 
 def assert_same_witness(got, want):

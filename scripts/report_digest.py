@@ -2,7 +2,9 @@
 """Print one sha256 over every field of ``full_report`` on a fixed corpus,
 one over every ``classify_cm_interval`` witness of its smaller laws, one
 over its models and oracle verdicts, one over sample batches and their
-files, and one over the whole-law classifiers' witnesses.
+files, one over the whole-law classifiers' witnesses, three over the same
+readings of the laws rebuilt from their covariances, and one over the
+command line's output and files.
 
 Run from the repository root:
 
@@ -34,17 +36,26 @@ witness's ``repr`` and ``worst_ratio.hex()`` to the fifth hash.  Each
 corpus law keeps the precision it was built from; the sixth, seventh and
 eighth hashes read, as the first, second and fifth do, the same law
 rebuilt from its covariance, ``SequenceLaw(law.covariance)``, which is
-classified on the precision derived from that covariance.  Two trees
-that print the same digests give the same witnesses, models, verdicts,
-samples and batch files bit for bit.  Run it on both sides of a
-change that claims to keep them, under the same BLAS thread count: the
-first, third and sixth digests change with it (for example
-``OPENBLAS_NUM_THREADS=1`` against the default).
+classified on the precision derived from that covariance.  The ninth
+hash reads the command line, ``cmseq.cli.main`` run in a temporary working
+directory so that every path it prints is the same: for every class,
+N in {3, 4, 5, 6}, d in {1, 2, 3} and seeds 0-1, ``gen`` writes the law
+file, ``classify --out`` reads it, and for each of the six model shapes
+``convert --out`` writes a model file that ``verify --out`` reads.  Each
+command feeds its arguments, exit code, stdout, stderr and the bytes of its
+``--out`` file to the hash.  Two trees that print the same digests give
+the same witnesses, models, verdicts, samples, batch files and command
+output bit for bit.  Run it on both sides of a change that claims to keep
+them, under the same BLAS thread count: the first, third and sixth digests
+change with it (for example ``OPENBLAS_NUM_THREADS=1`` against the
+default).
 """
 
 import hashlib
+import io
+import os
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
@@ -74,6 +85,7 @@ from cmseq import (
     sample_forward,
     simulate,
 )
+from cmseq import cli
 from cmseq.serialize import save_batch_csv, save_batch_json
 
 NS = (3, 4, 5, 6, 10, 20, 40)
@@ -96,6 +108,7 @@ MODEL_SHAPES = (
     (build_backward, FIRST, BC2),
     (build_backward, LAST, BC1),
 )
+CLI_NS, CLI_DIMS, CLI_SEEDS = (3, 4, 5, 6), (1, 2, 3), range(2)
 
 
 def witnesses(report):
@@ -192,6 +205,40 @@ def worker_batch_bytes(directory):
     return blobs[0]
 
 
+def cli_commands():
+    """The argument lists of the command-line corpus, in order: per law,
+    ``gen``, ``classify`` and a ``convert`` and ``verify`` per model shape."""
+    for law_class, n, d, seed in product(LawClass, CLI_NS, CLI_DIMS, CLI_SEEDS):
+        gen = ["gen", "--class", law_class.value, "--N", str(n), "--d", str(d), "--seed", str(seed)]
+        yield gen + ["--out", "law.json"]
+        yield ["classify", "law.json", "--out", "report.json"]
+        for build, c, bc in MODEL_SHAPES:
+            direction = "forward" if build is build_forward else "backward"
+            yield ["convert", "law.json", "--direction", direction, "--c", c.value,
+                   "--bc", bc.value, "--out", "model.json"]
+            yield ["verify", "model.json", "--out", "verify.json"]
+
+
+def cli_bytes(directory):
+    """The arguments, exit code, stdout, stderr and ``--out`` file of every
+    command of the command-line corpus, run in ``directory``, one byte
+    string per command; a command's ``--out`` file is removed before it runs."""
+    home = os.getcwd()
+    os.chdir(directory)
+    try:
+        for argv in cli_commands():
+            out = Path(argv[argv.index("--out") + 1])
+            out.unlink(missing_ok=True)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = cli.main(argv)
+            fields = [" ".join(argv), str(code), stdout.getvalue(), stderr.getvalue()]
+            written = out.read_bytes() if out.exists() else b"(no file)"
+            yield b"\0".join([*(f.encode() for f in fields), written])
+    finally:
+        os.chdir(home)
+
+
 def witness_bytes(witness):
     return [repr(witness).encode(), witness.worst_ratio.hex().encode()]
 
@@ -242,6 +289,11 @@ def main():
             batch_count += 1
         batches.update(worker_batch_bytes(directory))
         batch_count += 1
+    commands, command_count = hashlib.sha256(), 0
+    with tempfile.TemporaryDirectory() as directory:
+        for blob in cli_bytes(directory):
+            commands.update(blob)
+            command_count += 1
     count, interval_count, classifier_count = counts
     print(f"{readings[0].hexdigest()}  {count} reports")
     print(f"{readings[1].hexdigest()}  {interval_count} classify_cm_interval witnesses")
@@ -252,6 +304,7 @@ def main():
     print(f"{rebuilt[0].hexdigest()}  {count} reports {rebuilt_from}")
     print(f"{rebuilt[1].hexdigest()}  {interval_count} classify_cm_interval witnesses {rebuilt_from}")
     print(f"{rebuilt[2].hexdigest()}  {classifier_count} whole-law classifier witnesses {rebuilt_from}")
+    print(f"{commands.hexdigest()}  {command_count} commands with their output and files")
 
 
 if __name__ == "__main__":

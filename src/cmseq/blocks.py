@@ -472,12 +472,12 @@ def _ratios(norms):
 def _ratio_grid(m, block_dim=None):
     """A fresh :func:`_ratios` grid, the one every pattern witness is read
     off: of a :class:`BlockMatrix` from its cached block norms (an unmarked
-    one first passes :func:`symmetrize`), or of each matrix of a stack with
-    blocks of size ``block_dim``."""
+    one first passes :func:`symmetrize`'s check), or of each matrix of a
+    stack with blocks of size ``block_dim``."""
     if not isinstance(m, BlockMatrix):
         return _ratios(_block_norms(m, block_dim))
     if not m._symmetric:
-        symmetrize(m.data)
+        _check_symmetric(m.data)
     return _ratios(m.block_norms())
 
 

@@ -36,7 +36,6 @@ from .models import (
 )
 from .patterns import PatternSpec, detect
 from .serialize import (
-    SCHEMA_VERSION,
     classification_report_dict,
     dump_json,
     load_law,
@@ -45,6 +44,7 @@ from .serialize import (
     save_batch_json,
     save_law,
     save_model,
+    verification_report_dict,
 )
 from .simulate import mc_validate, sample_backward, sample_forward
 
@@ -107,61 +107,29 @@ def cmd_verify(args) -> int:
     model = load_model(args.model)
     tol = _tolerance(args)
     # one definition each for both directions (the *_backward names are aliases)
-    recip = check_reciprocity_forward(model, tol)
+    reciprocity = check_reciprocity_forward(model, tol)
     markov_addon = check_markov_forward(model, tol)
     assembled = assemble_precision(model)
     n = model.n_last
-    recip_pattern = detect(assembled, PatternSpec.cyclic_tridiagonal(n), tol)
-    markov_pattern = detect(assembled, PatternSpec.tridiagonal(n), tol)
-    markov_param = recip.passed and markov_addon.passed
-    recip_agree = recip.passed == recip_pattern.conforms
-    markov_agree = markov_param == markov_pattern.conforms
+    report = verification_report_dict(
+        model,
+        reciprocity,
+        markov_addon,
+        detect(assembled, PatternSpec.cyclic_tridiagonal(n), tol),
+        detect(assembled, PatternSpec.tridiagonal(n), tol),
+    )
     print(f"model: N={n} d={model.dim} c={model.c.value} bc={model.bc.value}")
-    print(
-        f"reciprocal: parameters={_yesno(recip.passed)} "
-        f"pattern={_yesno(recip_pattern.conforms)} "
-        f"agree={_yesno(recip_agree)}"
-    )
-    print(
-        f"markov: parameters={_yesno(markov_param)} "
-        f"pattern={_yesno(markov_pattern.conforms)} "
-        f"agree={_yesno(markov_agree)}"
-    )
-    if args.out:
-        dump_json(
-            args.out,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "kind": "verification_report",
-                "model_kind": model.direction,
-                "N": n,
-                "d": model.dim,
-                "c": model.c.value,
-                "bc": model.bc.value,
-                "reciprocal": {
-                    "parameters": {"passed": recip.passed, "worst_ratio": recip.worst_ratio},
-                    "pattern": {
-                        "holds": recip_pattern.conforms,
-                        "worst_ratio": recip_pattern.worst_ratio,
-                    },
-                    "agree": recip_agree,
-                },
-                "markov": {
-                    "parameters": {
-                        "passed": markov_param,
-                        "addon_worst_ratio": markov_addon.worst_ratio,
-                    },
-                    "pattern": {
-                        "holds": markov_pattern.conforms,
-                        "worst_ratio": markov_pattern.worst_ratio,
-                    },
-                    "agree": markov_agree,
-                },
-                "routes_agree": recip_agree and markov_agree,
-            },
+    for name in ("reciprocal", "markov"):
+        route = report[name]
+        print(
+            f"{name}: parameters={_yesno(route['parameters']['passed'])} "
+            f"pattern={_yesno(route['pattern']['holds'])} "
+            f"agree={_yesno(route['agree'])}"
         )
+    if args.out:
+        dump_json(args.out, report)
         print(f"report written to {args.out}")
-    if not (recip_agree and markov_agree):
+    if not report["routes_agree"]:
         print("error: parameter and pattern routes disagree", file=sys.stderr)
         return 4
     return 0

@@ -41,6 +41,7 @@ __all__ = [
     "load_model",
     "save_model",
     "classification_report_dict",
+    "verification_report_dict",
     "save_batch_csv",
     "save_batch_json",
     "dump_json",
@@ -101,6 +102,12 @@ def _read_header(obj):
     return n, d
 
 
+def _header(n, d, **fields):
+    """A file's object: its envelope (schema version, ``N`` and ``d``) and
+    ``fields``; the writing twin of :func:`_read_header`."""
+    return {"schema_version": SCHEMA_VERSION, "N": n, "d": d, **fields}
+
+
 def _as_matrix(fld, raw, shape):
     try:
         arr = np.asarray(raw, dtype=float)
@@ -123,15 +130,7 @@ def load_law(path) -> SequenceLaw:
 
 
 def save_law(path, law: SequenceLaw):
-    dump_json(
-        path,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "N": law.n_last,
-            "d": law.dim,
-            "covariance": law.covariance.data.tolist(),
-        },
-    )
+    dump_json(path, _header(law.n_last, law.dim, covariance=law.covariance.data.tolist()))
 
 
 def _gain_grid_to_json(grid):
@@ -139,8 +138,6 @@ def _gain_grid_to_json(grid):
 
 
 def _gain_grid_from_json(fld, raw, d):
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{fld}: expected an object keyed by time index")
     grid = {}
     for key, val in raw.items():
         try:
@@ -156,20 +153,17 @@ def _gain_grid_from_json(fld, raw, d):
 def save_model(path, model):
     if not isinstance(model, (ForwardCmcModel, BackwardCmcModel)):
         raise TypeError(f"expected a forward or backward model, got {type(model)!r}")
-    obj = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": model.direction,
-        "N": model.n_last,
-        "d": model.dim,
-        "c": model.c.value,
-        "bc": model.bc.value,
-        "g_trans": _gain_grid_to_json(model.g_trans),
-        "g_cond": _gain_grid_to_json(model.g_cond),
-        "g_noise": _gain_grid_to_json(model.g_noise),
-        "boundary_gain": None
-        if model.boundary_gain is None
-        else np.asarray(model.boundary_gain).tolist(),
-    }
+    obj = _header(
+        model.n_last,
+        model.dim,
+        kind=model.direction,
+        c=model.c.value,
+        bc=model.bc.value,
+        g_trans=_gain_grid_to_json(model.g_trans),
+        g_cond=_gain_grid_to_json(model.g_cond),
+        g_noise=_gain_grid_to_json(model.g_noise),
+        boundary_gain=None if model.boundary_gain is None else model.boundary_gain.tolist(),
+    )
     dump_json(path, obj)
 
 
@@ -217,18 +211,17 @@ def classification_report_dict(law: SequenceLaw, report: ClassificationReport, t
     """Plain-dict form of a classification report, ready for JSON."""
     reciprocal = _witness_dict(report.reciprocal)
     reciprocal["routes_agree"] = report.reciprocal.routes_agree
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "classification_report",
-        "N": law.n_last,
-        "d": law.dim,
-        "zero_tol": tol.zero_tol,
-        "residual_tol": tol.residual_tol,
-        "markov": _witness_dict(report.markov),
-        "reciprocal": reciprocal,
-        "cm_l": _witness_dict(report.cm_l),
-        "cm_f": _witness_dict(report.cm_f),
-        "interval_cm": [
+    return _header(
+        law.n_last,
+        law.dim,
+        kind="classification_report",
+        zero_tol=tol.zero_tol,
+        residual_tol=tol.residual_tol,
+        markov=_witness_dict(report.markov),
+        reciprocal=reciprocal,
+        cm_l=_witness_dict(report.cm_l),
+        cm_f=_witness_dict(report.cm_f),
+        interval_cm=[
             {
                 "interval": [entry.interval.lo, entry.interval.hi],
                 "side": entry.side.value,
@@ -236,8 +229,46 @@ def classification_report_dict(law: SequenceLaw, report: ClassificationReport, t
             }
             for entry in report.interval_cm
         ],
-        "consistency": report.consistency,
+        consistency=report.consistency,
+    )
+
+
+def _routes(parameters, pattern):
+    """A class's section of a verification report: its two routes and whether they agree."""
+    return {
+        "parameters": parameters,
+        "pattern": {"holds": pattern.conforms, "worst_ratio": pattern.worst_ratio},
+        "agree": parameters["passed"] == pattern.conforms,
     }
+
+
+def verification_report_dict(model, reciprocity, markov_addon, reciprocal_pattern, markov_pattern):
+    """Plain-dict form of a verification report, ready for JSON: for the
+    reciprocal and the Markov class, the parameter route (``reciprocity``,
+    and for Markov also ``markov_addon``) against the pattern route (a
+    witness of the model's assembled precision), and whether they agree."""
+    reciprocal = _routes(
+        {"passed": reciprocity.passed, "worst_ratio": reciprocity.worst_ratio},
+        reciprocal_pattern,
+    )
+    markov = _routes(
+        {
+            "passed": reciprocity.passed and markov_addon.passed,
+            "addon_worst_ratio": markov_addon.worst_ratio,
+        },
+        markov_pattern,
+    )
+    return _header(
+        model.n_last,
+        model.dim,
+        kind="verification_report",
+        model_kind=model.direction,
+        c=model.c.value,
+        bc=model.bc.value,
+        reciprocal=reciprocal,
+        markov=markov,
+        routes_agree=reciprocal["agree"] and markov["agree"],
+    )
 
 
 def _items(text):
@@ -335,15 +366,14 @@ def save_batch_json(path, batch: SampleBatch):
     :func:`_write_chunks`), with the same bytes.
     """
     head, tail = json.dumps(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "sample_batch",
-            "M": batch.n_replicates,
-            "N": batch.n_last,
-            "d": batch.dim,
-            "seed": batch.seed,
-            "data": None,
-        },
+        _header(
+            batch.n_last,
+            batch.dim,
+            kind="sample_batch",
+            M=batch.n_replicates,
+            seed=batch.seed,
+            data=None,
+        ),
         sort_keys=True,
         indent=2,
     ).split('"data": null')

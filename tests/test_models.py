@@ -538,6 +538,39 @@ def test_model_constructor_enforces_boundary_gain_rules():
         )
 
 
+# refusals reachable through the public API: a call of a law
+# (random_law(RECIPROCAL, 4, 1, 0)), the error type and its whole message
+REFUSALS = {
+    "gain-shape": (
+        lambda law: with_entry(build_forward(law, LAST, BC1), "g_trans", 1, np.eye(2)),
+        ValueError, "g_trans[1] has shape (2, 2), expected (1, 1)",
+    ),
+    "n_last-0": (
+        lambda law: ForwardCmcModel(0, 1, LAST, BC1, {}, {}, {0: one(1)}, one(0.2)),
+        ValueError, "need n_last >= 1 and dim >= 1",
+    ),
+    "chain-with-boundary-gain": (
+        lambda law: with_entry(build_forward(law, FIRST, BC1), "boundary_gain", None, one(0.2)),
+        ValueError, "boundary_gain is only meaningful for c=LAST",
+    ),
+    "model_covariance-of-a-law": (
+        lambda law: model_covariance(law),
+        TypeError, f"expected a forward or backward model, got {SequenceLaw!r}",
+    ),
+    "law-without-block_dim": (
+        lambda law: SequenceLaw(np.eye(4)),
+        ValueError, "block_dim is required for ndarray input",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS)
+def test_a_refusal_names_its_cause(call, error, message):
+    law = random_law(LawClass.RECIPROCAL, 4, 1, 0)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(law)
+
+
 # --- what a model owns and derives -----------------------------------------
 
 SHAPES = [(build_forward, c, bc) for c, bc in FORWARD_COMBOS] + [

@@ -241,6 +241,43 @@ def test_trust_breaches_finds_marks_and_symmetric_parts_but_not_the_constructor(
     assert sorted(line for line, _ in trust_breaches(source)) == [1, 2, 3, 4, 4]
 
 
+def schema_breaches(source):
+    """``(line, code)`` of each place a module's code names the file schema
+    version, which only serialize may do: the name ``SCHEMA_VERSION``, or a
+    ``"schema_version"`` key, written as a string or as a keyword."""
+    for node in ast.walk(ast.parse(source)):
+        names = {getattr(node, a, None) for a in ("id", "attr", "name", "asname")}
+        if "SCHEMA_VERSION" in names:
+            yield node.lineno, "SCHEMA_VERSION"
+        elif isinstance(node, ast.Constant) and node.value == "schema_version":
+            yield node.lineno, repr(node.value)
+        elif isinstance(node, ast.keyword) and node.arg == "schema_version":
+            yield node.lineno, ast.unparse(node)
+
+
+def test_only_serialize_names_the_schema_version():
+    """A schema change bumps ``schema_version`` in one module, the one
+    that writes every file and report."""
+    src = Path(cmseq.__file__).parent
+    found = [
+        f"{path.name}:{line}: {code}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "serialize.py"
+        for line, code in schema_breaches(path.read_text())
+    ]
+    assert found == []
+
+
+def test_schema_breaches_finds_the_name_and_the_key_but_not_docstrings():
+    source = (
+        "from .serialize import (\n    SCHEMA_VERSION,\n    dump_json,\n)\n"
+        "report = {\"schema_version\": version}\n"
+        "header = dict(schema_version=serialize.SCHEMA_VERSION)\n"
+        "def f():\n    \"\"\"Writes schema_version and SCHEMA_VERSION.\"\"\"\n"
+    )
+    assert sorted(line for line, _ in schema_breaches(source)) == [2, 5, 6, 6]
+
+
 SHAPES = [
     (build_forward, LAST, BC1), (build_forward, LAST, BC2), (build_forward, FIRST, BC1),
     (build_backward, FIRST, BC1), (build_backward, FIRST, BC2), (build_backward, LAST, BC1),

@@ -1,5 +1,7 @@
 """Block-sparsity patterns of precision matrices and their detection."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from cmseq import (
     detect,
     random_law,
 )
+from cmseq import blocks
 from cmseq.patterns import _support_grid
 
 
@@ -291,3 +294,23 @@ def test_detect_rejects_asymmetric_or_nan_unmarked_copies(law, nan):
     for kind in PatternKind:
         with pytest.raises(NotSymmetricError):
             detect(m, PatternSpec(kind, law.n_last))
+
+
+def test_detect_checks_an_unmarked_matrix_without_forming_its_symmetric_part(monkeypatch):
+    """An unmarked matrix passes one symmetry check per call; its symmetric
+    part, which ``detect`` never reads, is not formed."""
+    law = random_law(LawClass.RECIPROCAL, 40, 2, 0)
+    m = BlockMatrix(law.precision().data, law.dim)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_check_symmetric", "_symmetric_part"):
+        monkeypatch.setattr(blocks, name, counted(name, getattr(blocks, name)))
+    witness = detect(m, PatternSpec.cyclic_tridiagonal(law.n_last))
+    assert calls == {"_check_symmetric": 1}
+    assert witness == detect(law.precision(), PatternSpec.cyclic_tridiagonal(law.n_last))

@@ -6,16 +6,17 @@ viewed as an ``(N+1) x (N+1)`` grid of ``d x d`` blocks.  Everything downstream
 (pattern detection, classification, dynamic models) works on that block grid,
 so the primitives here are deliberately small: a read-only block view, one
 pivot-reporting Cholesky routine over a stack of matrices (a single matrix
-is a stack of one), an SPD inverse, one Gaussian-conditioning routine, and
-the elimination steps that give the boundary-anchored marginal precisions,
-all on numpy alone.  Every pivot passes one rule: above ``1e-12`` times
-its own diagonal entry.  A failing stack raises for its first failing
-matrix, and the error carries that matrix's ``position`` in the stack.  The
-conditioning routine computes ``C_ss^-1 C_sb`` and ``C_ab - C_as C_ss^-1
-C_sb`` for stacks of time triples ``(a, b, s)``: the models' regressions
-and the oracle's partial covariances are both read off it.  A
-:class:`SequenceLaw` keeps the covariance or precision it was given and
-derives the other from its one factorization on first use.
+is a stack of one), an SPD inverse, one Gaussian-conditioning routine, one
+stacked Frobenius-norm pass, and the elimination steps that give the
+boundary-anchored marginal precisions, all on numpy alone.  Every pivot
+passes one rule: above ``1e-12`` times its own diagonal entry.  A failing
+stack raises for its first failing matrix, and the error carries that
+matrix's ``position`` in the stack.  The conditioning routine computes
+``C_ss^-1 C_sb`` and ``C_ab - C_as C_ss^-1 C_sb`` for stacks of time
+triples ``(a, b, s)``: the models' regressions and the oracle's partial
+covariances are both read off it.  A :class:`SequenceLaw` keeps the
+covariance or precision it was given and derives the other from its one
+factorization on first use.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def _cholesky_stack(stack, symmetric=False, rows=None):
         except np.linalg.LinAlgError:  # some matrix fails: the loop finds which
             pass
         else:
-            _check_pivots(np.diagonal(lower, 0, 1, 2) ** 2, np.diagonal(stack, 0, 1, 2), rows)
+            _check_pivots(lower.diagonal(0, 1, 2) ** 2, stack.diagonal(0, 1, 2), rows)
             return lower
     lowers = []
     for position, m in enumerate(stack):
@@ -452,6 +453,14 @@ def _block_norms(data, d):
         norms = np.sqrt(reduce(np.add, (rows[..., row, :] for row in range(d))))
     norms.setflags(write=False)
     return norms
+
+
+def _frobenius_norms(stack):
+    """The Frobenius norm of each matrix of a ``(K, m, n)`` stack, with the
+    bits of ``np.linalg.norm``: one dot product per matrix, as it takes its
+    square, all in one stacked product."""
+    flat = stack.reshape(len(stack), 1, stack.shape[1] * stack.shape[2])
+    return np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
 
 
 def _ratios(norms):

@@ -35,6 +35,7 @@ computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -259,8 +260,9 @@ def _interval_entries(a, tol):
     region, a view, and a prefix's is flipped back to time order.  Its two
     witnesses are read off that view by :func:`_cm_witnesses`, the rule of
     the whole law, so each is the one :func:`~cmseq.patterns.detect` gives
-    on the marginal itself.  The sweep makes the prefixes longest first, so
-    each step's pair goes in front.
+    on the marginal itself.  The sweep makes the prefixes longest first.
+    The records are built after the sweep, each witness paired with its
+    interval from :func:`_anchored_intervals`.
     """
     n_last = a.n_blocks - 1
     if n_last < 2:
@@ -275,16 +277,22 @@ def _interval_entries(a, tol):
         for b in range(chunk.shape[1]):
             live = size - b  # the blocks of slot b's two marginals
             prefix, suffix = ratios[:, b, :live, :live]
-            prefixes[:0] = _side_entries(IndexInterval(0, live - 1), prefix[::-1, ::-1], tol)
-            suffixes += _side_entries(IndexInterval(n_last + 1 - live, n_last), suffix, tol)
-    return tuple(prefixes + suffixes)
+            prefixes.append(_cm_witnesses(prefix[::-1, ::-1], tol))
+            suffixes.append(_cm_witnesses(suffix, tol))
+    sides = (ConditioningSide.FIRST, ConditioningSide.LAST)
+    return tuple(
+        IntervalClassEntry(interval, side, witness)
+        for interval, pair in zip(_anchored_intervals(n_last), [*prefixes[::-1], *suffixes])
+        for side, witness in zip(sides, pair)
+    )
 
 
-def _side_entries(interval, ratios, tol):
-    """The entries of ``interval`` given its first endpoint and then its
-    last, from its band-masked ratio grid."""
-    cm_f, cm_l = _cm_witnesses(ratios, tol)
+@lru_cache(maxsize=1024)
+def _anchored_intervals(n_last):
+    """The boundary-anchored intervals of times ``0..n_last`` in report
+    order, ``[0, 1] .. [0, N-1]`` then ``[1, N] .. [N-1, N]``; at most 1024
+    sizes are cached."""
     return (
-        IntervalClassEntry(interval, ConditioningSide.FIRST, cm_f),
-        IntervalClassEntry(interval, ConditioningSide.LAST, cm_l),
+        *(IndexInterval(0, hi) for hi in range(1, n_last)),
+        *(IndexInterval(lo, n_last) for lo in range(1, n_last)),
     )

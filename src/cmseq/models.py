@@ -17,25 +17,32 @@ original time axis.  Reversal maps time k to N-k and swaps the conditioning
 sides FIRST and LAST; it keeps the boundary variant and the boundary gain.
 So the regressions, the parameter identities and the generation plan are
 written once, for the forward direction.  A backward model reaches them
-through its mirror, the forward model of the reversed sequence, and their
-results are mapped back to its own times.  SG assembly and sampling
-(:mod:`cmseq.simulate`) both read the recursions from the plan.
+through its mirror, the forward model of the reversed sequence: the same
+stacks reversed, with the sides swapped.  The sampler
+(:mod:`cmseq.simulate`) reads the recursions from the plan.
 
-A model owns read-only float copies of its gains and noises, in read-only
-mappings, and what it derives from them it computes once.  Construction
-refuses a non-finite entry, checks every noise covariance in one stacked
-Cholesky factorization, refuses a noise whose inverse is not finite and
-keeps each factor and inverse; the parameter checks, the assembled
-precision and the sampler read those.  The plan and
-the precision, marked by :meth:`~cmseq.blocks.BlockMatrix._formed` if
-finite, are built on first use and kept, and a backward model's mirror
-shares its arrays.  Since nothing can change a model, nothing kept goes
-stale, and a round trip (build, checks, precision, model covariance,
-sampling) takes the same number of factorizations for every N.  Building
-a model makes one call of :func:`~cmseq.blocks._condition`, the package's
-one Gaussian-conditioning routine, with one ``(t, t, givens)`` triple per
-step in draw order; a backward model's mirror reads the law's own
-covariance at the mirrored times, so an error names the law's own row.
+A model keeps its gains and noises as read-only ``(N+1, d, d)`` float
+stacks in time order, zero at a time with no gain, made in one conversion
+of the caller's grids; its public grids are read-only mappings of
+read-only views of those stacks.  Every operation is a few stacked numpy
+calls whatever N: a build scatters each group of regressions straight into
+the stacks, both parameter checks are batched products with every norm
+taken in one stacked pass, and SG and the block diagonal of noise inverses
+are block scatters, SG's in the plan's order.  What a model derives it
+computes once.  Construction refuses a non-finite entry, checks every
+noise covariance in one stacked Cholesky factorization, refuses a noise
+whose inverse is not finite and keeps each factor and inverse; the
+parameter checks, the assembled precision and the sampler read those.  The
+plan and the precision, marked by
+:meth:`~cmseq.blocks.BlockMatrix._formed` if finite, are built on first
+use and kept, and a backward model's mirror shares its arrays.  Since
+nothing can change a model, nothing kept goes stale, and a round trip
+(build, checks, precision, model covariance, sampling) takes the same
+number of factorizations for every N.  Building a model makes one call of
+:func:`~cmseq.blocks._condition`, the package's one Gaussian-conditioning
+routine, with one ``(t, t, givens)`` triple per step in draw order; a
+backward model's mirror reads the law's own covariance at the mirrored
+times, so an error names the law's own row.
 
 The model family is exactly as expressive as the CM_c class: building a model
 from a law and reassembling its precision reproduces the law *iff* the law is
@@ -50,9 +57,8 @@ identity ("add-on") for Markovness, checked here with scale-free residuals.
 
 from __future__ import annotations
 
-import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -66,6 +72,7 @@ from .blocks import (
     Tolerance,
     _cholesky_stack,
     _condition,
+    _frobenius_norms,
     _inverse_from_factor,
     _member,
     _symmetric_part,
@@ -116,11 +123,14 @@ _OTHER_SIDE = {
 }
 
 
-def _check_gain_grid(name, grid, expected_keys, d):
-    if set(grid.keys()) != expected_keys:
-        raise ValueError(
-            f"{name} keys {sorted(grid.keys())} != expected {sorted(expected_keys)}"
-        )
+_GRIDS = ("g_trans", "g_cond", "g_noise")
+
+
+def _check_grid(name, grid, keys, d):
+    """Refuse the grid ``name`` by name and time unless it is keyed by
+    exactly the times ``keys``, each entry a finite d x d matrix."""
+    if set(grid.keys()) != set(keys):
+        raise ValueError(f"{name} keys {sorted(grid.keys())} != expected {sorted(keys)}")
     for k, g in grid.items():
         if np.shape(g) != (d, d):
             raise ValueError(f"{name}[{k}] has shape {np.shape(g)}, expected {(d, d)}")
@@ -129,11 +139,44 @@ def _check_gain_grid(name, grid, expected_keys, d):
         raise ValueError(f"{name}[{k}] has non-finite entries")
 
 
+def _stacks(grids, keys, n, d):
+    """The grids ``g_trans``, ``g_cond`` and ``g_noise``, each keyed by the
+    times of its range of ``keys``, as one read-only ``(3, n + 1, d, d)``
+    float array of stacks in time order, zero at a time with no entry: one
+    conversion of every entry.  Where it fails, :func:`_check_grid` refuses
+    the first grid that is not keyed so, or has an entry that is not a
+    finite d x d matrix."""
+    values = None
+    if all(set(grid.keys()) == set(ks) for grid, ks in zip(grids, keys)):
+        try:
+            values = np.array([grid[k] for grid, ks in zip(grids, keys) for k in ks], dtype=float)
+        except (ValueError, TypeError):  # entries of unequal shapes, or not numbers
+            pass
+    if values is None or values.shape[1:] != (d, d) or not np.isfinite(values).all():
+        for name, grid, ks in zip(_GRIDS, grids, keys):
+            _check_grid(name, grid, ks, d)
+    stacks = np.zeros((3, n + 1, d, d))
+    at = 0
+    for stack, ks in zip(stacks, keys):
+        stack[ks.start : ks.stop] = values[at : at + len(ks)]
+        at += len(ks)
+    stacks.setflags(write=False)
+    return stacks
+
+
 def _frozen(g):
     """A read-only float copy of ``g``; the caller's array stays writable."""
     a = np.array(g, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _gain_times(n, start, c_index):
+    """The range of a model's gain times: every time of ``0..n`` but the
+    start of its chain and its conditioning time, which are endpoints.  A
+    forward model (start 0) draws them in this order."""
+    ends = (start, c_index)
+    return range(1 if 0 in ends else 0, n if n in ends else n + 1)
 
 
 @dataclass(frozen=True)
@@ -144,9 +187,12 @@ class _CmcModel:
     this model's time for its time ``j``.  Validation reads the model on its
     own time axis, so its messages name the caller's times and sides.
 
-    ``_noise_lower`` and ``_noise_inv`` stack, in time order, the lower
-    Cholesky factor and the finite inverse of every noise covariance, from
-    the one stacked factorization that validates them.
+    ``_trans``, ``_cond`` and ``_noise`` are the gains and noises as
+    read-only ``(N+1, d, d)`` stacks in time order, zero at a time with no
+    gain; each public mapping holds read-only views of its stack.
+    ``_noise_lower`` and ``_noise_inv`` stack the lower Cholesky factor and
+    the finite inverse of every noise covariance, from the one stacked
+    factorization that validates them.
     """
 
     n_last: int
@@ -183,8 +229,8 @@ class _CmcModel:
         fwd, t = self._forward, self._time
         n = fwd.n_last
         interior = [
-            (k, [(fwd.g_trans[k], k - 1), (fwd.g_cond[k], fwd.c_index)])
-            for k in sorted(fwd.g_trans)
+            (k, [(fwd._trans[k], k - 1), (fwd._cond[k], fwd.c_index)])
+            for k in _gain_times(n, 0, fwd.c_index)
         ]
         if fwd.c is ConditioningSide.LAST:
             if fwd.bc is BoundaryCondition.BC1:
@@ -195,14 +241,32 @@ class _CmcModel:
             head = [(0, [])]
         return [(t(k), [(gain, t(src)) for gain, src in terms]) for k, terms in head + interior]
 
+    def _script_g(self):
+        """SG as a fresh ndarray, on the model's own axis: every term of the
+        plan subtracted from an identity, by block scatters in plan order
+        (the boundary gain, then every transition gain, then every
+        conditioning gain), so the forward c=FIRST row 1 keeps
+        ``0 - G_trans[1] - G_cond[1]``.  Row t's transition gain sits in the
+        column its mirror's step looks back at: t-1 forward, t+1 backward."""
+        n, d, t = self.n_last, self.dim, self._time
+        sg = np.eye((n + 1) * d)
+        grid = sg.reshape(n + 1, d, n + 1, d).swapaxes(1, 2)  # grid[i, j] is block (i, j)
+        if self.boundary_gain is not None:
+            start, end = (0, n) if self.bc is BoundaryCondition.BC1 else (n, 0)
+            grid[t(end), t(start)] -= self.boundary_gain
+        gains = _gain_times(n, t(0), self.c_index)
+        at, rows = slice(gains.start, gains.stop), np.arange(gains.start, gains.stop)
+        grid[rows, t(t(rows) - 1)] -= self._trans[at]
+        grid[at, self.c_index] -= self._cond[at]
+        return sg
+
     @cached_property
     def _precision(self):
         """:func:`assemble_precision`, built on first use and kept."""
-        sg = assemble_script_g(self).data
-        d = self.dim
+        sg, n, d = self._script_g(), self.n_last, self.dim
         noise_inv = np.zeros_like(sg)
-        for k, inv in enumerate(self._noise_inv):
-            noise_inv[k * d : (k + 1) * d, k * d : (k + 1) * d] = inv
+        diag = np.arange(n + 1)
+        noise_inv.reshape(n + 1, d, n + 1, d).swapaxes(1, 2)[diag, diag] = self._noise_inv
         return BlockMatrix._formed(sg.T @ noise_inv @ sg, d)
 
     def __reduce__(self):
@@ -213,24 +277,27 @@ class _CmcModel:
     def __post_init__(self):
         _member(self.c, ConditioningSide)
         _member(self.bc, BoundaryCondition)
-        n, d, c = self.n_last, self.dim, self.c
+        # TypeError for a non-integer size; a numpy integer is kept as an int
+        n, d, c = operator.index(self.n_last), operator.index(self.dim), self.c
+        object.__setattr__(self, "n_last", n)
+        object.__setattr__(self, "dim", d)
         if n < 1 or d < 1:
             raise ValueError("need n_last >= 1 and dim >= 1")
         # conditioned on its start time s, the chain starts at x_s = e_s and
         # step k carries the equal split; otherwise boundary_gain closes it
-        s, k = self._time(0), self._time(1)
-        chain = self.c_index == s
+        s, k, c_index = self._time(0), self._time(1), self.c_index
+        chain = c_index == s
         if chain and self.bc is not BoundaryCondition.BC1:
             raise ValueError(f"c={c.name} admits only BC1 (the chain starts at x_{s} = e_{s})")
-        expected = set(range(n + 1)) - {s, self.c_index}
-        _check_gain_grid("g_trans", self.g_trans, expected, d)
-        _check_gain_grid("g_cond", self.g_cond, expected, d)
-        _check_gain_grid("g_noise", self.g_noise, set(range(n + 1)), d)
-        for name in ("g_trans", "g_cond", "g_noise"):
-            grid = {k: _frozen(g) for k, g in getattr(self, name).items()}
-            object.__setattr__(self, name, MappingProxyType(grid))
+        gains = _gain_times(n, s, c_index)
+        keys = (gains, gains, range(n + 1))
+        stacks = _stacks([getattr(self, name) for name in _GRIDS], keys, n, d)
+        for name, stack, ks in zip(_GRIDS, stacks, keys):
+            views = dict(zip(ks, stack[ks.start : ks.stop]))
+            object.__setattr__(self, name[1:], stack)  # _trans, _cond, _noise
+            object.__setattr__(self, name, MappingProxyType(views))
         # noise covariances must be SPD; the factors that show it are kept
-        lower = _cholesky_stack([self.g_noise[t] for t in range(n + 1)])
+        lower = _cholesky_stack(self._noise)
         inv = _inverse_from_factor(lower)
         if not np.isfinite(inv).all():  # one test for the stack
             t = min(t for t in range(n + 1) if not np.isfinite(inv[t]).all())
@@ -248,7 +315,7 @@ class _CmcModel:
         else:
             if self.boundary_gain is not None:
                 raise ValueError(f"boundary_gain is only meaningful for c={_OTHER_SIDE[c].name}")
-            if not np.allclose(self.g_trans[k], self.g_cond[k]):
+            if not np.allclose(self._trans[k], self._cond[k]):
                 raise ValueError(
                     f"c={c.name} requires the equal split G_trans[{k}] == G_cond[{k}]"
                 )
@@ -277,8 +344,9 @@ class BackwardCmcModel(_CmcModel):
     time; ``boundary_gain`` exists for c=FIRST (x_0 on x_N under BC1, x_N on
     x_0 under BC2); for c=LAST the chain starts at x_N = e_N and the k=N-1
     step splits its weight equally.  Its mirror, that forward model in the
-    reversed time, is built on first use and kept; it shares this model's
-    read-only arrays.
+    reversed time, is built on first use and kept: this model's stacks
+    reversed, with the sides swapped.  It shares this model's read-only
+    arrays, and its mappings hold this model's very views.
     """
 
     direction = "backward"
@@ -287,28 +355,23 @@ class BackwardCmcModel(_CmcModel):
     def _forward(self):
         # this model is valid, so its mirror is too: skip a second validation
         mirror = object.__new__(ForwardCmcModel)
-        names = [f.name for f in fields(self)]
-        mirror.__dict__.update(zip(names, _mirrored(*(getattr(self, a) for a in names))))
+        n = self.n_last
         mirror.__dict__.update(
-            _noise_lower=self._noise_lower[::-1], _noise_inv=self._noise_inv[::-1]
+            {name: getattr(self, name) for name in ("n_last", "dim", "bc", "boundary_gain")},
+            c=_OTHER_SIDE[self.c],
+            **{
+                name: getattr(self, name)[::-1]
+                for name in ("_trans", "_cond", "_noise", "_noise_lower", "_noise_inv")
+            },
+            **{
+                name: MappingProxyType({n - t: g for t, g in getattr(self, name).items()})
+                for name in ("g_trans", "g_cond", "g_noise")
+            },
         )
         return mirror
 
     def _time(self, j):
         return self.n_last - j
-
-
-def _mirrored(n, d, c, bc, g_trans, g_cond, g_noise, boundary_gain):
-    """The same law's model fields in the other time direction.
-
-    Time k becomes N-k and FIRST/LAST swap; ``bc`` and ``boundary_gain`` are
-    kept.  Applying it twice gives the fields back.
-    """
-    grids = (
-        MappingProxyType({n - k: g for k, g in grid.items()})
-        for grid in (g_trans, g_cond, g_noise)
-    )
-    return (n, d, _OTHER_SIDE[c], bc, *grids, boundary_gain)
 
 
 @dataclass(frozen=True)
@@ -320,39 +383,56 @@ class CheckResult:
     worst_index: int | None
 
 
-def _regressions(cov, c, bc, time=lambda j: j):
-    """The forward model's fields read off the covariance ``cov``, its time
-    ``j`` being time ``time(j)`` of ``cov``: a backward model's mirror reads
-    the law's own covariance at the mirrored times.
+def _regressions(cov, c, bc, backward=False):
+    """The constructor arguments of the model of side ``c`` read off the
+    covariance ``cov``: of its forward model, or with ``backward`` of its
+    backward model.
 
-    Each step, in the order the model draws them, is the triple
-    ``(t, t, givens)``, and all go to one
+    The regressions are those of a forward model.  A backward model's are
+    its mirror's, for the other side on the reversed sequence, which read
+    ``cov`` at the mirrored times, so an error names the law's own row; the
+    stacks are then reversed back.  Each step, in the order the model draws
+    them, is the triple ``(t, t, givens)``, and all go to one
     :func:`~cmseq.blocks._condition` call: the start step, with no givens,
     yields its plain block, and every other step its gains (the transposed
-    solves) and noise (the symmetric part of the residual).
+    solves) and noise (the symmetric part of the residual), each group
+    scattered straight into the stacks.
     """
     n, d = cov.n_blocks - 1, cov.block_dim
-    if c is ConditioningSide.LAST:
+    side = _OTHER_SIDE[c] if backward else c
+    c_index = n if side is ConditioningSide.LAST else 0
+    gains = _gain_times(n, 0, c_index)
+    if side is ConditioningSide.LAST:
         start, end = (0, n) if bc is BoundaryCondition.BC1 else (n, 0)
-        interior = [(k, (k - 1, n)) for k in range(1, n)]
+        interior = gains
     else:
         # c = FIRST: x_0 = e_0, and the k=1 step sees x_{k-1} = x_c = x_0
         start, end = 0, 1
-        interior = [(k, (k - 1, 0)) for k in range(2, n + 1)]
-    steps = [(start, ()), (end, (start,)), *interior]
-    gains, g_noise = [None] * len(steps), {}
-    triples = [((time(t),), (time(t),), tuple(map(time, givens))) for t, givens in steps]
-    for positions, solved, partial in _condition(cov, triples):
-        for i, x, noise in zip(positions, solved.swapaxes(1, 2), _symmetric_part(partial)):
-            gains[i], g_noise[steps[i][0]] = x, noise
-    w = gains[1].copy()  # x_end on x_start alone
-    if c is ConditioningSide.LAST:
-        g_trans, g_cond, bg = {}, {}, w
+        interior = gains[1:]
+    steps = [(start, ()), (end, (start,)), *((k, (k - 1, c_index)) for k in interior)]
+    if backward:  # the mirror's time j is the law's time N - j
+        steps = [(n - t, tuple(n - g for g in givens)) for t, givens in steps]
+    triples = [((t,), (t,), givens) for t, givens in steps]
+    # the rows of each group, by its number of givens
+    rows = (slice(start, start + 1), slice(end, end + 1), slice(interior.start, interior.stop))
+    trans, cond, noise = np.zeros((3, n + 1, d, d))
+    for _, solved, partial in _condition(cov, triples):
+        at = rows[solved.shape[1] // d]
+        noise[at] = partial
+        if at is rows[1]:  # x_end on x_start alone
+            end_gain = solved[0].T
+        elif at is rows[2]:  # x_k on (x_{k-1}, x_c)
+            trans[at], cond[at] = solved[:, :d].swapaxes(1, 2), solved[:, d:].swapaxes(1, 2)
+    if side is ConditioningSide.LAST:
+        bg = end_gain
     else:
-        g_trans, g_cond, bg = {1: w / 2.0}, {1: w / 2.0}, None
-    for (k, _), gain in zip(interior, gains[2:]):
-        g_trans[k], g_cond[k] = gain[:, :d].copy(), gain[:, d:].copy()
-    return n, d, c, bc, g_trans, g_cond, g_noise, bg
+        bg, trans[1], cond[1] = None, end_gain / 2.0, end_gain / 2.0
+    noise = _symmetric_part(noise)
+    if backward:  # on the model's own axis, where its chain starts at N
+        trans, cond, noise = trans[::-1], cond[::-1], noise[::-1]
+        gains = _gain_times(n, n, 0 if c is ConditioningSide.FIRST else n)
+    grids = (dict(zip(gains, stack[gains.start : gains.stop])) for stack in (trans, cond))
+    return n, d, c, bc, *grids, dict(enumerate(noise)), bg
 
 
 def build_forward(
@@ -382,14 +462,13 @@ def build_backward(
     """Extract the backward model of a law for conditioning side ``c``.
 
     Interior gains regress x_k on (x_{k+1}, x_c).  They are the forward
-    regressions of the time-reversed covariance for the other side, re-keyed
-    to the original times.  c=FIRST admits BC1 (x_N drawn first) and BC2;
-    c=LAST starts at x_N and admits only BC1.
+    regressions of the time-reversed covariance for the other side, in
+    stacks reversed back to the original times.  c=FIRST admits BC1 (x_N
+    drawn first) and BC2; c=LAST starts at x_N and admits only BC1.
     """
     _member(c, ConditioningSide)
     _member(bc, BoundaryCondition)
-    mirror = _regressions(law.covariance, _OTHER_SIDE[c], bc, lambda j: law.n_last - j)
-    return BackwardCmcModel(*_mirrored(*mirror))
+    return BackwardCmcModel(*_regressions(law.covariance, c, bc, backward=True))
 
 
 def assemble_script_g(model) -> BlockMatrix:
@@ -401,12 +480,7 @@ def assemble_script_g(model) -> BlockMatrix:
     forward c=FIRST row 1 carries -2 G_trans[1] at column 0, and the
     boundary row carries -boundary_gain at the opposite endpoint.
     """
-    d = model.dim
-    sg = np.eye((model.n_last + 1) * d)
-    for t, terms in model._generation_plan:
-        for gain, src in terms:
-            sg[t * d : (t + 1) * d, src * d : (src + 1) * d] -= gain
-    return BlockMatrix(sg, d)
+    return BlockMatrix(model._script_g(), model.dim)
 
 
 def assemble_precision(model) -> BlockMatrix:
@@ -433,36 +507,36 @@ def model_covariance(model) -> SequenceLaw:
     return SequenceLaw.from_precision(assemble_precision(model))
 
 
-def _identity_residuals(pairs, floors=()):
-    """Max relative gap over (lhs, rhs) identity pairs, scale-free.
+def _identity_residuals(index, lhs, rhs, floors=()):
+    """Max relative gap over the identities ``lhs[i] = rhs[i]``, the one at
+    ``index[i]`` (ascending), scale-free.
 
-    The scale is the largest norm among all sides and the matrices
-    ``floors``.  Each residual ``lhs - rhs`` is an off-pattern block of the
-    assembled precision, so callers floor the scale with the noise inverses,
-    the precision's magnitude: identities whose sides all vanish (e.g. every
-    conditioning gain is zero) then pass instead of dividing rounding noise
-    by itself.  Among equal residuals the smallest index is reported.  A
-    norm that is not finite (norms square, so past about 1.3e154) fails the
-    check with a NaN ratio, at the first pair whose sides or residual have one.
+    ``lhs`` and ``rhs`` are ``(K, d, d)`` stacks, and ``floors`` a sequence
+    of such stacks.  The scale is the largest norm among all sides and the
+    matrices of ``floors``.  Each residual ``lhs - rhs`` is an off-pattern
+    block of the assembled precision, so callers floor the scale with the
+    noise inverses, the precision's magnitude: identities whose sides all
+    vanish (e.g. every conditioning gain is zero) then pass instead of
+    dividing rounding noise by itself.  Among equal residuals the smallest
+    index is reported.  A norm that is not finite (norms square, so past
+    about 1.3e154) fails the check with a NaN ratio, at the first identity
+    whose sides or residual have one.  Every norm is taken in one
+    :func:`~cmseq.blocks._frobenius_norms` pass.
     """
+    f, k = sum(map(len, floors)), len(index)
     with np.errstate(over="ignore", invalid="ignore"):
-        floor = [float(np.linalg.norm(m)) for m in floors]
-        norms = {
-            k: [float(np.linalg.norm(m)) for m in (lhs, rhs, lhs - rhs)]
-            for k, (lhs, rhs) in sorted(pairs.items())
-        }
-    unbounded = [k for k, ns in norms.items() if not all(map(math.isfinite, ns))]
-    if unbounded or not all(map(math.isfinite, floor)):
-        return float("nan"), unbounded[0] if unbounded else None
-    scale = max([*floor, *(side for ns in norms.values() for side in ns[:2])], default=0.0)
-    worst_ratio, worst_index = 0.0, None
-    if scale == 0.0:
-        return worst_ratio, worst_index
-    for k, (_, _, resid) in norms.items():
-        ratio = resid / scale
-        if ratio > worst_ratio:
-            worst_ratio, worst_index = ratio, k
-    return worst_ratio, worst_index
+        norms = _frobenius_norms(np.concatenate([*floors, lhs, rhs, lhs - rhs]))
+    if not np.isfinite(norms).all():
+        unbounded = ~np.isfinite(norms[f:].reshape(3, k)).all(axis=0)
+        return float("nan"), index[unbounded.argmax()].item() if unbounded.any() else None
+    scale = norms[: f + 2 * k].max(initial=0.0)
+    if scale == 0.0 or not k:
+        return 0.0, None
+    ratios = norms[f + 2 * k :] / scale
+    i = ratios.argmax()
+    if ratios[i] <= 0.0:
+        return 0.0, None
+    return ratios[i].item(), index[i].item()
 
 
 def check_reciprocity_forward(model, tol: Tolerance = Tolerance()) -> CheckResult:
@@ -470,20 +544,23 @@ def check_reciprocity_forward(model, tol: Tolerance = Tolerance()) -> CheckResul
 
     Checks G_noise[k]^{-1} G_cond[k] = G_trans[k+1]' G_noise[k+1]^{-1} G_cond[k+1]
     over k in {1..N-2} for c=LAST and k in {2..N-1} for c=FIRST (the literal
-    interior ranges; empty ranges pass vacuously).  A backward model is
-    checked through its mirror; ``worst_index`` is the lower time of the
-    worst pair on the model's own axis.
+    interior ranges; empty ranges pass vacuously), as batched products over
+    the stacks.  A backward model is checked through its mirror;
+    ``worst_index`` is the lower time of the worst pair on the model's own
+    axis.
     """
-    fwd, t = model._forward, model._time
+    fwd = model._forward
     n = fwd.n_last
-    ks = range(1, n - 1) if fwd.c is ConditioningSide.LAST else range(2, n)
-    pairs = {}
-    for k in ks:
-        lhs = fwd._noise_inv[k] @ fwd.g_cond[k]
-        rhs = fwd.g_trans[k + 1].T @ fwd._noise_inv[k + 1] @ fwd.g_cond[k + 1]
-        pairs[min(t(k), t(k + 1))] = (lhs, rhs)
-    floors = [fwd._noise_inv[j] for k in ks for j in (k, k + 1)]
-    worst_ratio, worst_index = _identity_residuals(pairs, floors)
+    lo, hi = (1, n - 1) if fwd.c is ConditioningSide.LAST else (2, n)
+    at, after = slice(lo, hi), slice(lo + 1, hi + 1)  # the pairs (k, k+1), k in lo..hi-1
+    inv, trans, cond = fwd._noise_inv, fwd._trans, fwd._cond
+    lhs = inv[at] @ cond[at]
+    rhs = trans[after].swapaxes(1, 2) @ inv[after] @ cond[after]
+    index = np.arange(lo, hi)
+    if fwd is not model:  # pair k's lower time is N-k-1: ascending, reversed
+        lhs, rhs, index = lhs[::-1], rhs[::-1], n - 1 - index[::-1]
+    floors = (inv[lo : hi + 1],) if hi > lo else ()  # every time of a pair
+    worst_ratio, worst_index = _identity_residuals(index, lhs, rhs, floors)
     return CheckResult(bool(worst_ratio <= tol.residual_tol), worst_ratio, worst_index)
 
 
@@ -502,20 +579,19 @@ def check_markov_forward(model, tol: Tolerance = Tolerance()) -> CheckResult:
     n = fwd.n_last
     if n == 1:
         return CheckResult(True, 0.0, None)
+    inv, trans, cond = fwd._noise_inv, fwd._trans, fwd._cond
     if fwd.c is ConditioningSide.LAST:
-        inv_1 = fwd._noise_inv[1]
         if fwd.bc is BoundaryCondition.BC1:
-            inv_b = fwd._noise_inv[n]
-            rhs = fwd.g_cond[1].T @ inv_1 @ fwd.g_trans[1]
+            b, rhs = n, cond[1].T @ inv[1] @ trans[1]
         else:
-            inv_b = fwd._noise_inv[0]
-            rhs = fwd.g_trans[1].T @ inv_1 @ fwd.g_cond[1]
-        pair, floors, index = (inv_b @ fwd.boundary_gain, rhs), (inv_b, inv_1), 0
+            b, rhs = 0, trans[1].T @ inv[1] @ cond[1]
+        lhs, floors, index = inv[b] @ fwd.boundary_gain, (inv[b : b + 1], inv[1:2]), 0
     else:
-        # c = FIRST: the last step must not look back at x_0 at all
-        pair, floors = (fwd.g_cond[n], 0.0), [*fwd.g_trans.values(), *fwd.g_cond.values()]
-        index = model._time(n)
-    worst_ratio, _ = _identity_residuals({index: pair}, floors)
+        # c = FIRST: the last step must not look back at x_0 at all, against
+        # every gain (the stacks' zero rows leave the largest norm as it is)
+        lhs, rhs, index = cond[n], np.zeros((fwd.dim, fwd.dim)), model._time(n)
+        floors = (trans, cond)
+    worst_ratio, _ = _identity_residuals(np.array([index]), lhs[None], rhs[None], floors)
     return CheckResult(bool(worst_ratio <= tol.residual_tol), worst_ratio, index)
 
 

@@ -29,6 +29,7 @@ from .blocks import (
     SequenceLaw,
     Tolerance,
     _condition,
+    _frobenius_norms,
 )
 
 __all__ = [
@@ -134,9 +135,7 @@ def _sweep(cov: BlockMatrix, queries, residual_tol):
     ratios = np.zeros(len(queries))
     triples = [((q.target,), tuple(sorted(q.dropped)), tuple(sorted(q.retained))) for q in queries]
     for positions, _, partial in _condition(cov, triples):
-        flat = partial.reshape(len(positions), 1, -1)
-        # one dot product per matrix, as np.linalg.norm takes its square
-        norms = np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
+        norms = _frobenius_norms(partial)
         ratios[positions] = norms / scale if scale > 0 else 0.0
     worst_ratio, worst_query = 0.0, None
     if queries:

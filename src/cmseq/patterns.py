@@ -141,8 +141,9 @@ def _witness(ratios, tol, offset=0):
     """The witness of a grid of ratios, zero where the pattern allows a
     block: its first maximum in row-major order, at block ``(i + offset,
     j + offset)`` for grid entry ``(i, j)``."""
-    i, j = divmod(int(ratios.argmax()), ratios.shape[1])
-    worst_ratio = float(ratios[i, j])
+    flat = ratios.argmax()
+    worst_ratio = ratios.item(flat)
+    i, j = divmod(flat.item(), ratios.shape[1])
     worst_block = (i + offset, j + offset) if worst_ratio > 0 else None
     return PatternWitness(worst_ratio <= tol.zero_tol, worst_block, worst_ratio)
 

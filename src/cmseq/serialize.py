@@ -58,10 +58,12 @@ class SchemaError(ValueError):
 
 
 def dump_json(path, obj):
-    """Write ``obj`` as deterministic JSON (sorted keys, trailing newline)."""
+    """Write ``obj`` as deterministic JSON (sorted keys, trailing newline).
+    ``obj`` is encoded before the file is opened, so an object that does
+    not encode leaves the file as it was."""
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2))
-        fh.write("\n")
+        fh.write(text)
 
 
 def _load_json(path):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cmseq import (
     BackwardCmcModel,
     BoundaryCondition,
+    CheckResult,
     ConditioningSide,
     ForwardCmcModel,
     LawClass,
@@ -233,9 +234,10 @@ def test_backward_checks_report_indices_on_their_own_axis(c, bc):
 
 
 def test_identity_residual_ties_go_to_the_smallest_index():
-    # a backward model's pairs arrive in descending order of its own times
-    lhs, rhs = np.eye(2), np.zeros((2, 2))
-    assert _identity_residuals({3: (lhs, rhs), 1: (lhs, rhs), 2: (lhs, rhs)}) == (1.0, 1)
+    # the identities come in ascending order of their times: a backward
+    # model's check reverses its mirror's order
+    lhs, rhs = np.stack([np.eye(2)] * 3), np.zeros((3, 2, 2))
+    assert _identity_residuals(np.array([1, 2, 3]), lhs, rhs) == (1.0, 1)
 
 
 def with_entry(model, name, key, value):
@@ -298,12 +300,26 @@ def test_an_identity_whose_norms_overflow_fails(law_class, c, check, honest, ind
     assert result.worst_index == index
 
 
+def test_a_backward_check_reports_the_lowest_of_its_equally_bad_times():
+    """A backward model's identities come in its mirror's order, which is
+    the descending order of its own times: its check still reports the
+    lowest own time among equally bad identities, here two NaN ones."""
+    model = build_backward(random_law(LawClass.GENERIC, 6, 1, 0), FIRST, BC1)
+    huge = with_entry(with_entry(model, "g_trans", 3, [[1e155]]), "g_trans", 1, [[1e155]])
+    result = check_reciprocity_backward(huge)
+    assert result.passed is False and np.isnan(result.worst_ratio)
+    assert result.worst_index == 1
+
+
 def test_identity_residuals_fail_on_an_overflowing_floor_or_residual():
     big = np.array([[1e154]])
     # each side's norm is finite, but the residual's square overflows
-    ratio, index = _identity_residuals({1: (np.eye(1), np.eye(1)), 2: (big, -big)})
+    ratio, index = _identity_residuals(
+        np.array([1, 2]), np.stack([np.eye(1), big]), np.stack([np.eye(1), -big])
+    )
     assert np.isnan(ratio) and index == 2
-    ratio, index = _identity_residuals({1: (np.eye(1), np.eye(1))}, [10 * big])
+    one_pair = np.array([1]), np.eye(1)[None], np.eye(1)[None]
+    ratio, index = _identity_residuals(*one_pair, [10 * big[None]])
     assert np.isnan(ratio) and index is None
 
 
@@ -545,6 +561,12 @@ REFUSALS = {
         lambda law: with_entry(build_forward(law, LAST, BC1), "g_trans", 1, np.eye(2)),
         ValueError, "g_trans[1] has shape (2, 2), expected (1, 1)",
     ),
+    "nan-before-complex": (
+        lambda law: ForwardCmcModel(
+            2, 1, LAST, BC1, {1: [[np.nan]]}, {1: [[1j]]}, {t: one(1) for t in range(3)}, one(0.2)
+        ),
+        ValueError, "g_trans[1] has non-finite entries",
+    ),
     "n_last-0": (
         lambda law: ForwardCmcModel(0, 1, LAST, BC1, {}, {}, {0: one(1)}, one(0.2)),
         ValueError, "need n_last >= 1 and dim >= 1",
@@ -722,6 +744,189 @@ def test_a_round_trip_factorizes_a_number_of_times_independent_of_n(build, c, bc
         monkeypatch.undo()
         counts[n] = calls["cholesky"]
     assert counts[3] == counts[9] == 4
+
+
+@pytest.mark.parametrize("build,c,bc", SHAPES)
+def test_the_checks_and_an_assembly_cost_the_same_at_every_n(build, c, bc, monkeypatch):
+    """A cost regression that shows without timing: a build, both parameter
+    checks and one assembly make one conditioning call and one stacked norm
+    pass per check, at N = 3 as at N = 30, and no ``np.linalg.norm`` call."""
+    counts = {}
+    for n in (3, 30):
+        law = random_law(LawClass.GENERIC, n, 2, seed=n)
+        calls = Counter()
+        counted = [(models, "_condition"), (models, "_frobenius_norms"), (np.linalg, "norm")]
+        for owner, name in counted:
+            fn = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *a, fn=fn, name=name, **k: calls.update([name]) or fn(*a, **k)
+            )
+        model = build(law, c, bc)
+        check_reciprocity_forward(model)
+        check_markov_forward(model)
+        assemble_precision(model)
+        monkeypatch.undo()
+        counts[n] = calls
+    assert counts[3] == counts[30] == {"_condition": 1, "_frobenius_norms": 2}
+
+
+# --- the per-time reference --------------------------------------------------
+# The model operations as written before the stacks: each step's regression
+# copied into a dict, a backward model's re-keyed from its mirror's, and one
+# product, norm and SG row per time.  The stacked operations must give their
+# bits.
+
+
+def reference_fields(law, direction, c, bc):
+    """``(g_trans, g_cond, g_noise, boundary_gain)`` of the model of ``law``,
+    each grid a dict keyed on the model's own times."""
+    cov, n, d = law.covariance, law.n_last, law.dim
+    side = c if direction == "forward" else {FIRST: LAST, LAST: FIRST}[c]
+    time = (lambda j: j) if direction == "forward" else (lambda j: n - j)
+    if side is LAST:
+        start, end = (0, n) if bc is BC1 else (n, 0)
+        interior = [(k, (k - 1, n)) for k in range(1, n)]
+    else:
+        start, end = 0, 1
+        interior = [(k, (k - 1, 0)) for k in range(2, n + 1)]
+    steps = [(start, ()), (end, (start,)), *interior]
+    gains, g_noise = [None] * len(steps), {}
+    triples = [((time(t),), (time(t),), tuple(map(time, givens))) for t, givens in steps]
+    for positions, solved, partial in blocks._condition(cov, triples):
+        for i, x, noise in zip(positions, solved.swapaxes(1, 2), blocks._symmetric_part(partial)):
+            gains[i], g_noise[steps[i][0]] = x, noise
+    w = gains[1].copy()
+    if side is LAST:
+        g_trans, g_cond, bg = {}, {}, w
+    else:
+        g_trans, g_cond, bg = {1: w / 2.0}, {1: w / 2.0}, None
+    for (k, _), gain in zip(interior, gains[2:]):
+        g_trans[k], g_cond[k] = gain[:, :d].copy(), gain[:, d:].copy()
+    grids = (g_trans, g_cond, g_noise)
+    return (*({time(k): g for k, g in grid.items()} for grid in grids), bg)
+
+
+def reference_identity_residuals(pairs, floors=()):
+    """Max relative gap over ``{index: (lhs, rhs)}``, one norm per matrix."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = [float(np.linalg.norm(m)) for m in floors]
+        norms = {
+            k: [float(np.linalg.norm(m)) for m in (lhs, rhs, lhs - rhs)]
+            for k, (lhs, rhs) in sorted(pairs.items())
+        }
+    unbounded = [k for k, ns in norms.items() if not all(np.isfinite(ns))]
+    if unbounded or not all(np.isfinite(floor)):
+        return float("nan"), unbounded[0] if unbounded else None
+    scale = max([*floor, *(side for ns in norms.values() for side in ns[:2])], default=0.0)
+    worst_ratio, worst_index = 0.0, None
+    if scale == 0.0:
+        return worst_ratio, worst_index
+    for k, (_, _, resid) in norms.items():
+        if resid / scale > worst_ratio:
+            worst_ratio, worst_index = resid / scale, k
+    return worst_ratio, worst_index
+
+
+def reference_checks(model, tol=Tolerance()):
+    """Both parameter checks of ``model``, one identity at a time, on its
+    mirror's axis, from the inverses of the model's own noises."""
+    n, t = model.n_last, model._time
+    inv = {k: model._noise_inv[k] for k in range(n + 1)}
+    gt, gc, bg = model.g_trans, model.g_cond, model.boundary_gain
+    # the mirror's gains and inverses at its time j: the model's at t(j)
+    trans, cond, inv_m = (
+        {j: grid[t(j)] for j in range(n + 1) if t(j) in grid} for grid in (gt, gc, inv)
+    )
+    side = model._forward.c
+    ks = range(1, n - 1) if side is LAST else range(2, n)
+    pairs = {
+        min(t(k), t(k + 1)): (inv_m[k] @ cond[k], trans[k + 1].T @ inv_m[k + 1] @ cond[k + 1])
+        for k in ks
+    }
+    ratio, index = reference_identity_residuals(pairs, [inv_m[j] for k in ks for j in (k, k + 1)])
+    recip = CheckResult(bool(ratio <= tol.residual_tol), ratio, index)
+    if n == 1:
+        return recip, CheckResult(True, 0.0, None)
+    if side is LAST:
+        if model.bc is BC1:
+            inv_b, rhs = inv_m[n], cond[1].T @ inv_m[1] @ trans[1]
+        else:
+            inv_b, rhs = inv_m[0], trans[1].T @ inv_m[1] @ cond[1]
+        pair, floors, index = (inv_b @ bg, rhs), (inv_b, inv_m[1]), 0
+    else:
+        pair, floors, index = (cond[n], 0.0), [*trans.values(), *cond.values()], t(n)
+    ratio, _ = reference_identity_residuals({index: pair}, floors)
+    return recip, CheckResult(bool(ratio <= tol.residual_tol), ratio, index)
+
+
+def reference_precision(model):
+    """``(SG, A)`` of ``model``: SG by the generation plan, one block per
+    term, and ``A = SG' G^-1 SG``."""
+    n, d = model.n_last, model.dim
+    sg = np.eye((n + 1) * d)
+    for t, terms in model._generation_plan:
+        for gain, src in terms:
+            sg[t * d : (t + 1) * d, src * d : (src + 1) * d] -= gain
+    noise_inv = np.zeros_like(sg)
+    for k, g in enumerate(model._noise_inv):
+        noise_inv[k * d : (k + 1) * d, k * d : (k + 1) * d] = g
+    return sg, blocks._symmetric_part(sg.T @ noise_inv @ sg)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    shape=st.sampled_from(SHAPES),
+    law_class=st.sampled_from(list(LawClass)),
+    n=st.integers(2, 12),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1e150, 1e-150]),
+)
+def test_the_stacked_model_gives_the_bits_of_the_per_time_reference(
+    shape, law_class, n, d, seed, scale
+):
+    """Fields, both checks and the precision of a model built from a law,
+    scaled or not, equal the per-time reference's bit for bit."""
+    assume(n >= 3 or law_class not in (LawClass.CM_L_ONLY, LawClass.CM_F_ONLY))
+    build, c, bc = shape
+    law = random_law(law_class, n, d, seed)
+    if scale != 1.0:
+        law = SequenceLaw(law.covariance.data * scale, d)
+    model = build(law, c, bc)
+    *grids, bg = reference_fields(law, model.direction, c, bc)
+    for name, want in zip(("g_trans", "g_cond", "g_noise"), grids):
+        got = getattr(model, name)
+        assert sorted(got) == sorted(want)
+        assert all(got[k].tobytes() == np.ascontiguousarray(g).tobytes() for k, g in want.items())
+    assert (bg is None) == (model.boundary_gain is None)
+    assert bg is None or model.boundary_gain.tobytes() == np.ascontiguousarray(bg).tobytes()
+    for got, want in zip((check_reciprocity_forward(model), check_markov_forward(model)),
+                         reference_checks(model)):
+        assert repr(got) == repr(want) and got.worst_ratio.hex() == want.worst_ratio.hex()
+    sg, precision = reference_precision(model)
+    assert assemble_script_g(model).data.tobytes() == sg.tobytes()
+    assert assemble_precision(model).data.tobytes() == precision.tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(3.0, 1), (3, 1.0), ("3", 1), (3, "1")])
+def test_a_model_refuses_sizes_that_are_not_integers(sizes):
+    """``ForwardCmcModel(3, 1.0, ...)`` was once accepted; its assembly,
+    model covariance and sampling then failed with an unrelated TypeError,
+    and save_model wrote ``"d": 1.0``, which load_model refuses."""
+    gains = {1: one(0.5), 2: one(0.2)}
+    noise = {t: one(1) for t in range(4)}
+    with pytest.raises(TypeError):
+        ForwardCmcModel(*sizes, LAST, BC1, gains, gains, noise, one(0.25))
+
+
+def test_a_model_of_numpy_integer_sizes_keeps_python_ints(tmp_path):
+    """numpy integer sizes once made save_model raise "Object of type int64
+    is not JSON serializable"."""
+    model = build_backward(random_law(LawClass.RECIPROCAL, 4, 2, seed=1), FIRST, BC2)
+    fields = [dict(getattr(model, name)) for name in ("g_trans", "g_cond", "g_noise")]
+    again = BackwardCmcModel(np.int64(4), np.int32(2), FIRST, BC2, *fields, model.boundary_gain)
+    assert type(again.n_last) is int and type(again.dim) is int
+    assert round_trip_bytes(again, tmp_path) == round_trip_bytes(model, tmp_path)
 
 
 @pytest.mark.parametrize("build,c,bc", SHAPES)

@@ -209,6 +209,16 @@ def test_save_model_rejects_what_is_not_a_model(tmp_path):
     assert not (tmp_path / "model.json").exists()
 
 
+
+def test_an_object_that_does_not_encode_leaves_the_file_as_it_was(tmp_path):
+    """dump_json once opened its file before encoding, so a failed encode
+    (a numpy integer, as model sizes once were) left an empty file."""
+    path = tmp_path / "report.json"
+    path.write_text("kept\n")
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dump_json(path, {"N": np.int64(3)})
+    assert path.read_text() == "kept\n"
+
 def test_classification_report_dict_structure():
     law = cyclic_example_law()
     rep = full_report(law)

@@ -14,7 +14,9 @@ stack raises for its first failing matrix, and the error carries that
 matrix's ``position`` in the stack.  The conditioning routine computes
 ``C_ss^-1 C_sb`` and ``C_ab - C_as C_ss^-1 C_sb`` for stacks of time
 triples ``(a, b, s)``: the models' regressions and the oracle's partial
-covariances are both read off it.  A :class:`SequenceLaw` keeps the
+covariances are both read off it.  Its Python side (grouping, gather
+indices, pivot rows) is a plan made once per triples, ``d`` and size and
+kept in a bounded cache.  A :class:`SequenceLaw` keeps the
 covariance or precision it was given and derives the other from its one
 factorization on first use.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -47,6 +49,9 @@ _PIVOT_RTOL = 1e-12
 # only 64 KB read faster than one step at a time at every size the
 # benchmark classifies
 _CHUNK_BYTES = 1 << 16
+# conditioning plans kept: the benchmark's `small-corpus` laws use 136, and
+# a cycle through more plans than the bound would reuse none
+_PLANS = 256
 
 
 class NotSymmetricError(ValueError):
@@ -115,9 +120,12 @@ class IndexInterval:
     hi: int
 
     def __post_init__(self):
-        lo, hi = operator.index(self.lo), operator.index(self.hi)  # TypeError for a non-integer
+        # TypeError for a non-integer; a numpy integer is kept as an int
+        lo, hi = operator.index(self.lo), operator.index(self.hi)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         if lo < 0 or hi <= lo:
-            raise ValueError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
+            raise ValueError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
 
     def endpoint(self, side: ConditioningSide) -> int:
         return self.lo if _member(side, ConditioningSide) is ConditioningSide.FIRST else self.hi
@@ -300,41 +308,96 @@ def _condition(cov, triples):
     Each triple holds tuples of times of the covariance ``cov``, each
     gathered in its given order, ``s`` disjoint from ``a`` and ``b``.
     Triples of one shape ``(|a|, |b|, |s|)`` share one gather of their
-    rows and columns ``a + b + s``, one :func:`cholesky_spd` stack of their
-    ``C_ss`` and one pair of stacked solves.  Returns ``[(positions, solved, partial)]``, one entry
-    per shape: for ``triples[positions[i]]``, ``solved[i]`` is
+    rows ``a + s`` and columns ``b + s`` and one pair of stacked solves;
+    triples of one ``|s|`` share one gather of their ``C_ss`` and one
+    :func:`cholesky_spd` stack.  Returns ``[(positions, solved, partial)]``,
+    one entry per shape: for ``triples[positions[i]]``, ``solved[i]`` is
     ``C_ss^-1 C_sb`` and ``partial[i]`` is ``Cov(x_a, x_b | x_s) = C_ab -
     C_as C_ss^-1 C_sb``, each with the bits a stack of that one triple
     gives it.  If some ``C_ss`` is not SPD, the first such triple in the
     given order raises what :func:`cholesky_spd` raises for it, and a
     :class:`NotPositiveDefiniteError` names the covariance's own scalar
     row.
+
+    The Python side depends only on the triples, ``d`` and the matrix's
+    size, so it is a plan made once by :func:`_conditioning_plan` and kept:
+    a call that reuses one runs only its gathers, LAPACK calls and products.
     """
-    groups = {}
-    for i, (a, b, s) in enumerate(triples):
-        positions, times = groups.setdefault((len(a), len(b), len(s)), ([], []))
-        positions.append(i)
-        times.append(a + b + s)
-    mat, d = cov.data, cov.block_dim
-    out, failures = [], []
-    for (na, nb, ns), (positions, times) in groups.items():
-        times = np.array(times, dtype=np.intp)
-        rows = (times[:, :, None] * d + np.arange(d)).reshape(len(positions), -1)
-        a, b, s = slice(0, na * d), slice(na * d, (na + nb) * d), slice((na + nb) * d, None)
-        block = mat[rows[:, :, None], rows[:, None, :]]
-        if not ns:
-            out.append((positions, block[:, s, b], block[:, a, b]))
-            continue
+    mat = cov.data
+    plan_factors, plan_groups = _conditioning_plan(tuple(triples), cov.block_dim, len(mat))
+    lowers, failures = [], []
+    for positions, take, pivot_rows in plan_factors:
         try:
-            lower = _cholesky_stack(block[:, s, s], cov._symmetric, rows[:, s])
+            lowers.append(_cholesky_stack(mat.take(take), cov._symmetric, pivot_rows))
         except (NotPositiveDefiniteError, NotSymmetricError) as err:
             failures.append((positions[err.position], err))
-            continue
-        solved = _cho_solve(lower, block[:, s, b])
-        out.append((positions, solved, block[:, a, b] - block[:, a, s] @ solved))
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
+    out = []
+    for positions, take, ra, rb, factor, which in plan_groups:
+        block = mat.take(take)
+        if factor is None:  # no givens: the plain cross-covariance
+            out.append((positions, block[:, ra:, :rb], block[:, :ra, :rb]))
+            continue
+        lower = lowers[factor] if which is None else lowers[factor].take(which, axis=0)
+        solved = _cho_solve(lower, block[:, ra:, :rb])
+        out.append((positions, solved, block[:, :ra, :rb] - block[:, :ra, rb:] @ solved))
     return out
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=_PLANS)
+def _conditioning_plan(triples, d, size):
+    """The plan of :func:`_condition` for ``triples`` (a tuple) on a
+    ``size x size`` covariance of ``d x d`` blocks, made once and kept (at
+    most ``_PLANS`` of them): ``(factors, groups)``, every array read-only.
+
+    ``factors`` has one entry per number of givens ``|s| > 0``, in order of
+    first appearance: ``(positions, take, pivot_rows)``, where the triples
+    at ``positions`` (ascending) have that many givens, ``take`` holds the
+    flat indices of their ``C_ss`` stack and ``pivot_rows`` maps each row of
+    that stack to the covariance's own row.  ``groups`` has one entry per
+    shape ``(|a|, |b|, |s|)``, in order of first appearance: ``(positions,
+    take, ra, rb, factor, which)``, where ``take`` holds the flat indices of
+    the stack of blocks with rows ``a + s`` and columns ``b + s``, ``ra``
+    and ``rb`` are the scalar sizes of ``a`` and ``b``, and the group's
+    factors are ``factors[factor]``'s stack (``which`` None) or its matrices
+    ``which``; ``factor`` is None for a shape with no givens.
+    """
+    by_shape, by_givens = {}, {}
+    for i, (a, b, s) in enumerate(triples):
+        by_shape.setdefault((len(a), len(b), len(s)), []).append(i)
+        if s:
+            by_givens.setdefault(len(s), []).append(i)
+    scalars = np.arange(d)
+
+    def rows(times):  # the covariance's scalar rows of each tuple of times
+        times = np.array(times, dtype=np.intp)
+        return (times[:, :, None] * d + scalars).reshape(len(times), -1)
+
+    def flat(row, col):
+        return _read_only(row[:, :, None] * size + col[:, None, :])
+
+    factors, slots = [], {}
+    for ns, positions in by_givens.items():
+        s_rows = rows([triples[i][2] for i in positions])
+        slots[ns] = len(factors), {i: k for k, i in enumerate(positions)}
+        factors.append((_read_only(np.array(positions)), flat(s_rows, s_rows), _read_only(s_rows)))
+    groups = []
+    for (na, nb, ns), positions in by_shape.items():
+        group = [triples[i] for i in positions]
+        take = flat(rows([a + s for a, _, s in group]), rows([b + s for _, b, s in group]))
+        factor, which = None, None
+        if ns:
+            factor, at = slots[ns]
+            if len(positions) < len(at):
+                which = _read_only(np.array([at[i] for i in positions]))
+        groups.append((_read_only(np.array(positions)), take, na * d, nb * d, factor, which))
+    return tuple(factors), tuple(groups)
 
 
 class BlockMatrix:

@@ -22,9 +22,10 @@ stacks reversed, with the sides swapped.  The sampler
 (:mod:`cmseq.simulate`) reads the recursions from the plan.
 
 A model keeps its gains and noises as read-only ``(N+1, d, d)`` float
-stacks in time order, zero at a time with no gain, made in one conversion
-of the caller's grids; its public grids are read-only mappings of
-read-only views of those stacks.  Every operation is a few stacked numpy
+stacks in time order, zero at a time with no gain: a build hands over the
+stacks its regressions filled, and a caller's grids are converted once;
+its public grids are read-only mappings of read-only views of those
+stacks.  Every operation is a few stacked numpy
 calls whatever N: a build scatters each group of regressions straight into
 the stacks, both parameter checks are batched products with every norm
 taken in one stacked pass, and SG and the block diagonal of noise inverses
@@ -42,7 +43,11 @@ number of factorizations for every N.  Building a model makes one call of
 :func:`~cmseq.blocks._condition`, the package's one Gaussian-conditioning
 routine, with one ``(t, t, givens)`` triple per step in draw order; a
 backward model's mirror reads the law's own covariance at the mirrored
-times, so an error names the law's own row.
+times, so an error names the law's own row.  The triples and the model
+times each group of them fills depend only on N and the model's shape:
+they are a regression plan, made once and kept, as the routine keeps its
+gathers per triples, ``d`` and size, so a build of a size seen before
+runs only its gathers, LAPACK calls and products.
 
 The model family is exactly as expressive as the CM_c class: building a model
 from a law and reassembling its precision reproduces the law *iff* the law is
@@ -60,7 +65,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -124,6 +129,9 @@ _OTHER_SIDE = {
 
 
 _GRIDS = ("g_trans", "g_cond", "g_noise")
+# regression plans kept: the benchmark's `small-corpus` laws use 24 (four
+# sizes N, six model shapes)
+_PLANS = 128
 
 
 def _check_grid(name, grid, keys, d):
@@ -278,47 +286,81 @@ class _CmcModel:
         _member(self.c, ConditioningSide)
         _member(self.bc, BoundaryCondition)
         # TypeError for a non-integer size; a numpy integer is kept as an int
-        n, d, c = operator.index(self.n_last), operator.index(self.dim), self.c
+        n, d = operator.index(self.n_last), operator.index(self.dim)
         object.__setattr__(self, "n_last", n)
         object.__setattr__(self, "dim", d)
         if n < 1 or d < 1:
             raise ValueError("need n_last >= 1 and dim >= 1")
-        # conditioned on its start time s, the chain starts at x_s = e_s and
-        # step k carries the equal split; otherwise boundary_gain closes it
-        s, k, c_index = self._time(0), self._time(1), self.c_index
-        chain = c_index == s
-        if chain and self.bc is not BoundaryCondition.BC1:
-            raise ValueError(f"c={c.name} admits only BC1 (the chain starts at x_{s} = e_{s})")
-        gains = _gain_times(n, s, c_index)
-        keys = (gains, gains, range(n + 1))
+        keys = self._keys()
         stacks = _stacks([getattr(self, name) for name in _GRIDS], keys, n, d)
+        self._keep_stacks(stacks, keys)
+        k = self._time(1)
+        if self.c_index == self._time(0) and not np.allclose(self._trans[k], self._cond[k]):
+            raise ValueError(
+                f"c={self.c.name} requires the equal split G_trans[{k}] == G_cond[{k}]"
+            )
+
+    @classmethod
+    def _built(cls, n, d, c, bc, stacks, boundary_gain):
+        """The model a build read off a law, from the writable ``(3, n + 1,
+        d, d)`` ``stacks`` of :func:`_regressions`, which it makes read-only
+        and keeps: no grid is converted, and no equal split compared, as
+        the regressions make it exact.  A refusal is the constructor's, in
+        its order."""
+        model = object.__new__(cls)
+        names = ("n_last", "dim", "c", "bc", "boundary_gain")
+        for name, value in zip(names, (n, d, c, bc, boundary_gain)):
+            object.__setattr__(model, name, value)
+        keys = model._keys()
+        unbounded = ~np.isfinite(stacks).all(axis=(2, 3))
+        if unbounded.any():  # the grid, then the time, _check_grid names first
+            grid, t = divmod(unbounded.argmax().item(), n + 1)
+            raise ValueError(f"{_GRIDS[grid]}[{t}] has non-finite entries")
+        stacks.setflags(write=False)
+        model._keep_stacks(stacks, keys, symmetric=True)
+        return model
+
+    def _keys(self):
+        """The times of the gain and noise grids, after refusing a chain
+        start with BC2: conditioned on its start time s, the chain starts at
+        x_s = e_s and step k carries the equal split; otherwise
+        boundary_gain closes it."""
+        s, c_index = self._time(0), self.c_index
+        if c_index == s and self.bc is not BoundaryCondition.BC1:
+            raise ValueError(
+                f"c={self.c.name} admits only BC1 (the chain starts at x_{s} = e_{s})"
+            )
+        gains = _gain_times(self.n_last, s, c_index)
+        return gains, gains, range(self.n_last + 1)
+
+    def _keep_stacks(self, stacks, keys, symmetric=False):
+        """The step every construction ends in: keep the read-only
+        ``stacks`` and their views, factor and invert every noise
+        covariance (``symmetric`` skips the symmetry test of noises a build
+        made), and check the boundary gain."""
         for name, stack, ks in zip(_GRIDS, stacks, keys):
             views = dict(zip(ks, stack[ks.start : ks.stop]))
             object.__setattr__(self, name[1:], stack)  # _trans, _cond, _noise
             object.__setattr__(self, name, MappingProxyType(views))
         # noise covariances must be SPD; the factors that show it are kept
-        lower = _cholesky_stack(self._noise)
+        lower = _cholesky_stack(self._noise, symmetric)
         inv = _inverse_from_factor(lower)
         if not np.isfinite(inv).all():  # one test for the stack
-            t = min(t for t in range(n + 1) if not np.isfinite(inv[t]).all())
+            t = min(t for t in range(self.n_last + 1) if not np.isfinite(inv[t]).all())
             raise ValueError(f"g_noise[{t}] has no finite inverse")
         lower.setflags(write=False)
         inv.setflags(write=False)
         object.__setattr__(self, "_noise_lower", lower)
         object.__setattr__(self, "_noise_inv", inv)
-        if not chain:
+        c, d = self.c, self.dim
+        if self.c_index != self._time(0):
             if self.boundary_gain is None or np.shape(self.boundary_gain) != (d, d):
                 raise ValueError(f"c={c.name} requires a d x d boundary_gain")
             object.__setattr__(self, "boundary_gain", _frozen(self.boundary_gain))
             if not np.isfinite(self.boundary_gain).all():
                 raise ValueError("boundary_gain has non-finite entries")
-        else:
-            if self.boundary_gain is not None:
-                raise ValueError(f"boundary_gain is only meaningful for c={_OTHER_SIDE[c].name}")
-            if not np.allclose(self._trans[k], self._cond[k]):
-                raise ValueError(
-                    f"c={c.name} requires the equal split G_trans[{k}] == G_cond[{k}]"
-                )
+        elif self.boundary_gain is not None:
+            raise ValueError(f"boundary_gain is only meaningful for c={_OTHER_SIDE[c].name}")
 
 
 @dataclass(frozen=True)
@@ -384,55 +426,71 @@ class CheckResult:
 
 
 def _regressions(cov, c, bc, backward=False):
-    """The constructor arguments of the model of side ``c`` read off the
+    """The stacks and boundary gain of the model of side ``c`` read off the
     covariance ``cov``: of its forward model, or with ``backward`` of its
-    backward model.
+    backward model.  ``(stacks, boundary_gain)``: the gains and noises as
+    one writable ``(3, N + 1, d, d)`` array on the model's own time axis,
+    zero at a time with no gain, for :meth:`_CmcModel._built`.
 
-    The regressions are those of a forward model.  A backward model's are
-    its mirror's, for the other side on the reversed sequence, which read
-    ``cov`` at the mirrored times, so an error names the law's own row; the
-    stacks are then reversed back.  Each step, in the order the model draws
-    them, is the triple ``(t, t, givens)``, and all go to one
-    :func:`~cmseq.blocks._condition` call: the start step, with no givens,
-    yields its plain block, and every other step its gains (the transposed
-    solves) and noise (the symmetric part of the residual), each group
-    scattered straight into the stacks.
+    All steps go to one :func:`~cmseq.blocks._condition` call, with the
+    triples of the kept :func:`_regression_plan`: the start step, with no
+    givens, yields its plain block, and every other step its gains (the
+    transposed solves) and noise (the symmetric part of the residual), each
+    group scattered straight into the stacks at its model times.
     """
     n, d = cov.n_blocks - 1, cov.block_dim
-    side = _OTHER_SIDE[c] if backward else c
-    c_index = n if side is ConditioningSide.LAST else 0
-    gains = _gain_times(n, 0, c_index)
-    if side is ConditioningSide.LAST:
-        start, end = (0, n) if bc is BoundaryCondition.BC1 else (n, 0)
-        interior = gains
-    else:
-        # c = FIRST: x_0 = e_0, and the k=1 step sees x_{k-1} = x_c = x_0
-        start, end = 0, 1
-        interior = gains[1:]
-    steps = [(start, ()), (end, (start,)), *((k, (k - 1, c_index)) for k in interior)]
-    if backward:  # the mirror's time j is the law's time N - j
-        steps = [(n - t, tuple(n - g for g in givens)) for t, givens in steps]
-    triples = [((t,), (t,), givens) for t, givens in steps]
-    # the rows of each group, by its number of givens
-    rows = (slice(start, start + 1), slice(end, end + 1), slice(interior.start, interior.stop))
-    trans, cond, noise = np.zeros((3, n + 1, d, d))
+    triples, rows, split = _regression_plan(n, c, bc, backward)
+    stacks = np.zeros((3, n + 1, d, d))
+    trans, cond, noise = stacks
     for _, solved, partial in _condition(cov, triples):
-        at = rows[solved.shape[1] // d]
+        at = rows[solved.shape[1] // d]  # the group's rows, by its number of givens
         noise[at] = partial
         if at is rows[1]:  # x_end on x_start alone
             end_gain = solved[0].T
         elif at is rows[2]:  # x_k on (x_{k-1}, x_c)
             trans[at], cond[at] = solved[:, :d].swapaxes(1, 2), solved[:, d:].swapaxes(1, 2)
-    if side is ConditioningSide.LAST:
+    if split is None:
         bg = end_gain
     else:
-        bg, trans[1], cond[1] = None, end_gain / 2.0, end_gain / 2.0
-    noise = _symmetric_part(noise)
-    if backward:  # on the model's own axis, where its chain starts at N
-        trans, cond, noise = trans[::-1], cond[::-1], noise[::-1]
-        gains = _gain_times(n, n, 0 if c is ConditioningSide.FIRST else n)
-    grids = (dict(zip(gains, stack[gains.start : gains.stop])) for stack in (trans, cond))
-    return n, d, c, bc, *grids, dict(enumerate(noise)), bg
+        bg, trans[split], cond[split] = None, end_gain / 2.0, end_gain / 2.0
+    stacks[2] = _symmetric_part(noise)
+    return stacks, bg
+
+
+@lru_cache(maxsize=_PLANS)
+def _regression_plan(n, c, bc, backward):
+    """The Python side of :func:`_regressions` for one model shape over
+    times ``0..n``, made once and kept (at most ``_PLANS`` of them):
+    ``(triples, rows, split)``.
+
+    The regressions are those of a forward model.  A backward model's are
+    its mirror's, for the other side on the reversed sequence, which read
+    the covariance at the mirrored times, so an error names the law's own
+    row.  Each step, in the order the model draws them, is the triple
+    ``(t, t, givens)``.  ``rows[m]`` holds the model times of the steps with
+    ``m`` givens, in step order, a read-only index array; ``split`` is the
+    model time of a chain's first step, which carries the equal split, or
+    None for a model with a boundary gain.
+    """
+    side = _OTHER_SIDE[c] if backward else c
+    c_index = n if side is ConditioningSide.LAST else 0
+    gains = _gain_times(n, 0, c_index)
+    if side is ConditioningSide.LAST:
+        start, end = (0, n) if bc is BoundaryCondition.BC1 else (n, 0)
+        interior, split = gains, None
+    else:
+        # c = FIRST: x_0 = e_0, and the k=1 step sees x_{k-1} = x_c = x_0
+        start, end = 0, 1
+        interior, split = gains[1:], 1
+    steps = [(start, ()), (end, (start,)), *((k, (k - 1, c_index)) for k in interior)]
+    if backward:  # the mirror's time j is the law's and the model's time N - j
+        steps = [(n - t, tuple(n - g for g in givens)) for t, givens in steps]
+        split = None if split is None else n - split
+    triples = tuple(((t,), (t,), givens) for t, givens in steps)
+    rows = tuple(np.array([t for t, g in steps if len(g) == m], dtype=np.intp) for m in range(3))
+    for at in rows:
+        at.setflags(write=False)
+    return triples, rows, split
 
 
 def build_forward(
@@ -451,7 +509,8 @@ def build_forward(
     """
     _member(c, ConditioningSide)
     _member(bc, BoundaryCondition)
-    return ForwardCmcModel(*_regressions(law.covariance, c, bc))
+    stacks, bg = _regressions(law.covariance, c, bc)
+    return ForwardCmcModel._built(law.n_last, law.dim, c, bc, stacks, bg)
 
 
 def build_backward(
@@ -468,7 +527,8 @@ def build_backward(
     """
     _member(c, ConditioningSide)
     _member(bc, BoundaryCondition)
-    return BackwardCmcModel(*_regressions(law.covariance, c, bc, backward=True))
+    stacks, bg = _regressions(law.covariance, c, bc, backward=True)
+    return BackwardCmcModel._built(law.n_last, law.dim, c, bc, stacks, bg)
 
 
 def assemble_script_g(model) -> BlockMatrix:

@@ -11,6 +11,14 @@ by :func:`~cmseq.blocks._condition`, the package's one Gaussian-conditioning
 routine, which the models' regressions share: statements of one shape are
 one stack, each with the bits it would get alone.
 
+A sweep's statements depend only on its shape, not on the law: the Markov
+and reciprocal sweeps' on N, the CM sweep's on the interval, its
+conditioning time and its direction.  So each sweep's query table, a tuple
+of :class:`CiQuery` records with the triples the conditioning routine
+takes, is built and checked once per shape and kept, as the routine keeps
+its plan per triples, ``d`` and size; a sweep of a law of a shape seen
+before runs only its gathers, LAPACK calls and norms.
+
 Sweeps are exact enumerations, never subsampled; they refuse inputs larger
 than ``(N+1) * d > 16`` scalars rather than approximate.
 """
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +52,9 @@ __all__ = [
 ]
 
 _MAX_SCALARS = 16
+# query tables kept per sweep kind: N is at most 15 under the size cap, and
+# the intervals, conditioning times and directions of N <= 15 number 480
+_TABLES = 512
 
 
 class OracleSizeError(ValueError):
@@ -62,7 +74,8 @@ class CiQuery:
     """One conditional-independence statement: x_target vs x_dropped given x_retained.
 
     Its times are non-negative integers, each at most once over the three
-    fields.
+    fields.  They are kept as Python ints, the two sets as tuples in their
+    given order, so a query hashes and serializes whatever it was given.
     """
 
     target: int
@@ -70,7 +83,12 @@ class CiQuery:
     dropped: tuple[int, ...]
 
     def __post_init__(self):
-        times = [_index(t) for t in (self.target, *self.retained, *self.dropped)]
+        target = _index(self.target)
+        retained, dropped = (tuple(map(_index, ts)) for ts in (self.retained, self.dropped))
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "retained", retained)
+        object.__setattr__(self, "dropped", dropped)
+        times = [target, *retained, *dropped]
         if min(times) < 0:
             raise ValueError(f"query time indices must be non-negative: {self}")
         if len(set(times)) < len(times):
@@ -122,18 +140,37 @@ def _check_size(law: SequenceLaw):
         )
 
 
+def _triples(queries):
+    """The ``(a, b, s)`` triple of each query, ``(target, dropped,
+    retained)`` with both sets sorted: the form the sweep conditions on."""
+    return tuple(
+        ((q.target,), tuple(sorted(q.dropped)), tuple(sorted(q.retained))) for q in queries
+    )
+
+
+class _QueryTable(tuple):
+    """A sweep's queries, built and checked once, and their
+    :func:`_triples`."""
+
+    def __new__(cls, queries):
+        table = super().__new__(cls, queries)
+        table.triples = _triples(table)
+        return table
+
+
 def _sweep(cov: BlockMatrix, queries, residual_tol):
     """Evaluate queries, normalizing residuals by the largest block norm of C.
 
-    The worst query is the first with the largest ratio.  A covariance whose
-    largest block norm overflows to inf is refused: every ratio would be
-    NaN or 0.
+    ``queries`` is any sequence of :class:`CiQuery`; a kept query table
+    brings its triples along.  The worst query is the first with the
+    largest ratio.  A covariance whose largest block norm overflows to inf
+    is refused: every ratio would be NaN or 0.
     """
     scale = cov.max_block_norm()
     if np.isinf(scale):
         raise ValueError(f"exhaustive sweep refused: the largest block norm of C is {scale}")
     ratios = np.zeros(len(queries))
-    triples = [((q.target,), tuple(sorted(q.dropped)), tuple(sorted(q.retained))) for q in queries]
+    triples = queries.triples if isinstance(queries, _QueryTable) else _triples(queries)
     for positions, _, partial in _condition(cov, triples):
         norms = _frobenius_norms(partial)
         ratios[positions] = norms / scale if scale > 0 else 0.0
@@ -182,8 +219,14 @@ def oracle_cm_interval(
     _check_size(law)
     if interval.hi > law.n_last:
         raise IndexError(f"interval {interval} exceeds n_last={law.n_last}")
-    k1, k2 = interval.lo, interval.hi
-    c_idx = interval.endpoint(c)
+    table = _interval_table(interval.lo, interval.hi, interval.endpoint(c), bool(use_future))
+    return _sweep(law.covariance, table, tol.residual_tol)
+
+
+@lru_cache(maxsize=_TABLES)
+def _interval_table(k1, k2, c_idx, use_future):
+    """The CM sweep's queries on ``[k1, k2]`` given ``x_{c_idx}``, in sweep
+    order, as a kept :class:`_QueryTable`."""
     queries = []
     for k in range(k1, k2 + 1):
         if k == c_idx:
@@ -202,7 +245,7 @@ def oracle_cm_interval(
             if not dropped:
                 continue
             queries.append(CiQuery(k, (min(j, c_idx), max(j, c_idx)), tuple(dropped)))
-    return _sweep(law.covariance, queries, tol.residual_tol)
+    return _QueryTable(queries)
 
 
 def oracle_reciprocal(law: SequenceLaw, tol: Tolerance = Tolerance()) -> OracleVerdict:
@@ -212,7 +255,13 @@ def oracle_reciprocal(law: SequenceLaw, tol: Tolerance = Tolerance()) -> OracleV
     ``Cov(x_k, x_{outside [j, l]} | x_j, x_l) = 0``.
     """
     _check_size(law)
-    n = law.n_last
+    return _sweep(law.covariance, _reciprocal_table(law.n_last), tol.residual_tol)
+
+
+@lru_cache(maxsize=_TABLES)
+def _reciprocal_table(n):
+    """The reciprocal sweep's queries over times ``0..n``, in sweep order,
+    as a kept :class:`_QueryTable`."""
     queries = []
     for j in range(n + 1):
         for k in range(j + 1, n + 1):
@@ -221,7 +270,7 @@ def oracle_reciprocal(law: SequenceLaw, tol: Tolerance = Tolerance()) -> OracleV
                 if not dropped:
                     continue
                 queries.append(CiQuery(k, (j, l), tuple(dropped)))
-    return _sweep(law.covariance, queries, tol.residual_tol)
+    return _QueryTable(queries)
 
 
 def oracle_markov(law: SequenceLaw, tol: Tolerance = Tolerance()) -> OracleVerdict:
@@ -230,9 +279,15 @@ def oracle_markov(law: SequenceLaw, tol: Tolerance = Tolerance()) -> OracleVerdi
     For every pair j < k, checks ``Cov(x_k, x_{[0, j)} | x_j) = 0``.
     """
     _check_size(law)
-    n = law.n_last
+    return _sweep(law.covariance, _markov_table(law.n_last), tol.residual_tol)
+
+
+@lru_cache(maxsize=_TABLES)
+def _markov_table(n):
+    """The Markov sweep's queries over times ``0..n``, in sweep order, as a
+    kept :class:`_QueryTable`."""
     queries = []
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
             queries.append(CiQuery(k, (j,), tuple(range(0, j))))
-    return _sweep(law.covariance, queries, tol.residual_tol)
+    return _QueryTable(queries)

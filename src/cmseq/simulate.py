@@ -151,7 +151,7 @@ def _substream_seed_words(seed, r):
     return out.view("<u8").astype(np.uint64)  # native, as PCG64 reads it
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _seed_words_type():
     """``PCG64``'s seed sequence of one replicate's 4 seed words, a native
     contiguous ``uint64`` array that ``PCG64`` reads from memory.  Made on

@@ -1,5 +1,8 @@
 """Core block linear algebra: Cholesky, SPD inverse, Schur complements."""
 
+import dataclasses
+import json
+import random
 import subprocess
 import sys
 import warnings
@@ -906,6 +909,16 @@ def test_index_interval_accepts_numpy_integers():
         IndexInterval(np.int64(3), np.int64(3))
 
 
+def test_an_interval_of_numpy_integers_keeps_python_ints():
+    """numpy integer endpoints were once kept as given, so
+    ``json.dumps(dataclasses.asdict(...))`` raised "Object of type int64 is
+    not JSON serializable"."""
+    iv = IndexInterval(np.int64(0), np.int64(3))
+    assert type(iv.lo) is int and type(iv.hi) is int
+    assert json.dumps(dataclasses.asdict(iv)) == '{"lo": 0, "hi": 3}'
+    assert hash(iv) == hash(IndexInterval(0, 3))
+
+
 @pytest.mark.parametrize("block_dim", [2.5, 2.0, "2", np.float64(2)])
 def test_a_block_dim_that_is_not_an_integer_is_rejected(block_dim):
     """A float or string block dimension is not truncated or parsed to a size."""
@@ -926,3 +939,66 @@ def test_tolerance_must_be_positive():
         Tolerance(zero_tol=0.0)
     with pytest.raises(ValueError):
         Tolerance(residual_tol=-1e-9)
+
+
+# --- conditioning plans --------------------------------------------------------
+
+
+def random_triples(n_times, rng, count):
+    """``count`` triples ``(a, b, s)`` of disjoint times in random order, of
+    mixed shapes, ``s`` empty in some."""
+    triples = []
+    for _ in range(count):
+        times = rng.sample(range(n_times), rng.randint(2, n_times))
+        cut = rng.randint(2, len(times))
+        triples.append((tuple(times[:1]), tuple(times[1:cut]), tuple(times[cut:])))
+    return triples
+
+
+def conditioned(cov, triples):
+    """``_condition``'s result as bytes, or what it raised."""
+    try:
+        out = blocks._condition(cov, triples)
+    except (NotPositiveDefiniteError, NotSymmetricError) as err:
+        return type(err), str(err), getattr(err, "pivot_index", None)
+    return [(list(positions), x.tobytes(), y.tobytes()) for positions, x, y in out]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    law_class=st.sampled_from(list(LawClass)),
+    n_last=st.integers(3, 7),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    broken=st.booleans(),
+)
+def test_a_kept_conditioning_plan_gives_the_bits_of_a_cold_one(law_class, n_last, d, seed, broken):
+    """With the plans cleared, a cold call and a warm one give the same
+    bits, or raise the same error, message and pivot row; each triple has
+    the bits it has alone, and the warm call makes no plan."""
+    rng = random.Random(seed)
+    mat = random_law(law_class, n_last, d, seed).covariance.data.copy()
+    if broken:
+        row = rng.randrange(len(mat))
+        mat[row, row] = -1.0
+    cov = BlockMatrix(mat, d)
+    triples = random_triples(n_last + 1, rng, 12)
+    blocks._conditioning_plan.cache_clear()
+    cold = conditioned(cov, triples)
+    misses = blocks._conditioning_plan.cache_info().misses
+    assert conditioned(cov, triples) == cold
+    assert blocks._conditioning_plan.cache_info().misses == misses
+    if isinstance(cold, list):
+        alone = [conditioned(cov, [t])[0][1:] for t in triples]
+        for positions, solved, partial in blocks._condition(cov, triples):
+            for i, x, y in zip(positions, solved, partial):
+                assert (x.tobytes(), y.tobytes()) == alone[i]
+
+
+def test_a_kept_conditioning_plan_refuses_writes():
+    triples = ((0,), (1, 2), (3,)), ((1,), (2,), (3,)), ((2,), (0,), ())
+    factors, groups = blocks._conditioning_plan(triples, 2, 8)
+    arrays = [x for entry in factors + groups for x in entry if isinstance(x, np.ndarray)]
+    assert len(arrays) == 11 and not any(x.flags.writeable for x in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[0][...] = 0

@@ -1182,3 +1182,95 @@ def test_random_law_diagonal_is_one_plus_the_absolute_row_sum(law_class, monkeyp
                 np.abs(a[rows, j * d : (j + 1) * d]).sum() for j in range(n + 1) if j != i
             )
             assert np.array_equal(a[rows, rows], (1.0 + row_abs) * np.eye(d)), (n, d, seed, i)
+
+
+# --- kept regression plans -----------------------------------------------------
+
+
+def clear_plans():
+    models._regression_plan.cache_clear()
+    blocks._conditioning_plan.cache_clear()
+
+
+def plan_misses():
+    caches = (models._regression_plan, blocks._conditioning_plan)
+    return tuple(cache.cache_info().misses for cache in caches)
+
+
+def model_bytes(model):
+    """A model's boundary gain, stacks and noise factors and inverses, as bytes."""
+    kept = ("_trans", "_cond", "_noise", "_noise_lower", "_noise_inv")
+    bg = model.boundary_gain
+    return [None if bg is None else bg.tobytes(), *(getattr(model, k).tobytes() for k in kept)]
+
+
+@pytest.mark.parametrize("build,c,bc", SHAPES)
+def test_a_second_law_of_a_shape_reuses_its_plans(build, c, bc):
+    """A build makes its regression plan and its conditioning plan once per
+    (N, d): a second law of that size makes none, and gets the bits a cold
+    build gives it."""
+    first, second = (random_law(LawClass.GENERIC, 5, 2, seed=s) for s in (1, 2))
+    clear_plans()
+    build(first, c, bc)
+    assert plan_misses() == (1, 1)
+    warm = build(second, c, bc)
+    assert plan_misses() == (1, 1)
+    clear_plans()
+    assert model_bytes(build(second, c, bc)) == model_bytes(warm)
+
+
+def test_a_kept_regression_plan_refuses_writes():
+    triples, rows, split = models._regression_plan(5, LAST, BC1, True)
+    assert len(triples) == 6 and split == 4
+    assert [at.tolist() for at in rows] == [[5], [4], [3, 2, 1, 0]]
+    assert not any(at.flags.writeable for at in rows)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[2][0] = 0
+
+
+@pytest.mark.parametrize("build", [build_forward, build_backward])
+def test_a_failing_build_raises_the_same_cold_and_warm(build):
+    """The law of the pivot test above: the same error, message and pivot
+    row with the plans cleared as with them kept."""
+    mixing = np.eye(8)
+    mixing[1] = 0.0
+    mixing[1, 0], mixing[1, 2 if build is build_forward else 4], mixing[1, 1] = 1.0, 1e-3, 1e-7
+    law = SequenceLaw(mixing @ mixing.T, 2)
+    clear_plans()
+    raised = []
+    for _ in range(2):  # cold, then warm
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            build(law, FIRST)
+        raised.append((str(err.value), err.value.pivot_index))
+    want = ("matrix is not positive definite: pivot 9.992e-15 at index 1", 1)
+    assert raised[0] == raised[1] == want
+
+
+@pytest.mark.parametrize(
+    "cls,c,places",
+    [
+        (ForwardCmcModel, LAST, [(0, 2)]),
+        (ForwardCmcModel, LAST, [(2, 0), (1, 3)]),
+        (ForwardCmcModel, FIRST, [(2, 4), (2, 1)]),
+        (BackwardCmcModel, FIRST, [(2, 4), (0, 3)]),
+        (BackwardCmcModel, LAST, [(1, 1), (0, 2)]),
+    ],
+)
+def test_a_built_model_refuses_a_non_finite_entry_as_the_constructor_does(cls, c, places):
+    """A build hands its stacks to the model unconverted; a non-finite
+    entry is still named by grid, then time, as from the caller's grids."""
+    build = build_forward if cls is ForwardCmcModel else build_backward
+    law = random_law(LawClass.RECIPROCAL, 4, 1, 0)
+    model = build(law, c, BC1)
+    stacks = np.array([model._trans, model._cond, model._noise])
+    grids = [dict(model.g_trans), dict(model.g_cond), dict(model.g_noise)]
+    for grid, t in places:
+        stacks[grid, t] = np.nan
+        grids[grid][t] = [[np.nan]]
+    with pytest.raises(ValueError) as built:
+        cls._built(4, 1, c, BC1, stacks, model.boundary_gain)
+    with pytest.raises(ValueError) as given:
+        cls(4, 1, c, BC1, *grids, model.boundary_gain)
+    grid, t = min(places)
+    want = f"{('g_trans', 'g_cond', 'g_noise')[grid]}[{t}] has non-finite entries"
+    assert str(built.value) == str(given.value) == want

@@ -5,6 +5,8 @@ covariance matrix, with no reference to precision sparsity — which is exactly
 why the classifier can be cross-validated against it.
 """
 
+import dataclasses
+import json
 import random
 import traceback
 from unittest import mock
@@ -33,7 +35,7 @@ from cmseq import (
     partial_covariance,
     random_law,
 )
-from cmseq import oracle
+from cmseq import blocks, oracle
 from cmseq.fixtures import ar1_covariance, ar1_law, cyclic_example_law, identity_law
 
 FIRST = ConditioningSide.FIRST
@@ -414,3 +416,74 @@ def test_sweeps_and_partial_covariance_are_the_same_under_numpy_1_solve(request)
         for law in laws
         for q in queries
     ]
+
+
+def test_a_query_keeps_python_ints_and_tuples():
+    """A query once kept its fields as given: ``CiQuery(2, [0], [1])`` was a
+    frozen record that ``hash()`` refused, and numpy integer times made
+    ``json.dumps(dataclasses.asdict(...))`` raise "Object of type int64 is
+    not JSON serializable"."""
+    q = CiQuery(np.int64(2), [np.int64(0)], (np.int32(3), 1))
+    assert q == CiQuery(2, (0,), (3, 1)) and hash(q) == hash(CiQuery(2, (0,), (3, 1)))
+    assert type(q.target) is int and type(q.retained) is tuple and type(q.dropped) is tuple
+    assert all(type(t) is int for t in (*q.retained, *q.dropped))
+    assert json.dumps(dataclasses.asdict(q)) == '{"target": 2, "retained": [0], "dropped": [3, 1]}'
+    assert hash(CiQuery(2, [0], [1])) == hash(CiQuery(2, (0,), (1,)))
+
+
+TABLES = {
+    "markov": (oracle._markov_table, lambda law: oracle_markov(law)),
+    "reciprocal": (oracle._reciprocal_table, lambda law: oracle_reciprocal(law)),
+    "cm_interval": (
+        oracle._interval_table,
+        lambda law: oracle_cm_interval(law, IndexInterval(1, law.n_last), FIRST, use_future=True),
+    ),
+}
+
+
+def clear_plans():
+    for table, _ in TABLES.values():
+        table.cache_clear()
+    blocks._conditioning_plan.cache_clear()
+
+
+@pytest.mark.parametrize("sweep", TABLES)
+def test_a_second_law_of_a_shape_reuses_its_query_table_and_plans(sweep):
+    """Each sweep builds and checks its query table once per shape, and the
+    conditioning routine its plans once per shape and size: a second law of
+    the same (N, d) makes none, and gets the verdict of a cold sweep."""
+    table, run = TABLES[sweep]
+    plans = blocks._conditioning_plan
+    first, second = (random_law(LawClass.GENERIC, 4, 2, seed=s) for s in (1, 2))
+    clear_plans()
+    run(first)
+    misses = table.cache_info().misses, plans.cache_info().misses
+    assert misses[0] == 1 and misses[1] >= 1
+    warm = run(second)
+    assert (table.cache_info().misses, plans.cache_info().misses) == misses
+    clear_plans()
+    assert same_verdicts([warm], [run(second)])
+
+
+def test_a_kept_query_table_is_a_tuple_of_hashable_queries():
+    table = oracle._reciprocal_table(4)
+    assert type(table) is oracle._QueryTable and isinstance(table, tuple)
+    assert table.triples == oracle._triples(list(table))
+    assert len({hash(q) for q in table}) == len(table)
+    assert oracle._reciprocal_table(4) is table
+
+
+@pytest.mark.parametrize("kind", ["negative", "nan"])
+def test_a_failing_covariance_raises_the_same_from_a_cold_and_a_warm_sweep(kind):
+    law = random_law(LawClass.GENERIC, 5, 2, seed=3)
+    mat = law.covariance.data.copy()
+    if kind == "negative":
+        mat[5, 5] = -1.0
+    else:
+        mat[4, 5] = mat[5, 4] = np.nan
+    cov = BlockMatrix(mat, 2)
+    queries = list(oracle._reciprocal_table(5))
+    clear_plans()
+    cold = _raised(lambda: oracle._sweep(cov, oracle._reciprocal_table(5), 1e-8))
+    warm = _raised(lambda: oracle._sweep(cov, oracle._reciprocal_table(5), 1e-8))
+    assert cold is not None and cold == warm == _raised(lambda: reference_sweep(cov, queries, 1e-8))

@@ -278,6 +278,75 @@ def test_schema_breaches_finds_the_name_and_the_key_but_not_docstrings():
     assert sorted(line for line, _ in schema_breaches(source)) == [2, 5, 6, 6]
 
 
+def unbounded_caches(source):
+    """``(line, code)`` of each cache in a module's code without an explicit
+    finite bound: a ``functools.cache``, or an ``lru_cache`` whose
+    ``maxsize`` is not a positive integer, written as a literal or as a
+    module-level constant (so a bare ``@lru_cache``, ``maxsize=None`` or
+    any other expression is one); or either name imported under another."""
+    tree = ast.parse(source)
+    constants = {
+        node.targets[0].id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Constant)
+    }
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name == "cache" or (alias.name == "lru_cache" and alias.asname):
+                    yield node.lineno, f"from functools import {ast.unparse(alias)}"
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if ast.unparse(node.value) == "functools":
+                yield node.lineno, ast.unparse(node)
+        elif getattr(node, "id", getattr(node, "attr", None)) == "lru_cache":
+            call = calls.get(id(node))
+            sizes = [] if call is None else call.args[:1] + [
+                k.value for k in call.keywords if k.arg == "maxsize"
+            ]
+            size = sizes[0] if len(sizes) == 1 else None
+            if isinstance(size, ast.Name):
+                size = ast.Constant(constants.get(size.id))
+            if not (isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0):
+                yield node.lineno, ast.unparse(call or node)
+
+
+def test_every_cache_has_an_explicit_finite_bound():
+    """A cache kept for the life of a process must not grow without bound:
+    every kept query table, conditioning plan and regression plan, and
+    every other cache, holds at most its stated number of entries."""
+    src = Path(cmseq.__file__).parent
+    found = [
+        f"{path.name}:{line}: {code}"
+        for path in sorted(src.glob("*.py"))
+        for line, code in unbounded_caches(path.read_text())
+    ]
+    assert found == []
+
+
+def test_unbounded_caches_finds_every_cache_without_a_finite_bound():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "_SIZE = 64\n"
+        "_NONE = None\n"
+        "@functools.cache\ndef a(): pass\n"
+        "@lru_cache\ndef b(x): pass\n"
+        "@lru_cache(maxsize=None)\ndef c(x): pass\n"
+        "@functools.lru_cache(None)\ndef d(x): pass\n"
+        "@lru_cache(maxsize=_SIZE)\ndef e(x): pass\n"
+        "@functools.lru_cache(maxsize=_NONE)\ndef f(x): pass\n"
+        "@lru_cache(32, typed=True)\ndef g(x): pass\n"
+        "h = lru_cache(maxsize=8)(len)\n"
+        "i = functools.lru_cache(maxsize=0)(len)\n"
+        "from functools import lru_cache as memo\n"
+    )
+    assert sorted(line for line, _ in unbounded_caches(source)) == [2, 5, 7, 9, 11, 15, 20, 21]
+
+
 SHAPES = [
     (build_forward, LAST, BC1), (build_forward, LAST, BC2), (build_forward, FIRST, BC1),
     (build_backward, FIRST, BC1), (build_backward, FIRST, BC2), (build_backward, LAST, BC1),

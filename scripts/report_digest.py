@@ -3,8 +3,9 @@
 one over every ``classify_cm_interval`` witness of its smaller laws, one
 over its models and oracle verdicts, one over sample batches and their
 files, one over the whole-law classifiers' witnesses, three over the same
-readings of the laws rebuilt from their covariances, and one over the
-command line's output and files.
+readings of the laws rebuilt from their covariances, one over the command
+line's output and files, and one over each model shape's draw order and
+refusals at small sizes.
 
 Run from the repository root:
 
@@ -43,9 +44,18 @@ N in {3, 4, 5, 6}, d in {1, 2, 3} and seeds 0-1, ``gen`` writes the law
 file, ``classify --out`` reads it, and for each of the six model shapes
 ``convert --out`` writes a model file that ``verify --out`` reads.  Each
 command feeds its arguments, exit code, stdout, stderr and the bytes of its
-``--out`` file to the hash.  Two trees that print the same digests give
-the same witnesses, models, verdicts, samples, batch files and command
-output bit for bit.  Run it on both sides of a change that claims to keep
+``--out`` file to the hash.  The tenth hash reads each model shape's
+draw order at N in {1, 2, 3, 5}, d in {1, 2}, on a seeded SPD covariance
+(``random_law`` needs N >= 2): the model's ``repr``, each step of its
+generation plan (time, source times, gain bytes), the bytes of its SG, and
+the type and message of each refusal of the constructor given the model's
+grids with the other boundary recursion, with each wrong boundary gain
+(none, of the wrong size, non-finite, or one where none belongs) and with
+each transition gain broken by adding one (a broken equal split), or that
+it accepted them; then those of building the two shapes that admit only
+BC1 with BC2.  Two trees that print the same digests give the same
+witnesses, models, verdicts, samples, batch files, command output, draw
+orders and refusals bit for bit.  Run it on both sides of a change that claims to keep
 them, under the same BLAS thread count: the first, third and sixth digests
 change with it (for example ``OPENBLAS_NUM_THREADS=1`` against the
 default).
@@ -67,6 +77,7 @@ from cmseq import (
     IndexInterval,
     LawClass,
     SequenceLaw,
+    assemble_script_g,
     build_backward,
     build_forward,
     check_markov_forward,
@@ -109,6 +120,8 @@ MODEL_SHAPES = (
     (build_backward, LAST, BC1),
 )
 CLI_NS, CLI_DIMS, CLI_SEEDS = (3, 4, 5, 6), (1, 2, 3), range(2)
+PLAN_NS, PLAN_DIMS = (1, 2, 3, 5), (1, 2)
+BC1_ONLY_SHAPES = ((build_forward, FIRST), (build_backward, LAST))
 
 
 def witnesses(report):
@@ -239,6 +252,50 @@ def cli_bytes(directory):
         os.chdir(home)
 
 
+def probe_law(n, d):
+    """A seeded SPD law of N = ``n`` and d = ``d``, also for N = 1."""
+    size = (n + 1) * d
+    a = np.random.default_rng([n, d]).standard_normal((size, size))
+    return SequenceLaw(a @ a.T + size * np.eye(size), d)
+
+
+def refusal_bytes(call):
+    """The type and message of the error ``call()`` raises, or that it
+    raised none."""
+    try:
+        call()
+    except (ValueError, TypeError) as err:
+        return f"{type(err).__name__}: {err}".encode()
+    return b"(no refusal)"
+
+
+def plan_bytes():
+    """Each probe model's ``repr``, generation plan, SG and constructor
+    refusals, then the refusals of the shapes that admit only BC1 with
+    BC2, one byte string per model or refusal."""
+    for n, d in product(PLAN_NS, PLAN_DIMS):
+        law = probe_law(n, d)
+        for build, c, bc in MODEL_SHAPES:
+            model = build(law, c, bc)
+            parts = [repr(model).encode()]
+            for t, terms in model._generation_plan:
+                parts.append(f"{t} {[src for _, src in terms]}".encode())
+                parts += [np.ascontiguousarray(gain).tobytes() for gain, _ in terms]
+            parts.append(assemble_script_g(model).data.tobytes())
+            make, bg = type(model), model.boundary_gain
+            grids = [dict(model.g_trans), dict(model.g_cond), dict(model.g_noise)]
+            other_bc = BC2 if bc is BC1 else BC1
+            parts.append(refusal_bytes(lambda: make(n, d, c, other_bc, *grids, bg)))
+            for gain in (None, np.eye(d + 1), np.full((d, d), np.nan), np.eye(d)):
+                parts.append(refusal_bytes(lambda: make(n, d, c, bc, *grids, gain)))
+            for k in sorted(model.g_trans):
+                broken = {**model.g_trans, k: model.g_trans[k] + 1.0}
+                parts.append(refusal_bytes(lambda: make(n, d, c, bc, broken, *grids[1:], bg)))
+            yield b"\0".join(parts)
+        for build, c in BC1_ONLY_SHAPES:
+            yield refusal_bytes(lambda: build(law, c, BC2))
+
+
 def witness_bytes(witness):
     return [repr(witness).encode(), witness.worst_ratio.hex().encode()]
 
@@ -294,6 +351,10 @@ def main():
         for blob in cli_bytes(directory):
             commands.update(blob)
             command_count += 1
+    plans, plan_count = hashlib.sha256(), 0
+    for blob in plan_bytes():
+        plans.update(blob)
+        plan_count += 1
     count, interval_count, classifier_count = counts
     print(f"{readings[0].hexdigest()}  {count} reports")
     print(f"{readings[1].hexdigest()}  {interval_count} classify_cm_interval witnesses")
@@ -305,6 +366,7 @@ def main():
     print(f"{rebuilt[1].hexdigest()}  {interval_count} classify_cm_interval witnesses {rebuilt_from}")
     print(f"{rebuilt[2].hexdigest()}  {classifier_count} whole-law classifier witnesses {rebuilt_from}")
     print(f"{commands.hexdigest()}  {command_count} commands with their output and files")
+    print(f"{plans.hexdigest()}  {plan_count} draw orders and refusals of the probe models")
 
 
 if __name__ == "__main__":

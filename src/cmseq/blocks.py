@@ -568,7 +568,8 @@ class SequenceLaw:
     covariance : BlockMatrix or ndarray
         Full covariance of the stacked vector ``(x_0, ..., x_N)``.
     block_dim : int, optional
-        Required when ``covariance`` is a plain ndarray.
+        Required when ``covariance`` is a plain ndarray; given with a
+        :class:`BlockMatrix`, it must be that matrix's block size.
     """
 
     def __init__(self, covariance, block_dim=None):
@@ -588,6 +589,8 @@ class SequenceLaw:
             if block_dim is None:
                 raise ValueError("block_dim is required for ndarray input")
             m = BlockMatrix(m, block_dim)
+        elif block_dim is not None and block_dim != m.block_dim:
+            raise ValueError(f"block_dim {block_dim} != the BlockMatrix's block_dim {m.block_dim}")
         if m.n_blocks < 2:
             raise ValueError("a sequence law needs at least two times (N >= 1)")
         if not m._symmetric:

@@ -15,11 +15,12 @@ The backward model x_k = G_trans[k] x_{k+1} + G_cond[k] x_c + e_k is the
 forward model of the time-reversed sequence y_j = x_{N-j}, kept on the
 original time axis.  Reversal maps time k to N-k and swaps the conditioning
 sides FIRST and LAST; it keeps the boundary variant and the boundary gain.
-So the regressions, the parameter identities and the generation plan are
-written once, for the forward direction.  A backward model reaches them
-through its mirror, the forward model of the reversed sequence: the same
-stacks reversed, with the sides swapped.  The sampler
-(:mod:`cmseq.simulate`) reads the recursions from the plan.
+So a shape's draw order is written once, for the forward direction, in
+:func:`_shape_plan`, which maps a backward model's steps to its own axis:
+the regressions, SG, the generation plan the sampler
+(:mod:`cmseq.simulate`) reads, the grids' keys and the constructor's rules
+all read that plan.  The parameter checks read a backward model's stacks
+reversed, with the sides swapped.
 
 A model keeps its gains and noises as read-only ``(N+1, d, d)`` float
 stacks in time order, zero at a time with no gain: a build hands over the
@@ -34,20 +35,19 @@ computes once.  Construction refuses a non-finite entry, checks every
 noise covariance in one stacked Cholesky factorization, refuses a noise
 whose inverse is not finite and keeps each factor and inverse; the
 parameter checks, the assembled precision and the sampler read those.  The
-plan and the precision, marked by
+generation plan and the precision, marked by
 :meth:`~cmseq.blocks.BlockMatrix._formed` if finite, are built on first
-use and kept, and a backward model's mirror shares its arrays.  Since
+use and kept.  Since
 nothing can change a model, nothing kept goes stale, and a round trip
 (build, checks, precision, model covariance, sampling) takes the same
 number of factorizations for every N.  Building a model makes one call of
 :func:`~cmseq.blocks._condition`, the package's one Gaussian-conditioning
-routine, with one ``(t, t, givens)`` triple per step in draw order; a
-backward model's mirror reads the law's own covariance at the mirrored
-times, so an error names the law's own row.  The triples and the model
-times each group of them fills depend only on N and the model's shape:
-they are a regression plan, made once and kept, as the routine keeps its
-gathers per triples, ``d`` and size, so a build of a size seen before
-runs only its gathers, LAPACK calls and products.
+routine, with one ``(t, t, givens)`` triple per step in draw order, at the
+law's own times for either direction, so an error names the law's own
+row.  The shape plan depends only on N and the model's shape: it is made
+once and kept, as the routine keeps its gathers per triples, ``d`` and
+size, so a build of a size seen before runs only its gathers, LAPACK
+calls and products.
 
 The model family is exactly as expressive as the CM_c class: building a model
 from a law and reassembling its precision reproduces the law *iff* the law is
@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,8 +130,8 @@ _OTHER_SIDE = {
 
 
 _GRIDS = ("g_trans", "g_cond", "g_noise")
-# regression plans kept: the benchmark's `small-corpus` laws use 24 (four
-# sizes N, six model shapes)
+# shape plans kept: the benchmark's `small-corpus` laws use 24 (four sizes
+# N, six model shapes)
 _PLANS = 128
 
 
@@ -179,21 +180,13 @@ def _frozen(g):
     return a
 
 
-def _gain_times(n, start, c_index):
-    """The range of a model's gain times: every time of ``0..n`` but the
-    start of its chain and its conditioning time, which are endpoints.  A
-    forward model (start 0) draws them in this order."""
-    ends = (start, c_index)
-    return range(1 if 0 in ends else 0, n if n in ends else n + 1)
-
-
 @dataclass(frozen=True)
 class _CmcModel:
     """Fields and validation shared by the two time directions.
 
-    ``_forward`` is the forward model of the same law, and ``_time(j)`` is
-    this model's time for its time ``j``.  Validation reads the model on its
-    own time axis, so its messages name the caller's times and sides.
+    ``_plan`` is the model's :func:`_shape_plan`, its steps on its own time
+    axis.  Validation reads the model on that axis, so its messages name the
+    caller's times and sides.
 
     ``_trans``, ``_cond`` and ``_noise`` are the gains and noises as
     read-only ``(N+1, d, d)`` stacks in time order, zero at a time with no
@@ -216,38 +209,27 @@ class _CmcModel:
     def c_index(self):
         return 0 if self.c is ConditioningSide.FIRST else self.n_last
 
-    @property
-    def _forward(self):
-        return self
-
-    def _time(self, j):
-        return j
+    @cached_property
+    def _plan(self):
+        return _shape_plan(self.n_last, self.c, self.bc, self.direction == "backward")
 
     @cached_property
     def _generation_plan(self):
         """Ordered steps (time, [(gain, source_time), ...]) realizing the model.
 
-        The first entries are the boundary recursion in its documented draw
-        order; the remaining entries walk the chain.  Consuming one noise
-        vector per entry, in order, reproduces the model's law exactly, and
-        each entry is one row of SG.  A backward model's plan is its mirror's
-        with every time t mapped to N-t.  Built on first use and kept; callers
-        only read it.
+        The plan's steps with their gains: the boundary recursion in its
+        documented draw order, then the chain.  Consuming one noise vector
+        per entry, in order, reproduces the model's law exactly, and each
+        entry is one row of SG.  Built on first use and kept; callers only
+        read it.
         """
-        fwd, t = self._forward, self._time
-        n = fwd.n_last
-        interior = [
-            (k, [(fwd._trans[k], k - 1), (fwd._cond[k], fwd.c_index)])
-            for k in _gain_times(n, 0, fwd.c_index)
-        ]
-        if fwd.c is ConditioningSide.LAST:
-            if fwd.bc is BoundaryCondition.BC1:
-                head = [(0, []), (n, [(fwd.boundary_gain, 0)])]
-            else:
-                head = [(n, []), (0, [(fwd.boundary_gain, n)])]
-        else:
-            head = [(0, [])]
-        return [(t(k), [(gain, t(src)) for gain, src in terms]) for k, terms in head + interior]
+        plan, steps = self._plan, []
+        for t, givens in plan.steps:
+            if t == plan.split:  # both gains of the chain's first step read its start
+                givens *= 2
+            gains = (self._trans[t], self._cond[t]) if len(givens) == 2 else (self.boundary_gain,)
+            steps.append((t, list(zip(gains, givens))))
+        return steps
 
     def _script_g(self):
         """SG as a fresh ndarray, on the model's own axis: every term of the
@@ -255,16 +237,15 @@ class _CmcModel:
         (the boundary gain, then every transition gain, then every
         conditioning gain), so the forward c=FIRST row 1 keeps
         ``0 - G_trans[1] - G_cond[1]``.  Row t's transition gain sits in the
-        column its mirror's step looks back at: t-1 forward, t+1 backward."""
-        n, d, t = self.n_last, self.dim, self._time
+        column of its previous time: t-1 forward, t+1 backward."""
+        n, d, plan = self.n_last, self.dim, self._plan
         sg = np.eye((n + 1) * d)
         grid = sg.reshape(n + 1, d, n + 1, d).swapaxes(1, 2)  # grid[i, j] is block (i, j)
-        if self.boundary_gain is not None:
-            start, end = (0, n) if self.bc is BoundaryCondition.BC1 else (n, 0)
-            grid[t(end), t(start)] -= self.boundary_gain
-        gains = _gain_times(n, t(0), self.c_index)
-        at, rows = slice(gains.start, gains.stop), np.arange(gains.start, gains.stop)
-        grid[rows, t(t(rows) - 1)] -= self._trans[at]
+        if plan.split is None:
+            end, (start,) = plan.steps[1]
+            grid[end, start] -= self.boundary_gain
+        at = slice(plan.gains.start, plan.gains.stop)
+        grid[np.arange(at.start, at.stop), plan.prev] -= self._trans[at]
         grid[at, self.c_index] -= self._cond[at]
         return sg
 
@@ -294,8 +275,8 @@ class _CmcModel:
         keys = self._keys()
         stacks = _stacks([getattr(self, name) for name in _GRIDS], keys, n, d)
         self._keep_stacks(stacks, keys)
-        k = self._time(1)
-        if self.c_index == self._time(0) and not np.allclose(self._trans[k], self._cond[k]):
+        k = self._plan.split
+        if k is not None and not np.allclose(self._trans[k], self._cond[k]):
             raise ValueError(
                 f"c={self.c.name} requires the equal split G_trans[{k}] == G_cond[{k}]"
             )
@@ -323,15 +304,15 @@ class _CmcModel:
     def _keys(self):
         """The times of the gain and noise grids, after refusing a chain
         start with BC2: conditioned on its start time s, the chain starts at
-        x_s = e_s and step k carries the equal split; otherwise
+        x_s = e_s and its first step carries the equal split; otherwise
         boundary_gain closes it."""
-        s, c_index = self._time(0), self.c_index
-        if c_index == s and self.bc is not BoundaryCondition.BC1:
+        plan = self._plan
+        if plan.split is not None and self.bc is not BoundaryCondition.BC1:
+            s = plan.steps[0][0]
             raise ValueError(
                 f"c={self.c.name} admits only BC1 (the chain starts at x_{s} = e_{s})"
             )
-        gains = _gain_times(self.n_last, s, c_index)
-        return gains, gains, range(self.n_last + 1)
+        return plan.gains, plan.gains, range(self.n_last + 1)
 
     def _keep_stacks(self, stacks, keys, symmetric=False):
         """The step every construction ends in: keep the read-only
@@ -353,7 +334,7 @@ class _CmcModel:
         object.__setattr__(self, "_noise_lower", lower)
         object.__setattr__(self, "_noise_inv", inv)
         c, d = self.c, self.dim
-        if self.c_index != self._time(0):
+        if self._plan.split is None:
             if self.boundary_gain is None or np.shape(self.boundary_gain) != (d, d):
                 raise ValueError(f"c={c.name} requires a d x d boundary_gain")
             object.__setattr__(self, "boundary_gain", _frozen(self.boundary_gain))
@@ -385,35 +366,10 @@ class BackwardCmcModel(_CmcModel):
     original time axis: gains exist for k in [0, N) except the conditioning
     time; ``boundary_gain`` exists for c=FIRST (x_0 on x_N under BC1, x_N on
     x_0 under BC2); for c=LAST the chain starts at x_N = e_N and the k=N-1
-    step splits its weight equally.  Its mirror, that forward model in the
-    reversed time, is built on first use and kept: this model's stacks
-    reversed, with the sides swapped.  It shares this model's read-only
-    arrays, and its mappings hold this model's very views.
+    step splits its weight equally.
     """
 
     direction = "backward"
-
-    @cached_property
-    def _forward(self):
-        # this model is valid, so its mirror is too: skip a second validation
-        mirror = object.__new__(ForwardCmcModel)
-        n = self.n_last
-        mirror.__dict__.update(
-            {name: getattr(self, name) for name in ("n_last", "dim", "bc", "boundary_gain")},
-            c=_OTHER_SIDE[self.c],
-            **{
-                name: getattr(self, name)[::-1]
-                for name in ("_trans", "_cond", "_noise", "_noise_lower", "_noise_inv")
-            },
-            **{
-                name: MappingProxyType({n - t: g for t, g in getattr(self, name).items()})
-                for name in ("g_trans", "g_cond", "g_noise")
-            },
-        )
-        return mirror
-
-    def _time(self, j):
-        return self.n_last - j
 
 
 @dataclass(frozen=True)
@@ -433,64 +389,86 @@ def _regressions(cov, c, bc, backward=False):
     zero at a time with no gain, for :meth:`_CmcModel._built`.
 
     All steps go to one :func:`~cmseq.blocks._condition` call, with the
-    triples of the kept :func:`_regression_plan`: the start step, with no
+    triples of the kept :func:`_shape_plan`: the start step, with no
     givens, yields its plain block, and every other step its gains (the
     transposed solves) and noise (the symmetric part of the residual), each
     group scattered straight into the stacks at its model times.
     """
     n, d = cov.n_blocks - 1, cov.block_dim
-    triples, rows, split = _regression_plan(n, c, bc, backward)
+    plan = _shape_plan(n, c, bc, backward)
+    rows = plan.rows
     stacks = np.zeros((3, n + 1, d, d))
     trans, cond, noise = stacks
-    for _, solved, partial in _condition(cov, triples):
+    for _, solved, partial in _condition(cov, plan.triples):
         at = rows[solved.shape[1] // d]  # the group's rows, by its number of givens
         noise[at] = partial
         if at is rows[1]:  # x_end on x_start alone
             end_gain = solved[0].T
         elif at is rows[2]:  # x_k on (x_{k-1}, x_c)
             trans[at], cond[at] = solved[:, :d].swapaxes(1, 2), solved[:, d:].swapaxes(1, 2)
-    if split is None:
+    if plan.split is None:
         bg = end_gain
     else:
-        bg, trans[split], cond[split] = None, end_gain / 2.0, end_gain / 2.0
+        bg, trans[plan.split], cond[plan.split] = None, end_gain / 2.0, end_gain / 2.0
     stacks[2] = _symmetric_part(noise)
     return stacks, bg
 
 
-@lru_cache(maxsize=_PLANS)
-def _regression_plan(n, c, bc, backward):
-    """The Python side of :func:`_regressions` for one model shape over
-    times ``0..n``, made once and kept (at most ``_PLANS`` of them):
-    ``(triples, rows, split)``.
+class _ShapePlan(NamedTuple):
+    """The steps of one model shape over times ``0..n``, on the model's own
+    time axis; see :func:`_shape_plan`."""
 
-    The regressions are those of a forward model.  A backward model's are
-    its mirror's, for the other side on the reversed sequence, which read
-    the covariance at the mirrored times, so an error names the law's own
-    row.  Each step, in the order the model draws them, is the triple
-    ``(t, t, givens)``.  ``rows[m]`` holds the model times of the steps with
-    ``m`` givens, in step order, a read-only index array; ``split`` is the
-    model time of a chain's first step, which carries the equal split, or
-    None for a model with a boundary gain.
+    steps: tuple
+    split: int | None
+    gains: range
+    prev: np.ndarray
+    triples: tuple
+    rows: tuple
+
+
+@lru_cache(maxsize=_PLANS)
+def _shape_plan(n, c, bc, backward):
+    """The draw order of the model of side ``c`` and boundary recursion
+    ``bc`` over times ``0..n``, forward or ``backward``, made once and kept
+    (at most ``_PLANS`` of them), all on the model's own time axis:
+
+    - ``steps``: each step ``(t, givens)`` in draw order, x_t regressed on
+      the times ``givens``: the chain's start (no givens), then the step
+      on the start alone (the boundary gain's, or the chain's first step,
+      which carries the equal split), then the chain, x_k on (x_{k-1}, x_c);
+    - ``split``: that first step's time for a model that starts its chain
+      at its conditioning time, or None for a model with a boundary gain;
+    - ``gains``: the range of the gain times, every time but the start and
+      the conditioning time; ``prev``: each one's previous time;
+    - ``triples``: the ``(t, t, givens)`` triple of each step, for
+      :func:`~cmseq.blocks._condition`; ``rows[m]``: the times of the
+      steps with ``m`` givens, in step order.
+
+    A backward model is the forward model of the reversed sequence
+    y_j = x_{n-j} for the other side: its steps are those, each time j
+    mapped to n - j, so a build reads the law's covariance at the law's own
+    times and an error names the law's own row.  The bc of a model that
+    starts its chain is not read here (its model refuses BC2).  The arrays
+    are read-only.
     """
     side = _OTHER_SIDE[c] if backward else c
-    c_index = n if side is ConditioningSide.LAST else 0
-    gains = _gain_times(n, 0, c_index)
     if side is ConditioningSide.LAST:
         start, end = (0, n) if bc is BoundaryCondition.BC1 else (n, 0)
-        interior, split = gains, None
-    else:
-        # c = FIRST: x_0 = e_0, and the k=1 step sees x_{k-1} = x_c = x_0
-        start, end = 0, 1
-        interior, split = gains[1:], 1
-    steps = [(start, ()), (end, (start,)), *((k, (k - 1, c_index)) for k in interior)]
-    if backward:  # the mirror's time j is the law's and the model's time N - j
+        c_index, chain, split = n, range(1, n), None
+    else:  # c = FIRST: x_0 = e_0, and the k=1 step sees x_{k-1} = x_c = x_0
+        start, end, c_index, chain, split = 0, 1, 0, range(2, n + 1), 1
+    steps = [(start, ()), (end, (start,)), *((k, (k - 1, c_index)) for k in chain)]
+    gains = range(1, chain.stop)
+    if backward:  # the reversed sequence's time j is the model's time n - j
         steps = [(n - t, tuple(n - g for g in givens)) for t, givens in steps]
         split = None if split is None else n - split
-    triples = tuple(((t,), (t,), givens) for t, givens in steps)
+        gains = range(n + 1 - gains.stop, n)
+    prev = np.arange(gains.start, gains.stop) + (1 if backward else -1)
     rows = tuple(np.array([t for t, g in steps if len(g) == m], dtype=np.intp) for m in range(3))
-    for at in rows:
+    for at in (prev, *rows):
         at.setflags(write=False)
-    return triples, rows, split
+    triples = tuple(((t,), (t,), givens) for t, givens in steps)
+    return _ShapePlan(tuple(steps), split, gains, prev, triples, rows)
 
 
 def build_forward(
@@ -599,25 +577,35 @@ def _identity_residuals(index, lhs, rhs, floors=()):
     return ratios[i].item(), index[i].item()
 
 
+def _forward_stacks(model):
+    """``(side, inv, trans, cond)``: the model read as the forward model of
+    its draw order, with its noise-inverse, transition and conditioning
+    stacks.  A backward model is the forward model of the reversed
+    sequence: its stacks reversed, with the other side."""
+    stacks = model._noise_inv, model._trans, model._cond
+    if model.direction == "forward":
+        return model.c, *stacks
+    return _OTHER_SIDE[model.c], *(stack[::-1] for stack in stacks)
+
+
 def check_reciprocity_forward(model, tol: Tolerance = Tolerance()) -> CheckResult:
     """Interior parameter condition for the model's law to be reciprocal.
 
     Checks G_noise[k]^{-1} G_cond[k] = G_trans[k+1]' G_noise[k+1]^{-1} G_cond[k+1]
     over k in {1..N-2} for c=LAST and k in {2..N-1} for c=FIRST (the literal
     interior ranges; empty ranges pass vacuously), as batched products over
-    the stacks.  A backward model is checked through its mirror;
-    ``worst_index`` is the lower time of the worst pair on the model's own
-    axis.
+    the stacks.  A backward model is checked as the forward model of the
+    reversed sequence; ``worst_index`` is the lower time of the worst pair
+    on the model's own axis.
     """
-    fwd = model._forward
-    n = fwd.n_last
-    lo, hi = (1, n - 1) if fwd.c is ConditioningSide.LAST else (2, n)
+    side, inv, trans, cond = _forward_stacks(model)
+    n = model.n_last
+    lo, hi = (1, n - 1) if side is ConditioningSide.LAST else (2, n)
     at, after = slice(lo, hi), slice(lo + 1, hi + 1)  # the pairs (k, k+1), k in lo..hi-1
-    inv, trans, cond = fwd._noise_inv, fwd._trans, fwd._cond
     lhs = inv[at] @ cond[at]
     rhs = trans[after].swapaxes(1, 2) @ inv[after] @ cond[after]
     index = np.arange(lo, hi)
-    if fwd is not model:  # pair k's lower time is N-k-1: ascending, reversed
+    if model.direction == "backward":  # pair k's lower time is N-k-1: ascending, reversed
         lhs, rhs, index = lhs[::-1], rhs[::-1], n - 1 - index[::-1]
     floors = (inv[lo : hi + 1],) if hi > lo else ()  # every time of a pair
     worst_ratio, worst_index = _identity_residuals(index, lhs, rhs, floors)
@@ -632,24 +620,24 @@ def check_markov_forward(model, tol: Tolerance = Tolerance()) -> CheckResult:
     (one form per bc, reported at index 0); for c=FIRST it requires the
     final conditioning gain to vanish, against the largest gain (reported
     at that gain's time).  Degenerate N=1 models (no interior step) pass
-    trivially.  A backward model is checked through its mirror, with the
-    time on its own axis.
+    trivially.  A backward model is checked as the forward model of the
+    reversed sequence, with the time on its own axis.
     """
-    fwd = model._forward
-    n = fwd.n_last
+    n = model.n_last
     if n == 1:
         return CheckResult(True, 0.0, None)
-    inv, trans, cond = fwd._noise_inv, fwd._trans, fwd._cond
-    if fwd.c is ConditioningSide.LAST:
-        if fwd.bc is BoundaryCondition.BC1:
+    side, inv, trans, cond = _forward_stacks(model)
+    if side is ConditioningSide.LAST:
+        if model.bc is BoundaryCondition.BC1:
             b, rhs = n, cond[1].T @ inv[1] @ trans[1]
         else:
             b, rhs = 0, trans[1].T @ inv[1] @ cond[1]
-        lhs, floors, index = inv[b] @ fwd.boundary_gain, (inv[b : b + 1], inv[1:2]), 0
+        lhs, floors, index = inv[b] @ model.boundary_gain, (inv[b : b + 1], inv[1:2]), 0
     else:
-        # c = FIRST: the last step must not look back at x_0 at all, against
-        # every gain (the stacks' zero rows leave the largest norm as it is)
-        lhs, rhs, index = cond[n], np.zeros((fwd.dim, fwd.dim)), model._time(n)
+        # c = FIRST: the chain's last step must not look back at x_0 at all,
+        # against every gain (the stacks' zero rows leave the largest norm
+        # as it is)
+        lhs, rhs, index = cond[n], np.zeros((model.dim, model.dim)), model._plan.steps[-1][0]
         floors = (trans, cond)
     worst_ratio, _ = _identity_residuals(np.array([index]), lhs[None], rhs[None], floors)
     return CheckResult(bool(worst_ratio <= tol.residual_tol), worst_ratio, index)

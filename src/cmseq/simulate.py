@@ -341,8 +341,10 @@ def sample_forward(model: ForwardCmcModel, n_replicates: int, seed: int) -> Samp
 def sample_backward(model: BackwardCmcModel, n_replicates: int, seed: int) -> SampleBatch:
     """Draw i.i.d. trajectories from a backward model.
 
-    The draw order is the forward one of its mirror, the forward model of
-    the reversed sequence: each time t of that order becomes N-t.
+    The draw order is the forward one of the reversed sequence
+    y_j = x_{N-j} for the other side, each time j of it drawn as x_{N-j}:
+    for c=FIRST, BC1 draws x_N then x_0, BC2 draws x_0 first, then the
+    chain x_{N-1}, ..., x_1; for c=LAST the chain runs x_N, x_{N-1}, ..., x_0.
     """
     if not isinstance(model, BackwardCmcModel):
         raise TypeError("sample_backward needs a BackwardCmcModel")
@@ -384,6 +386,8 @@ def mc_validate(
         raise InsufficientSamplesError(f"need at least 2 replicates, got {n_replicates}")
     if reference is None:
         reference = model_covariance(model)
+    elif not isinstance(reference, SequenceLaw):
+        raise TypeError(f"expected a SequenceLaw reference, got {type(reference)!r}")
     elif (reference.n_last, reference.dim) != (model.n_last, model.dim):
         raise ValueError(
             f"reference law has N={reference.n_last}, d={reference.dim}, "

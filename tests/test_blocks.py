@@ -934,6 +934,16 @@ def test_numpy_integer_block_dims_are_integers():
     assert SequenceLaw(np.eye(4), np.int32(2)).dim == 2
 
 
+def test_a_block_dim_that_disagrees_with_a_block_matrix_is_refused():
+    """A law of a BlockMatrix takes its block size from the matrix: a
+    block_dim given with it must match, and names both sizes if not."""
+    given = BlockMatrix(np.eye(4), 2)
+    for make in (SequenceLaw, SequenceLaw.from_precision):
+        with pytest.raises(ValueError, match="block_dim 1 != the BlockMatrix's block_dim 2"):
+            make(given, 1)
+        assert make(given, np.int64(2)).dim == make(given).dim == 2
+
+
 def test_tolerance_must_be_positive():
     with pytest.raises(ValueError):
         Tolerance(zero_tol=0.0)

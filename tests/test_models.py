@@ -164,6 +164,55 @@ def test_script_g_follows_the_row_rule_for_every_shape(build, c, bc, n, d):
     assert assemble_script_g(model).data.tobytes() == expected.tobytes()
 
 
+def spelled_out_generation_plan(model):
+    """The draw order ``sample_forward`` documents, as steps (time,
+    [(gain, source time), ...]) read off the model's public fields: for
+    c=LAST, BC1 draws x_0 then x_N (on x_0), BC2 draws x_N then x_0 (on
+    x_N), then the chain x_1, ..., x_{N-1}; for c=FIRST the chain runs x_0,
+    x_1, ..., x_N, and x_1 reads x_0 through both of its gains.  Each chain
+    step x_k reads x_{k-1} and x_c.  A backward model draws in the order of
+    its mirror, the forward model of the other side on the reversed
+    sequence, with each time t of that order as N - t."""
+    n, c = model.n_last, model.c
+    if model.direction == "forward":
+        side, t = c, (lambda j: j)
+    else:
+        side, t = (LAST if c is FIRST else FIRST), (lambda j: n - j)
+
+    def chain(j):
+        return t(j), [(model.g_trans[t(j)], t(j - 1)), (model.g_cond[t(j)], model.c_index)]
+
+    if side is FIRST:
+        return [(t(0), []), *(chain(j) for j in range(1, n + 1))]
+    first, second = (0, n) if model.bc is BC1 else (n, 0)
+    head = [(t(first), []), (t(second), [(model.boundary_gain, t(first))])]
+    return [*head, *(chain(j) for j in range(1, n))]
+
+
+def plan_readings(plan):
+    """Each step's time, its source times and the bytes of its gains."""
+    return [(t, [src for _, src in terms], [gain.tobytes() for gain, _ in terms])
+            for t, terms in plan]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "build,c,bc",
+    [(build_forward, c, bc) for c, bc in FORWARD_COMBOS]
+    + [(build_backward, c, bc) for c, bc in BACKWARD_COMBOS],
+)
+def test_the_generation_plan_is_the_documented_draw_order(build, c, bc, n, d):
+    """The plan the sampler and the reference SG read is the draw order
+    spelled out without it: each step's time, sources and gain bytes."""
+    size = (n + 1) * d
+    a = np.random.default_rng([n, d]).standard_normal((size, size))
+    model = build(SequenceLaw(a @ a.T + size * np.eye(size), d), c, bc)
+    assert plan_readings(model._generation_plan) == plan_readings(
+        spelled_out_generation_plan(model)
+    )
+
+
 def direct_regression(cov, d, target, given):
     """x_target regressed on the listed times of ``cov``, spelled out here so
     that the backward definitions are pinned on the original time axis."""
@@ -647,13 +696,6 @@ def test_a_model_owns_read_only_copies_of_its_fields(build, c, bc, tmp_path):
         with pytest.raises(ValueError, match="read-only"):
             model.boundary_gain[0, 0] = 2.0
     assert round_trip_bytes(model, tmp_path) == before
-    # a backward model's mirror reads the very same read-only arrays
-    fwd, n = model._forward, model.n_last
-    for name in ("g_trans", "g_cond", "g_noise"):
-        grid, mirrored = getattr(model, name), getattr(fwd, name)
-        assert all(mirrored[model._time(t)] is g for t, g in grid.items())
-        with pytest.raises(TypeError):
-            mirrored[n] = np.eye(1)
 
 
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
@@ -830,14 +872,16 @@ def reference_identity_residuals(pairs, floors=()):
 def reference_checks(model, tol=Tolerance()):
     """Both parameter checks of ``model``, one identity at a time, on its
     mirror's axis, from the inverses of the model's own noises."""
-    n, t = model.n_last, model._time
+    n = model.n_last
+    forward = model.direction == "forward"
+    t = (lambda j: j) if forward else (lambda j: n - j)
     inv = {k: model._noise_inv[k] for k in range(n + 1)}
     gt, gc, bg = model.g_trans, model.g_cond, model.boundary_gain
     # the mirror's gains and inverses at its time j: the model's at t(j)
     trans, cond, inv_m = (
         {j: grid[t(j)] for j in range(n + 1) if t(j) in grid} for grid in (gt, gc, inv)
     )
-    side = model._forward.c
+    side = model.c if forward else {FIRST: LAST, LAST: FIRST}[model.c]
     ks = range(1, n - 1) if side is LAST else range(2, n)
     pairs = {
         min(t(k), t(k + 1)): (inv_m[k] @ cond[k], trans[k + 1].T @ inv_m[k + 1] @ cond[k + 1])
@@ -1184,16 +1228,16 @@ def test_random_law_diagonal_is_one_plus_the_absolute_row_sum(law_class, monkeyp
             assert np.array_equal(a[rows, rows], (1.0 + row_abs) * np.eye(d)), (n, d, seed, i)
 
 
-# --- kept regression plans -----------------------------------------------------
+# --- kept shape plans ----------------------------------------------------------
 
 
 def clear_plans():
-    models._regression_plan.cache_clear()
+    models._shape_plan.cache_clear()
     blocks._conditioning_plan.cache_clear()
 
 
 def plan_misses():
-    caches = (models._regression_plan, blocks._conditioning_plan)
+    caches = (models._shape_plan, blocks._conditioning_plan)
     return tuple(cache.cache_info().misses for cache in caches)
 
 
@@ -1206,7 +1250,7 @@ def model_bytes(model):
 
 @pytest.mark.parametrize("build,c,bc", SHAPES)
 def test_a_second_law_of_a_shape_reuses_its_plans(build, c, bc):
-    """A build makes its regression plan and its conditioning plan once per
+    """A build makes its shape plan and its conditioning plan once per
     (N, d): a second law of that size makes none, and gets the bits a cold
     build gives it."""
     first, second = (random_law(LawClass.GENERIC, 5, 2, seed=s) for s in (1, 2))
@@ -1220,10 +1264,12 @@ def test_a_second_law_of_a_shape_reuses_its_plans(build, c, bc):
 
 
 def test_a_kept_regression_plan_refuses_writes():
-    triples, rows, split = models._regression_plan(5, LAST, BC1, True)
+    plan = models._shape_plan(5, LAST, BC1, True)
+    triples, rows, split = plan.triples, plan.rows, plan.split
     assert len(triples) == 6 and split == 4
     assert [at.tolist() for at in rows] == [[5], [4], [3, 2, 1, 0]]
-    assert not any(at.flags.writeable for at in rows)
+    assert plan.gains == range(0, 5) and plan.prev.tolist() == [1, 2, 3, 4, 5]
+    assert not any(at.flags.writeable for at in (*rows, plan.prev))
     with pytest.raises(ValueError, match="read-only"):
         rows[2][0] = 0
 

@@ -316,7 +316,7 @@ def unbounded_caches(source):
 
 def test_every_cache_has_an_explicit_finite_bound():
     """A cache kept for the life of a process must not grow without bound:
-    every kept query table, conditioning plan and regression plan, and
+    every kept query table, conditioning plan and shape plan, and
     every other cache, holds at most its stated number of entries."""
     src = Path(cmseq.__file__).parent
     found = [
@@ -345,6 +345,59 @@ def test_unbounded_caches_finds_every_cache_without_a_finite_bound():
         "from functools import lru_cache as memo\n"
     )
     assert sorted(line for line, _ in unbounded_caches(source)) == [2, 5, 7, 9, 11, 15, 20, 21]
+
+
+DIRECTION_CLASSES = ("ForwardCmcModel", "BackwardCmcModel")
+
+
+def direction_class_breaches(source):
+    """``(line, code)`` of each statement in the body of a model direction
+    class, ``ForwardCmcModel`` or ``BackwardCmcModel``, that is neither its
+    docstring nor the plain assignment of its ``direction`` string: the
+    shared class and the shape plan read a model in either direction, so a
+    direction adds no method, property or field of its own."""
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef) and node.name in DIRECTION_CLASSES):
+            continue
+        for at, stmt in enumerate(node.body):
+            docstring = (
+                at == 0 and isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+                and isinstance(stmt.value.value, str)
+            )
+            direction = (
+                isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name) and stmt.targets[0].id == "direction"
+                and isinstance(stmt.value, ast.Constant) and isinstance(stmt.value.value, str)
+            )
+            if not (docstring or direction):
+                yield stmt.lineno, f"{node.name}: {ast.unparse(stmt).splitlines()[0]}"
+
+
+def test_a_model_direction_class_holds_only_its_docstring_and_direction():
+    """A backward model is the forward model of the reversed sequence: its
+    class, like the forward one, is the shared class with a direction."""
+    source = Path(models.__file__).read_text()
+    classes = {n.name for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ClassDef)}
+    assert set(DIRECTION_CLASSES) <= classes
+    assert list(direction_class_breaches(source)) == []
+
+
+def test_direction_class_breaches_finds_every_other_statement():
+    source = (
+        "class ForwardCmcModel(_CmcModel):\n"
+        "    \"\"\"A docstring.\"\"\"\n"
+        "    direction = \"forward\"\n"
+        "    def _time(self, j):\n        return j\n"
+        "class BackwardCmcModel(_CmcModel):\n"
+        "    direction = \"backward\"\n"
+        "    \"\"\"Not a docstring here.\"\"\"\n"
+        "    lag: int = 1\n"
+        "    direction = 1\n"
+        "    @cached_property\n    def _forward(self):\n        return self\n"
+        "class Other:\n"
+        "    def f(self):\n        pass\n"
+    )
+    assert sorted(line for line, _ in direction_class_breaches(source)) == [4, 8, 9, 10, 12]
 
 
 SHAPES = [

@@ -140,6 +140,15 @@ def test_mc_validate_rejects_a_reference_of_another_shape(reference):
         mc_validate(model, 20000, seed=6, tol_abs=0.05, reference=reference)
 
 
+@pytest.mark.parametrize("reference", [ar1_law(3).covariance, ar1_law(3).covariance.data])
+def test_mc_validate_refuses_a_reference_that_is_not_a_law(reference):
+    """A covariance matrix is not a law: it is refused by type, as
+    model_covariance refuses what is not a model."""
+    model = build_forward(ar1_law(3), LAST, BC1)
+    with pytest.raises(TypeError, match="expected a SequenceLaw reference"):
+        mc_validate(model, 1000, 1, 1.0, reference=reference)
+
+
 def test_mc_validate_rejects_hopeless_tolerance():
     with pytest.raises(ValueError):
         mc_validate(AR1_MODEL, 100, seed=0, tol_abs=0.02)
